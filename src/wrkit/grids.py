@@ -103,11 +103,6 @@ class Partition1D:
         return float(self.widths.max())
 
     @property
-    def interfaces(self) -> np.ndarray:
-        """Interior boundaries, i.e. coordinates of interfaces 1..n-1."""
-        return self.boundaries[1:-1]
-
-    @property
     def middle_index(self) -> int:
         """1-based index of the middle subdomain (odd counts only)."""
         n = self.n_subdomains

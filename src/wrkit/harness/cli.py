@@ -95,35 +95,41 @@ def _floats(value: str) -> tuple[float, ...]:
 
 
 def _cmd_bound(kind: str, params: dict[str, str]) -> int:
-    kmax = int(params.pop("kmax", "20"))
-    if kind == "wave-steps":
-        T = float(params.pop("T"))
-        widths = _floats(params.pop("widths"))
-        speeds = _floats(params.pop("c", "1"))
-        if params:
-            raise WrkitError(f"unused bound params: {sorted(params)}")
-        c = speeds[0] if len(speeds) == 1 else speeds
-        print(wave_steps_needed(T, widths, c))
-        return 0
+    """Print one envelope curve or step count; every failure is a WrkitError.
 
-    nu = float(params.pop("nu"))
-    T = float(params.pop("T"))
-    if kind == "heat-equal":
-        count = int(params.pop("count"))
-        h = float(params.pop("h"))
-        fn = lambda k: heat_bound_equal(count, h, nu, T, k)
+    All rows are computed before the first one is printed, so a failing
+    call leaves stdout empty.
+    """
+
+    def take(key: str, convert, default: str | None = None):
+        value = params.pop(key, default)
+        if value is None:
+            raise WrkitError(f"bound --kind {kind} needs {key}=VALUE")
+        try:
+            return convert(value)
+        except ValueError:
+            raise WrkitError(f"bound param {key}={value!r} is not a valid value") from None
+
+    kmax = take("kmax", int, "20")
+    if kind == "wave-steps":
+        T, widths, speeds = take("T", float), take("widths", _floats), take("c", _floats, "1")
+        fn, args = wave_steps_needed, (T, widths, speeds[0] if len(speeds) == 1 else speeds)
+    elif kind == "heat-equal":
+        fn = heat_bound_equal
+        args = (take("count", int), take("h", float), take("nu", float), take("T", float))
     else:
-        m = int(params.pop("m"))
-        widths = _floats(params.pop("widths"))
-        if kind == "heat-unequal":
-            fn = lambda k: heat_bound_unequal(m, widths, nu, T, k)
-        else:
-            fn = lambda k: heat_bound_even(m, widths, nu, T, k)
+        fn = heat_bound_unequal if kind == "heat-unequal" else heat_bound_even
+        args = (take("m", int), take("widths", _floats), take("nu", float), take("T", float))
     if params:
         raise WrkitError(f"unused bound params: {sorted(params)}")
-    print("k,bound")
-    for k in range(kmax + 1):
-        print(f"{k},{fn(k)!r}")
+    try:
+        if kind == "wave-steps":
+            lines = [str(fn(*args))]
+        else:
+            lines = ["k,bound"] + [f"{k},{fn(*args, k)!r}" for k in range(kmax + 1)]
+    except ValueError as exc:
+        raise WrkitError(f"bound: {exc}") from None
+    print("\n".join(lines))
     return 0
 
 

@@ -176,7 +176,7 @@ def _setup(spec: ExperimentSpec):
     return problem, partition, grids, ygrid
 
 
-def _initial_error(guesses, reference, cache=None) -> float:
+def _initial_error(guesses, reference) -> float:
     """Max-abs distance of the starting traces to the reference traces.
 
     Projects each guess onto its reference grid, the same direction the

@@ -3,8 +3,9 @@
 A config is UTF-8 text, one ``key = value`` per line, ``#`` to end of
 line is a comment. ``load_config`` parses, fills defaults, and runs every
 semantic check that can be done without solving anything: preset names
-exist, partitions sit on the space lattice, explicit wave steps pass the
-CFL limit. Runs never start from a spec that would die mid-way.
+exist, partitions sit on the space lattice with at least 2 cells per
+subdomain, explicit wave steps pass the CFL limit. Runs never start from
+a spec that would die mid-way.
 """
 
 from __future__ import annotations
@@ -222,6 +223,9 @@ def _check_lattice(spec: ExperimentSpec) -> None:
         make_partition(bounds)
     except WrkitError as exc:  # increasing, at least two subdomains
         raise ValidationError(str(exc)) from None
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
+        if round((hi - lo) / spec.dx) < 2:
+            raise ValidationError(f"subdomain {i} is narrower than 2 cells of dx={spec.dx!r}")
 
 
 def _actual_dy(spec: ExperimentSpec) -> float:
@@ -277,8 +281,8 @@ def load_config(text: str) -> ExperimentSpec:
     that are not ``key = value``, :class:`UnknownKey` for keys outside
     the schema, and :class:`ValidationError` for anything semantically
     wrong: missing required keys, bad preset names, theta out of (0, 1],
-    partitions off the lattice, or explicit wave steps above the CFL
-    limit.
+    partitions off the lattice, subdomains narrower than 2 cells, or
+    explicit wave steps above the CFL limit.
     """
     pairs = _parse_lines(text)
 
@@ -314,7 +318,6 @@ def load_config(text: str) -> ExperimentSpec:
         )
 
     guess = pairs.get("guess", "zero")
-    _, seed = presets.parse_guess(guess)
 
     config = WrConfig(
         method=method,
@@ -326,7 +329,6 @@ def load_config(text: str) -> ExperimentSpec:
         if "overlap_cells" in pairs
         else 1,
         robin_p=_float(pairs["robin_p"], "robin_p") if "robin_p" in pairs else None,
-        rng_seed=seed if seed is not None else 0,
     )
 
     c = _scalar_or_per_subdomain(pairs["c"]) if "c" in pairs else None

@@ -1,0 +1,135 @@
+"""What the kernels share: data sampling, the leapfrog march, the half-cell flux."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ..errors import IncompatibleGrids, WrongBoundaryKind
+from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, grids_equal
+from .problems import SpaceTimeField, sample
+
+__all__ = ["CFL_SLACK", "check_bc", "dirichlet_history", "strip_data", "leapfrog", "half_cell_flux"]
+
+#: Slack on the Courant limit so exactly-1 setups are admitted.
+CFL_SLACK = 1e-12
+
+
+def check_bc(bc: InterfaceTrace, tgrid: TimeGrid, side: str, ny: int | None = None) -> None:
+    """Reject a boundary trace off the solve's time grid or of the wrong shape.
+
+    1D solvers leave ``ny`` at None; strip solvers pass their y cell
+    count, and the trace then needs one column per y node.
+    """
+    if not grids_equal(bc.grid, tgrid):
+        raise IncompatibleGrids(f"{side} boundary trace is not on the solve's time grid")
+    if ny is None:
+        if bc.is_2d:
+            raise IncompatibleGrids(f"{side} boundary trace is 2D; this solver is 1D")
+    elif not bc.is_2d or bc.samples.shape[1] != ny + 1:
+        raise IncompatibleGrids(f"{side} boundary trace must have one column per y node")
+
+
+def dirichlet_history(fn, tgrid: TimeGrid, ygrid: SpaceGrid1D | None = None) -> InterfaceTrace:
+    """Physical x-boundary data sampled on ``tgrid``, as a Dirichlet trace.
+
+    1D data takes ``t``; strip data takes ``(y, t)`` and gets one column
+    per node of ``ygrid``.
+    """
+    t = tgrid.times
+    if ygrid is None:
+        values = sample(fn, t.shape, t)
+    else:
+        y = ygrid.nodes
+        values = sample(fn, (len(t), len(y)), y[None, :], t[:, None])
+    return InterfaceTrace(TraceKind.DIRICHLET, tgrid, values)
+
+
+def strip_data(problem, xgrid: SpaceGrid1D, ygrid: SpaceGrid1D, tgrid: TimeGrid) -> list:
+    """Initial value and rate on the strip nodes, bottom and top lid histories."""
+    x, y, t = xgrid.nodes, ygrid.nodes, tgrid.times
+    node_shape = (len(x), len(y))
+    lid_shape = (len(t), len(x))
+    return [
+        sample(problem.initial_u, node_shape, x[:, None], y[None, :]),
+        sample(problem.initial_ut, node_shape, x[:, None], y[None, :]),
+        sample(problem.boundary_bottom, lid_shape, x[None, :], t[:, None]),
+        sample(problem.boundary_top, lid_shape, x[None, :], t[:, None]),
+    ]
+
+
+def leapfrog(u: np.ndarray, times: np.ndarray, rate0: np.ndarray, accel, pin) -> None:
+    """March the explicit three-level wave scheme in place over the rows of ``u``.
+
+    ``u[0]`` holds u(., 0) on entry and ``rate0`` u_t(., 0). ``accel(n)``
+    returns the right-hand side a^n of u_tt = a from ``u[n]``, and
+    ``pin(n)`` overwrites the entries of ``u[n]`` that boundary data
+    owns. After the Taylor start u^1 = u^0 + dt w0 + (dt^2/2) a^0 comes
+    the variable-step form of u^{n+1} = 2 u^n - u^{n-1} + dt^2 a^n, which
+    reduces to it exactly when the steps agree.
+    """
+    steps = np.diff(times)
+    tau0 = steps[0]
+    u[1] = u[0] + tau0 * rate0 + 0.5 * tau0**2 * accel(0)
+    pin(1)
+    for n in range(1, len(steps)):
+        tau = steps[n]
+        tau_prev = steps[n - 1]
+        u[n + 1] = (
+            ((tau + tau_prev) / tau_prev) * u[n]
+            - (tau / tau_prev) * u[n - 1]
+            + 0.5 * tau * (tau + tau_prev) * accel(n)
+        )
+        pin(n + 1)
+
+
+def half_cell_flux(
+    field: SpaceTimeField,
+    side: str,
+    time_derivative,
+    coef: float,
+    source=None,
+) -> InterfaceTrace:
+    """Recover the +x-oriented derivative history at one x boundary of a solve.
+
+    The one-sided difference gets a half-cell correction whose second
+    space derivative comes from the PDE itself,
+
+        w = +/- [ (u_in - u_b)/dx - (dx/2) u_xx(b) ],
+        u_xx(b) = (D_t u_b - f_b) / coef - u_yy(b),
+
+    with coef = nu and D_t the first time difference for heat, coef = c^2
+    and D_t the second one for the wave models, and u_yy the y part of
+    the Laplacian on strips (absent in 1D). ``time_derivative(ub, j)``
+    returns D_t of the boundary history ``ub`` at x node ``j``. On strips
+    the corner columns, which belong to the physical y boundary, are
+    reported as zero. Raises :class:`WrongBoundaryKind` at a Neumann
+    boundary, where the derivative was the input.
+    """
+    if field.boundary_kind(side) is TraceKind.NEUMANN:
+        raise WrongBoundaryKind(f"{side} boundary carried Neumann data; flux is not recoverable")
+    u = field.values
+    dx = field.xgrid.dx
+    times = field.tgrid.times
+    if side == "left":
+        j0, j1, sgn = 0, 1, 1.0
+        x0 = field.xgrid.x_left
+    else:
+        j0, j1, sgn = field.xgrid.n_cells, field.xgrid.n_cells - 1, -1.0
+        x0 = field.xgrid.x_right
+
+    ub = u[:, j0]
+    if source is None:
+        fvals = 0.0
+    elif field.is_2d:
+        fvals = source(x0, field.ygrid.nodes[None, :], times[:, None])
+    else:
+        fvals = source(x0, times)
+
+    w = sgn * ((u[:, j1] - ub) / dx - (0.5 * dx / coef) * (time_derivative(ub, j0) - fvals))
+    if field.is_2d:
+        lap_y = np.zeros_like(ub)
+        lap_y[:, 1:-1] = (ub[:, :-2] - 2.0 * ub[:, 1:-1] + ub[:, 2:]) / field.ygrid.dx**2
+        w += sgn * 0.5 * dx * lap_y
+        w[:, 0] = 0.0
+        w[:, -1] = 0.0
+    return InterfaceTrace(TraceKind.NEUMANN, field.tgrid, w)

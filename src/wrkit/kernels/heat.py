@@ -26,10 +26,12 @@ through the PDE itself:
 
     w = +/- [ (u_in - u_b)/dx - (dx/(2 nu)) * (du_b/dt - f_b) ]
 
-with the backward time difference at each step. With this exact pairing
-the flux extracted from a subdomain solve equals the centered difference
-of the underlying single-domain solution whenever the subdomain data came
-from that solution: the multidomain fixed point is the monodomain scheme.
+with the backward time difference at each step (the formula lives in
+:func:`.common.half_cell_flux`, shared with the wave kernels). With this
+exact pairing the flux extracted from a subdomain solve equals the
+centered difference of the underlying single-domain solution whenever
+the subdomain data came from that solution: the multidomain fixed point
+is the monodomain scheme.
 """
 
 from __future__ import annotations
@@ -37,18 +39,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-from ..errors import IncompatibleGrids, SingularSystem, WrongBoundaryKind
-from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, grids_equal
+from ..errors import SingularSystem
+from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind
+from .common import check_bc, half_cell_flux
 from .problems import SpaceTimeField
 
 __all__ = ["solve_heat_subdomain", "heat_interface_flux"]
-
-
-def _check_bc(bc: InterfaceTrace, tgrid: TimeGrid, side: str) -> None:
-    if not grids_equal(bc.grid, tgrid):
-        raise IncompatibleGrids(f"{side} boundary trace is not on the solve's time grid")
-    if bc.is_2d:
-        raise IncompatibleGrids(f"{side} boundary trace is 2D; this solver is 1D")
 
 
 def _factorize(ab: np.ndarray):
@@ -94,8 +90,8 @@ def solve_heat_subdomain(
     ``initial`` holds nodal values of u(x, 0); the boundary traces must
     live on ``tgrid``. Returns the full space-time field.
     """
-    _check_bc(left_bc, tgrid, "left")
-    _check_bc(right_bc, tgrid, "right")
+    check_bc(left_bc, tgrid, "left")
+    check_bc(right_bc, tgrid, "right")
     if nu <= 0:
         raise ValueError("nu must be positive")
     nx = grid.n_cells
@@ -182,24 +178,10 @@ def heat_interface_flux(
     """
     if field.is_2d:
         raise ValueError("heat_interface_flux expects a 1D field")
-    if field.boundary_kind(side) is TraceKind.NEUMANN:
-        raise WrongBoundaryKind(f"{side} boundary carried Neumann data; flux is not recoverable")
-    u = field.values
-    dx = field.xgrid.dx
-    times = field.tgrid.times
-    steps = np.diff(times)
-    if side == "left":
-        j0, j1, sgn = 0, 1, 1.0
-        x0 = field.xgrid.x_left
-    else:
-        j0, j1, sgn = field.xgrid.n_cells, field.xgrid.n_cells - 1, -1.0
-        x0 = field.xgrid.x_right
+    steps = np.diff(field.tgrid.times)
 
-    ub = u[:, j0]
-    dudt = np.empty(len(times))
-    dudt[1:] = (ub[1:] - ub[:-1]) / steps
-    dudt[0] = (ub[1] - ub[0]) / steps[0]
-    fvals = source(x0, times) if source is not None else 0.0
+    def dudt(ub: np.ndarray, j: int) -> np.ndarray:
+        backward = (ub[1:] - ub[:-1]) / steps
+        return np.concatenate((backward[:1], backward))  # forward at t=0
 
-    w = sgn * ((u[:, j1] - ub) / dx - (0.5 * dx / nu) * (dudt - fvals))
-    return InterfaceTrace(TraceKind.NEUMANN, field.tgrid, w)
+    return half_cell_flux(field, side, dudt, nu, source)

@@ -15,17 +15,13 @@ import numpy as np
 
 from ..errors import CflViolation
 from ..grids import InterfaceTrace, Partition1D, SpaceGrid1D, TimeGrid, TraceKind
+from .common import CFL_SLACK, dirichlet_history, leapfrog, strip_data
 from .heat import solve_heat_subdomain
 from .problems import HeatProblem, SpaceTimeField, Wave2DProblem, WaveProblem, sample
-from .wave import CFL_SLACK, solve_wave_subdomain
+from .wave import solve_wave_subdomain
 from .wave2d import solve_wave_strip_2d
 
 __all__ = ["solve_monodomain", "piecewise_wave_weights"]
-
-
-def _dirichlet_history(fn, tgrid: TimeGrid) -> InterfaceTrace:
-    times = tgrid.times
-    return InterfaceTrace(TraceKind.DIRICHLET, tgrid, sample(fn, times.shape, times))
 
 
 def piecewise_wave_weights(
@@ -76,15 +72,13 @@ def _solve_wave_piecewise(
     dx = grid.dx
     x = grid.nodes
     times = tgrid.times
-    steps = np.diff(times)
-    m_steps = len(steps)
     wl, wc, wr = weights
 
-    courant = np.sqrt(0.5 * (wl + wr).max()) * steps.max() / dx
+    courant = np.sqrt(0.5 * (wl + wr).max()) * np.diff(times).max() / dx
     if courant > 1.0 + CFL_SLACK:
         raise CflViolation(f"max c*dt/dx = {courant!r} exceeds 1")
 
-    u = np.empty((m_steps + 1, grid.n_nodes))
+    u = np.empty((len(times), grid.n_nodes))
     u[0] = initial_u
 
     def accel(n: int) -> np.ndarray:
@@ -96,20 +90,11 @@ def _solve_wave_piecewise(
             a[1:-1] += source(x[1:-1], times[n])
         return a
 
-    tau0 = steps[0]
-    u[1] = u[0] + tau0 * initial_ut + 0.5 * tau0**2 * accel(0)
-    u[1, 0] = left.samples[1]
-    u[1, -1] = right.samples[1]
-    for n in range(1, m_steps):
-        tau = steps[n]
-        tau_prev = steps[n - 1]
-        u[n + 1] = (
-            ((tau + tau_prev) / tau_prev) * u[n]
-            - (tau / tau_prev) * u[n - 1]
-            + 0.5 * tau * (tau + tau_prev) * accel(n)
-        )
-        u[n + 1, 0] = left.samples[n + 1]
-        u[n + 1, -1] = right.samples[n + 1]
+    def pin(n: int) -> None:
+        u[n, 0] = left.samples[n]
+        u[n, -1] = right.samples[n]
+
+    leapfrog(u, times, initial_ut, accel, pin)
 
     return SpaceTimeField(
         xgrid=grid,
@@ -130,16 +115,16 @@ def solve_monodomain(
 ) -> SpaceTimeField:
     """Solve the stated problem on the full domain with physical boundary data."""
     if isinstance(problem, HeatProblem):
-        left = _dirichlet_history(problem.boundary_left, tgrid)
-        right = _dirichlet_history(problem.boundary_right, tgrid)
+        left = dirichlet_history(problem.boundary_left, tgrid)
+        right = dirichlet_history(problem.boundary_right, tgrid)
         u0 = sample(problem.initial, xgrid.nodes.shape, xgrid.nodes)
         return solve_heat_subdomain(
             xgrid, problem.nu, tgrid, u0, left, right, problem.source
         )
 
     if isinstance(problem, WaveProblem):
-        left = _dirichlet_history(problem.boundary_left, tgrid)
-        right = _dirichlet_history(problem.boundary_right, tgrid)
+        left = dirichlet_history(problem.boundary_left, tgrid)
+        right = dirichlet_history(problem.boundary_right, tgrid)
         u0 = sample(problem.initial_u, xgrid.nodes.shape, xgrid.nodes)
         v0 = sample(problem.initial_ut, xgrid.nodes.shape, xgrid.nodes)
         if np.ndim(problem.speed) == 0:
@@ -154,26 +139,9 @@ def solve_monodomain(
     if isinstance(problem, Wave2DProblem):
         if ygrid is None:
             raise ValueError("2D problems need a y grid")
-        times = tgrid.times
-        y = ygrid.nodes
-        x = xgrid.nodes
-        side_shape = (len(times), len(y))
-        lid_shape = (len(times), len(x))
-        node_shape = (len(x), len(y))
-        left = InterfaceTrace(
-            TraceKind.DIRICHLET,
-            tgrid,
-            sample(problem.boundary_left, side_shape, y[None, :], times[:, None]),
-        )
-        right = InterfaceTrace(
-            TraceKind.DIRICHLET,
-            tgrid,
-            sample(problem.boundary_right, side_shape, y[None, :], times[:, None]),
-        )
-        bottom = sample(problem.boundary_bottom, lid_shape, x[None, :], times[:, None])
-        top = sample(problem.boundary_top, lid_shape, x[None, :], times[:, None])
-        u0 = sample(problem.initial_u, node_shape, x[:, None], y[None, :])
-        v0 = sample(problem.initial_ut, node_shape, x[:, None], y[None, :])
+        left = dirichlet_history(problem.boundary_left, tgrid, ygrid)
+        right = dirichlet_history(problem.boundary_right, tgrid, ygrid)
+        u0, v0, bottom, top = strip_data(problem, xgrid, ygrid, tgrid)
         return solve_wave_strip_2d(
             xgrid, ygrid, problem.speed, tgrid, u0, v0, left, right, bottom, top, problem.source
         )

@@ -9,9 +9,10 @@ started with a Taylor step that uses the initial rate w0 = u_t(x, 0),
     u^1 = u^0 + dt w0 + (dt^2/2) (c^2 dxx u^0 + f^0).
 
 Time grids may have unequal steps (a clipped final step, for example);
-the general form replaces the second time difference with its
-variable-step counterpart and reduces exactly to the above when the
-steps are uniform. Stability requires the Courant number c dt/dx <= 1
+the march in :func:`.common.leapfrog`, shared with the strip and the
+piecewise-speed monodomain solves, replaces the second time difference
+with its variable-step counterpart and reduces exactly to the above when
+the steps are uniform. Stability requires the Courant number c dt/dx <= 1
 (checked against the largest step); at exactly 1 the scheme transports
 along characteristics without dispersion.
 
@@ -37,21 +38,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CflViolation, IncompatibleGrids, WrongBoundaryKind
-from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, grids_equal
+from ..errors import CflViolation
+from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind
+from .common import CFL_SLACK, check_bc, half_cell_flux, leapfrog
 from .problems import SpaceTimeField
 
 __all__ = ["solve_wave_subdomain", "wave_interface_flux"]
-
-#: Slack on the Courant limit so exactly-1 setups are admitted.
-CFL_SLACK = 1e-12
-
-
-def _check_bc(bc: InterfaceTrace, tgrid: TimeGrid, side: str) -> None:
-    if not grids_equal(bc.grid, tgrid):
-        raise IncompatibleGrids(f"{side} boundary trace is not on the solve's time grid")
-    if bc.is_2d:
-        raise IncompatibleGrids(f"{side} boundary trace is 2D; this solver is 1D")
 
 
 def _ghost_laplacian(v: np.ndarray, dx: float, left_bc, right_bc, n: int) -> np.ndarray:
@@ -86,8 +78,8 @@ def solve_wave_subdomain(
     source=None,
 ) -> SpaceTimeField:
     """March the explicit wave scheme across the window on one subdomain."""
-    _check_bc(left_bc, tgrid, "left")
-    _check_bc(right_bc, tgrid, "right")
+    check_bc(left_bc, tgrid, "left")
+    check_bc(right_bc, tgrid, "right")
     if c <= 0:
         raise ValueError("wave speed must be positive")
     nx = grid.n_cells
@@ -96,10 +88,8 @@ def solve_wave_subdomain(
     dx = grid.dx
     x = grid.nodes
     times = tgrid.times
-    steps = np.diff(times)
-    m_steps = len(steps)
 
-    courant = c * steps.max() / dx
+    courant = c * np.diff(times).max() / dx
     if courant > 1.0 + CFL_SLACK:
         raise CflViolation(f"c*dt/dx = {courant!r} exceeds 1")
 
@@ -112,7 +102,7 @@ def solve_wave_subdomain(
     right_pinned = right_bc.kind is TraceKind.DIRICHLET
     c2_over_dx2 = c**2 / dx**2
 
-    u = np.empty((m_steps + 1, nx + 1))
+    u = np.empty((len(times), nx + 1))
     u[0] = u0
 
     def accel(n: int) -> np.ndarray:
@@ -122,25 +112,13 @@ def solve_wave_subdomain(
             a = a + source(x, times[n])
         return a
 
-    tau0 = steps[0]
-    u[1] = u0 + tau0 * v0 + 0.5 * tau0**2 * accel(0)
-    if left_pinned:
-        u[1, 0] = left_bc.samples[1]
-    if right_pinned:
-        u[1, nx] = right_bc.samples[1]
-
-    for n in range(1, m_steps):
-        tau = steps[n]
-        tau_prev = steps[n - 1]
-        u[n + 1] = (
-            ((tau + tau_prev) / tau_prev) * u[n]
-            - (tau / tau_prev) * u[n - 1]
-            + 0.5 * tau * (tau + tau_prev) * accel(n)
-        )
+    def pin(n: int) -> None:
         if left_pinned:
-            u[n + 1, 0] = left_bc.samples[n + 1]
+            u[n, 0] = left_bc.samples[n]
         if right_pinned:
-            u[n + 1, nx] = right_bc.samples[n + 1]
+            u[n, nx] = right_bc.samples[n]
+
+    leapfrog(u, times, v0, accel, pin)
 
     return SpaceTimeField(
         xgrid=grid,
@@ -193,53 +171,11 @@ def wave_interface_flux(
     boundary, are reported as zero). Raises :class:`WrongBoundaryKind`
     at a Neumann boundary.
     """
-    if field.boundary_kind(side) is TraceKind.NEUMANN:
-        raise WrongBoundaryKind(f"{side} boundary carried Neumann data; flux is not recoverable")
-    if field.initial_rate is None:
-        raise ValueError("wave flux extraction needs the field's initial rate")
-    if field.is_2d:
-        return _strip_flux(field, side, c, source)
-
-    u = field.values
-    dx = field.xgrid.dx
     times = field.tgrid.times
-    if side == "left":
-        j0, j1, sgn = 0, 1, 1.0
-        x0 = field.xgrid.x_left
-    else:
-        j0, j1, sgn = field.xgrid.n_cells, field.xgrid.n_cells - 1, -1.0
-        x0 = field.xgrid.x_right
 
-    dtt = second_time_difference(u[:, j0], times, field.initial_rate[j0])
-    fvals = source(x0, times) if source is not None else 0.0
-    w = sgn * ((u[:, j1] - u[:, j0]) / dx - (0.5 * dx / c**2) * (dtt - fvals))
-    return InterfaceTrace(TraceKind.NEUMANN, field.tgrid, w)
+    def dtt(ub: np.ndarray, j: int) -> np.ndarray:
+        if field.initial_rate is None:
+            raise ValueError("wave flux extraction needs the field's initial rate")
+        return second_time_difference(ub, times, field.initial_rate[j])
 
-
-def _strip_flux(field: SpaceTimeField, side: str, c: float, source=None) -> InterfaceTrace:
-    u = field.values
-    dx = field.xgrid.dx
-    dy = field.ygrid.dx
-    times = field.tgrid.times
-    if side == "left":
-        j0, j1, sgn = 0, 1, 1.0
-        x0 = field.xgrid.x_left
-    else:
-        j0, j1, sgn = field.xgrid.n_cells, field.xgrid.n_cells - 1, -1.0
-        x0 = field.xgrid.x_right
-
-    ub = u[:, j0, :]  # (M+1, ny+1)
-    dtt = second_time_difference(ub, times, field.initial_rate[j0, :])
-    lap_y = np.zeros_like(ub)
-    lap_y[:, 1:-1] = (ub[:, :-2] - 2.0 * ub[:, 1:-1] + ub[:, 2:]) / dy**2
-    if source is not None:
-        y = field.ygrid.nodes
-        fvals = source(x0, y[None, :], times[:, None])
-    else:
-        fvals = 0.0
-
-    w = sgn * ((u[:, j1, :] - ub) / dx - 0.5 * dx * ((dtt - fvals) / c**2 - lap_y))
-    # Corner rows sit on the physical y boundary, not on the interface.
-    w[:, 0] = 0.0
-    w[:, -1] = 0.0
-    return InterfaceTrace(TraceKind.NEUMANN, field.tgrid, w)
+    return half_cell_flux(field, side, dtt, c**2, source)

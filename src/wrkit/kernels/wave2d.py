@@ -4,11 +4,12 @@ Same three-level scheme as the 1D kernel with the five-point Laplacian,
 
     u^{n+1} = 2 u^n - u^{n-1} + (c dt)^2 (dxx + dyy) u^n + dt^2 f^n,
 
-Taylor start included, on a strip (x_left, x_right) x (y0, y1). The y
-boundaries always carry physical Dirichlet data (pinned rows, applied
-last so they own the corner nodes); the x boundaries take interface
-traces of any kind, with one sample column per y node. Neumann/Robin
-ghost columns mirror the 1D formulas row by row.
+Taylor start included (the march is :func:`.common.leapfrog`), on a
+strip (x_left, x_right) x (y0, y1). The y boundaries always carry
+physical Dirichlet data (pinned rows, applied last so they own the
+corner nodes); the x boundaries take interface traces of any kind, with
+one sample column per y node. Neumann/Robin ghost columns mirror the 1D
+formulas row by row.
 
 Stability: c dt sqrt(1/dx^2 + 1/dy^2) <= 1 against the largest step.
 """
@@ -19,20 +20,12 @@ import math
 
 import numpy as np
 
-from ..errors import CflViolation, IncompatibleGrids
-from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, grids_equal
+from ..errors import CflViolation
+from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind
+from .common import CFL_SLACK, check_bc, leapfrog
 from .problems import SpaceTimeField
 
 __all__ = ["solve_wave_strip_2d"]
-
-CFL_SLACK = 1e-12
-
-
-def _check_bc(bc: InterfaceTrace, tgrid: TimeGrid, ny: int, side: str) -> None:
-    if not grids_equal(bc.grid, tgrid):
-        raise IncompatibleGrids(f"{side} boundary trace is not on the solve's time grid")
-    if not bc.is_2d or bc.samples.shape[1] != ny + 1:
-        raise IncompatibleGrids(f"{side} boundary trace must have one column per y node")
 
 
 def _ghost_column(v: np.ndarray, dx: float, bc: InterfaceTrace, n: int, side: str) -> np.ndarray:
@@ -69,8 +62,8 @@ def solve_wave_strip_2d(
     shape (M+1, nx+1) on the y boundaries.
     """
     ny = ygrid.n_cells
-    _check_bc(left_bc, tgrid, ny, "left")
-    _check_bc(right_bc, tgrid, ny, "right")
+    check_bc(left_bc, tgrid, "left", ny)
+    check_bc(right_bc, tgrid, "right", ny)
     if c <= 0:
         raise ValueError("wave speed must be positive")
     nx = xgrid.n_cells
@@ -79,10 +72,9 @@ def solve_wave_strip_2d(
     dx = xgrid.dx
     dy = ygrid.dx
     times = tgrid.times
-    steps = np.diff(times)
-    m_steps = len(steps)
+    m = len(times)
 
-    courant = c * steps.max() * math.sqrt(1.0 / dx**2 + 1.0 / dy**2)
+    courant = c * np.diff(times).max() * math.sqrt(1.0 / dx**2 + 1.0 / dy**2)
     if courant > 1.0 + CFL_SLACK:
         raise CflViolation(f"c*dt*sqrt(1/dx^2+1/dy^2) = {courant!r} exceeds 1")
 
@@ -92,7 +84,7 @@ def solve_wave_strip_2d(
         raise ValueError("initial data must be nodal (nx+1, ny+1) arrays")
     bottom = np.asarray(bottom, dtype=float)
     top = np.asarray(top, dtype=float)
-    if bottom.shape != (m_steps + 1, nx + 1) or top.shape != (m_steps + 1, nx + 1):
+    if bottom.shape != (m, nx + 1) or top.shape != (m, nx + 1):
         raise ValueError("bottom/top data must be (M+1, nx+1) histories")
 
     left_pinned = left_bc.kind is TraceKind.DIRICHLET
@@ -102,7 +94,7 @@ def solve_wave_strip_2d(
         xx = xgrid.nodes[:, None]
         yy = ygrid.nodes[None, :]
 
-    u = np.empty((m_steps + 1, nx + 1, ny + 1))
+    u = np.empty((m, nx + 1, ny + 1))
     u[0] = u0
 
     def accel(n: int) -> np.ndarray:
@@ -131,19 +123,7 @@ def solve_wave_strip_2d(
         u[n, :, 0] = bottom[n]
         u[n, :, -1] = top[n]
 
-    tau0 = steps[0]
-    u[1] = u0 + tau0 * v0 + 0.5 * tau0**2 * accel(0)
-    pin(1)
-
-    for n in range(1, m_steps):
-        tau = steps[n]
-        tau_prev = steps[n - 1]
-        u[n + 1] = (
-            ((tau + tau_prev) / tau_prev) * u[n]
-            - (tau / tau_prev) * u[n - 1]
-            + 0.5 * tau * (tau + tau_prev) * accel(n)
-        )
-        pin(n + 1)
+    leapfrog(u, times, v0, accel, pin)
 
     return SpaceTimeField(
         xgrid=xgrid,

@@ -39,8 +39,7 @@ class WrConfig:
     there. ``overlap_cells`` counts lattice cells each subdomain extends
     into its neighbors (classical Schwarz only; 1 cell per side gives a
     total overlap of two cells between adjacent subdomains). ``robin_p``
-    is the transmission coefficient of Robin Schwarz. ``rng_seed`` feeds
-    reproducible random initial guesses.
+    is the transmission coefficient of Robin Schwarz.
     """
 
     method: Method = Method.DNWR
@@ -50,7 +49,6 @@ class WrConfig:
     arrangement: Arrangement = Arrangement.A3
     overlap_cells: int = 1
     robin_p: float | None = None
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.theta is not None and not 0.0 < self.theta <= 1.0:

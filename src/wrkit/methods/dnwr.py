@@ -2,20 +2,10 @@
 
 from __future__ import annotations
 
-from ..errors import ValidationError
 from ..grids import InterfaceTrace, Partition1D
 from .config import Method, WrConfig, relax_update
 from .schedule import Role, arrangement_schedule, producer_map
-from .workspace import (
-    RunGrids,
-    _Monitor,
-    _PlanCache,
-    build_workspaces,
-    exchange_scale,
-    guess_grids,
-    normalize_guesses,
-    resolve_reference,
-)
+from .workspace import RunGrids, _drive, exchange_scale
 
 __all__ = ["dnwr_run"]
 
@@ -44,63 +34,59 @@ def dnwr_run(
     :func:`~wrkit.methods.workspace.resolve_reference`). At least one
     iteration is always performed. Returns the iteration history.
     """
-    if config.method is not Method.DNWR:
-        raise ValidationError(f"config.method must be DNWR, got {config.method}")
     n = partition.n_subdomains
-    schedule = arrangement_schedule(n, config.arrangement)
-    producer = producer_map(schedule)
-    spaces, ygrid = build_workspaces(problem, partition, grids)
-    theta = config.theta_resolved
 
-    trace_grids = guess_grids(partition, grids, config)
-    g = normalize_guesses(problem, partition, init_guesses, trace_grids, ygrid)
+    def start(spaces, ygrid, cache, trace_grids, guesses):
+        schedule = arrangement_schedule(n, config.arrangement)
+        producer = producer_map(schedule)
+        theta = config.theta_resolved
+        g = guesses
 
-    cache = _PlanCache()
-    ref, metric = resolve_reference(problem, partition, grids, reference, trace_grids, ygrid)
-    monitor = _Monitor(config, cache, ref, metric, initial=g, prev=g)
+        def sweep():
+            nonlocal g
+            fields: dict[int, object] = {}
+            iter_fluxes: list[InterfaceTrace | None] = [None] * partition.n_interfaces
 
-    for k in range(1, config.max_iters + 1):
-        fields: dict[int, object] = {}
-        iter_fluxes: list[InterfaceTrace | None] = [None] * partition.n_interfaces
+            def boundary(task, side):
+                s = task.subdomain
+                space = spaces[s]
+                if side == "left":
+                    if s == 1:
+                        return space.physical_trace("left")
+                    iface, neighbor, their_side, role = s - 1, s - 1, "right", task.left
+                else:
+                    if s == n:
+                        return space.physical_trace("right")
+                    iface, neighbor, their_side, role = s, s + 1, "left", task.right
+                if role is Role.DIRICHLET:
+                    return cache.project(g[iface - 1], space.tgrid)
+                raw = spaces[neighbor].flux(fields[neighbor], their_side)
+                iter_fluxes[iface - 1] = raw
+                scale = exchange_scale(spaces[neighbor], space)
+                if scale != 1.0:
+                    raw = raw.with_samples(raw.samples * scale)
+                return cache.project(raw, space.tgrid)
 
-        def boundary(task, side):
-            s = task.subdomain
-            space = spaces[s]
-            if side == "left":
-                if s == 1:
-                    return space.physical_trace("left")
-                iface, neighbor, their_side, role = s - 1, s - 1, "right", task.left
-            else:
-                if s == n:
-                    return space.physical_trace("right")
-                iface, neighbor, their_side, role = s, s + 1, "left", task.right
-            if role is Role.DIRICHLET:
-                return cache.project(g[iface - 1], space.tgrid)
-            raw = spaces[neighbor].flux(fields[neighbor], their_side)
-            iter_fluxes[iface - 1] = raw
-            scale = exchange_scale(spaces[neighbor], space)
-            if scale != 1.0:
-                raw = raw.with_samples(raw.samples * scale)
-            return cache.project(raw, space.tgrid)
+            for stage in schedule.stages:
+                solved = {
+                    task.subdomain: spaces[task.subdomain].solve(
+                        boundary(task, "left"), boundary(task, "right")
+                    )
+                    for task in stage
+                }
+                fields.update(solved)
 
-        for stage in schedule.stages:
-            solved = {
-                task.subdomain: spaces[task.subdomain].solve(
-                    boundary(task, "left"), boundary(task, "right")
-                )
-                for task in stage
-            }
-            fields.update(solved)
+            new_g = []
+            for i in range(1, partition.n_interfaces + 1):
+                p = producer[i]
+                side = "left" if p == i + 1 else "right"
+                fresh = spaces[p].dirichlet_trace(fields[p], side)
+                new_g.append(relax_update(theta, fresh, g[i - 1]))
+            g = new_g
+            return g, tuple(iter_fluxes)
 
-        new_g = []
-        for i in range(1, partition.n_interfaces + 1):
-            p = producer[i]
-            side = "left" if p == i + 1 else "right"
-            fresh = spaces[p].dirichlet_trace(fields[p], side)
-            new_g.append(relax_update(theta, fresh, g[i - 1]))
-        g = new_g
+        return sweep, trace_grids, g
 
-        if monitor.record(k, g, tuple(iter_fluxes)):
-            break
-
-    return monitor.history()
+    return _drive(
+        problem, partition, grids, config, init_guesses, reference, (Method.DNWR,), start
+    )

@@ -2,20 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..errors import ValidationError
 from ..grids import InterfaceTrace, Partition1D, TraceKind
 from .config import Method, WrConfig
-from .workspace import (
-    RunGrids,
-    _Monitor,
-    _PlanCache,
-    build_workspaces,
-    guess_grids,
-    normalize_guesses,
-    resolve_reference,
-)
+from .workspace import RunGrids, _drive, _solve_all
 
 __all__ = ["nnwr_run"]
 
@@ -46,84 +35,59 @@ def nnwr_run(
     Arguments and the returned history are as in
     :func:`~wrkit.methods.dnwr_run`.
     """
-    if config.method is not Method.NNWR:
-        raise ValidationError(f"config.method must be NNWR, got {config.method}")
-    n = partition.n_subdomains
-    spaces, ygrid = build_workspaces(problem, partition, grids)
-    theta = config.theta_resolved
 
-    trace_grids = guess_grids(partition, grids, config)
-    g = normalize_guesses(problem, partition, init_guesses, trace_grids, ygrid)
+    def start(spaces, ygrid, cache, trace_grids, guesses):
+        theta = config.theta_resolved
+        g = guesses
 
-    cache = _PlanCache()
-    ref, metric = resolve_reference(problem, partition, grids, reference, trace_grids, ygrid)
-    monitor = _Monitor(config, cache, ref, metric, initial=g, prev=g)
+        def neumann(trace: InterfaceTrace, flip: bool, space) -> InterfaceTrace:
+            projected = cache.project(trace, space.tgrid)
+            scale = (-1.0 if flip else 1.0) / space.impedance
+            if scale == 1.0:
+                return projected
+            return InterfaceTrace(TraceKind.NEUMANN, projected.grid, scale * projected.samples)
 
-    def neumann(trace: InterfaceTrace, flip: bool, space) -> InterfaceTrace:
-        projected = cache.project(trace, space.tgrid)
-        scale = (-1.0 if flip else 1.0) / getattr(space, "c", 1.0)
-        if scale == 1.0:
-            return projected
-        return InterfaceTrace(TraceKind.NEUMANN, projected.grid, scale * projected.samples)
+        def sweep():
+            nonlocal g
+            fields = _solve_all(spaces, lambda s, i: cache.project(g[i - 1], spaces[s].tgrid))
 
-    for k in range(1, config.max_iters + 1):
-        fields = {}
-        for s in range(1, n + 1):
-            space = spaces[s]
-            left = (
-                space.physical_trace("left")
-                if s == 1
-                else cache.project(g[s - 2], space.tgrid)
-            )
-            right = (
-                space.physical_trace("right")
-                if s == n
-                else cache.project(g[s - 1], space.tgrid)
-            )
-            fields[s] = space.solve(left, right)
-
-        jumps = []
-        for i in range(1, partition.n_interfaces + 1):
-            zl = getattr(spaces[i], "c", 1.0)
-            zr = getattr(spaces[i + 1], "c", 1.0)
-            from_left = cache.project(spaces[i].flux(fields[i], "right"), trace_grids[i - 1])
-            from_right = cache.project(spaces[i + 1].flux(fields[i + 1], "left"), trace_grids[i - 1])
-            jumps.append(
-                InterfaceTrace(
-                    TraceKind.NEUMANN,
-                    trace_grids[i - 1],
-                    zl * from_left.samples - zr * from_right.samples,
+            jumps = []
+            for i in range(1, partition.n_interfaces + 1):
+                zl = spaces[i].impedance
+                zr = spaces[i + 1].impedance
+                from_left = cache.project(spaces[i].flux(fields[i], "right"), trace_grids[i - 1])
+                from_right = cache.project(
+                    spaces[i + 1].flux(fields[i + 1], "left"), trace_grids[i - 1]
                 )
+                jumps.append(
+                    InterfaceTrace(
+                        TraceKind.NEUMANN,
+                        trace_grids[i - 1],
+                        zl * from_left.samples - zr * from_right.samples,
+                    )
+                )
+
+            corrections = _solve_all(
+                spaces,
+                lambda s, i: neumann(jumps[i - 1], flip=i < s, space=spaces[s]),
+                homogeneous=True,
             )
 
-        corrections = {}
-        for s in range(1, n + 1):
-            space = spaces[s]
-            left = (
-                space.zero_dirichlet()
-                if s == 1
-                else neumann(jumps[s - 2], flip=True, space=space)
-            )
-            right = (
-                space.zero_dirichlet()
-                if s == n
-                else neumann(jumps[s - 1], flip=False, space=space)
-            )
-            corrections[s] = space.solve(left, right, homogeneous=True)
+            new_g = []
+            for i in range(1, partition.n_interfaces + 1):
+                psi_left = cache.project(
+                    spaces[i].dirichlet_trace(corrections[i], "right"), trace_grids[i - 1]
+                )
+                psi_right = cache.project(
+                    spaces[i + 1].dirichlet_trace(corrections[i + 1], "left"), trace_grids[i - 1]
+                )
+                updated = g[i - 1].samples - theta * (psi_left.samples + psi_right.samples)
+                new_g.append(g[i - 1].with_samples(updated))
+            g = new_g
+            return g, tuple(jumps)
 
-        new_g = []
-        for i in range(1, partition.n_interfaces + 1):
-            psi_left = cache.project(
-                spaces[i].dirichlet_trace(corrections[i], "right"), trace_grids[i - 1]
-            )
-            psi_right = cache.project(
-                spaces[i + 1].dirichlet_trace(corrections[i + 1], "left"), trace_grids[i - 1]
-            )
-            updated = g[i - 1].samples - theta * (psi_left.samples + psi_right.samples)
-            new_g.append(g[i - 1].with_samples(updated))
-        g = new_g
+        return sweep, trace_grids, g
 
-        if monitor.record(k, g, tuple(jumps)):
-            break
-
-    return monitor.history()
+    return _drive(
+        problem, partition, grids, config, init_guesses, reference, (Method.NNWR,), start
+    )

@@ -18,6 +18,15 @@ boundaries. Three sweep arrangements are supported:
 Within a stage every task only reads data from strictly earlier stages
 (or the previous iteration), so tasks of one stage can run in any order,
 or concurrently, without changing a single bit of the result.
+
+Finite-step exactness on wave chains with per-subdomain time steps
+depends on the arrangement. On the chain of acceptance check 08 (speeds
+0.25, 2, 0.5, every subdomain at unit Courant number, so steps 0.4,
+0.05, 0.2), three A3 sweeps drop the error by 3.1e-13: its fluxes flow
+from the fine middle grid onto the coarser outer ones, whose nodes they
+contain, so they are sampled. A1 and A2 leave 0.32 and 0.24 of the
+error after three sweeps, because some of their fluxes are interpolated
+from a coarse grid onto a finer one.
 """
 
 from __future__ import annotations

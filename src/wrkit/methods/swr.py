@@ -2,29 +2,16 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import IncompatibleGrids, ValidationError
 from ..grids import InterfaceTrace, Partition1D, TraceKind, grids_equal
-from ..kernels import WaveProblem
 from .config import Method, WrConfig
-from .workspace import (
-    RunGrids,
-    _Monitor,
-    _PlanCache,
-    build_workspaces,
-    force_compatible,
-    guess_grids,
-    normalize_guesses,
-    resolve_reference,
-)
+from .workspace import RunGrids, _drive, _solve_all, force_compatible
 
 __all__ = ["swr_run"]
 
 
 def _extended_bounds(partition: Partition1D, shift: float) -> dict[int, tuple[float, float]]:
     """Subdomain intervals pushed ``shift`` into each neighbor (clipped at the ends)."""
-    a, b = partition.interval
     n = partition.n_subdomains
     bounds = {}
     for i in range(1, n + 1):
@@ -64,15 +51,9 @@ def swr_run(
     The monitored interface trace is the left neighbor's solution history
     at the interface coordinate. There is no relaxation; theta is ignored.
     """
-    if config.method not in (Method.SWR_CLASSICAL, Method.SWR_ROBIN):
-        raise ValidationError(f"config.method must be a Schwarz variant, got {config.method}")
     classical = config.method is Method.SWR_CLASSICAL
-    n = partition.n_subdomains
-
-    if isinstance(problem, WaveProblem) and np.ndim(problem.speed) != 0:
-        raise ValidationError(
-            "Schwarz transmission across per-subdomain wave speeds is not supported"
-        )
+    shift = 0.0
+    bounds = None
     if classical:
         shift = config.overlap_cells * grids.dx
         if shift >= partition.h_min:
@@ -81,131 +62,124 @@ def swr_run(
                 f"(narrowest is {partition.h_min!r})"
             )
         bounds = _extended_bounds(partition, shift)
-    else:
-        shift = 0.0
-        bounds = None
 
-    spaces, ygrid = build_workspaces(problem, partition, grids, bounds=bounds)
-    seed_grids = guess_grids(partition, grids, config)
-    guesses = normalize_guesses(problem, partition, init_guesses, seed_grids, ygrid)
-    cache = _PlanCache()
+    def start(spaces, ygrid, cache, seed_grids, guesses):
+        nonlocal state
+        if len({space.impedance for space in spaces.values()}) > 1:
+            raise ValidationError("Schwarz transmission across wave speed jumps is not supported")
 
-    # Transmission state, one pair per interface: data consumed by the
-    # left subdomain at its right (possibly extended) boundary, and by
-    # the right subdomain at its left one. Stored on the consumer grids.
-    if state is None:
-        state = []
-        for i in range(1, partition.n_interfaces + 1):
-            xi = partition.interface_position(i)
-            left_grid = grids.tgrids[i - 1]
-            right_grid = grids.tgrids[i]
-            for_left = cache.project(guesses[i - 1], left_grid)
-            for_right = cache.project(guesses[i - 1], right_grid)
-            if classical:
-                for_left = force_compatible(for_left, problem, xi + shift, ygrid)
-                for_right = force_compatible(for_right, problem, xi - shift, ygrid)
-            else:
-                p = config.robin_p
-                for_left = InterfaceTrace(TraceKind.ROBIN, left_grid, for_left.samples, robin_p=p)
-                for_right = InterfaceTrace(TraceKind.ROBIN, right_grid, for_right.samples, robin_p=p)
-            state.append((for_left, for_right))
-    else:
-        state = [tuple(pair) for pair in state]
-        if len(state) != partition.n_interfaces:
-            raise ValidationError(
-                f"need one transmission pair per interface ({partition.n_interfaces})"
+        # Transmission state, one pair per interface: data consumed by the
+        # left subdomain at its right (possibly extended) boundary, and by
+        # the right subdomain at its left one. Stored on the consumer grids.
+        if state is None:
+            state = []
+            for i in range(1, partition.n_interfaces + 1):
+                xi = partition.interface_position(i)
+                left_grid = grids.tgrids[i - 1]
+                right_grid = grids.tgrids[i]
+                for_left = cache.project(guesses[i - 1], left_grid)
+                for_right = cache.project(guesses[i - 1], right_grid)
+                if classical:
+                    for_left = force_compatible(for_left, problem, xi + shift, ygrid)
+                    for_right = force_compatible(for_right, problem, xi - shift, ygrid)
+                else:
+                    p = config.robin_p
+                    for_left = InterfaceTrace(TraceKind.ROBIN, left_grid, for_left.samples, robin_p=p)
+                    for_right = InterfaceTrace(
+                        TraceKind.ROBIN, right_grid, for_right.samples, robin_p=p
+                    )
+                state.append((for_left, for_right))
+        else:
+            state = [tuple(pair) for pair in state]
+            if len(state) != partition.n_interfaces:
+                raise ValidationError(
+                    f"need one transmission pair per interface ({partition.n_interfaces})"
+                )
+            want = TraceKind.DIRICHLET if classical else TraceKind.ROBIN
+            for i, (for_left, for_right) in enumerate(state, start=1):
+                ok = (
+                    for_left.kind is want
+                    and for_right.kind is want
+                    and grids_equal(for_left.grid, grids.tgrids[i - 1])
+                    and grids_equal(for_right.grid, grids.tgrids[i])
+                )
+                if not classical:
+                    ok = ok and for_left.robin_p == config.robin_p == for_right.robin_p
+                if not ok:
+                    raise IncompatibleGrids(f"transmission pair {i} does not fit this run")
+
+        # Monitored history starts from the guesses read at the interfaces.
+        prev = [
+            force_compatible(
+                cache.project(guesses[i - 1], grids.tgrids[i - 1]),
+                problem,
+                partition.interface_position(i),
+                ygrid,
             )
-        want = TraceKind.DIRICHLET if classical else TraceKind.ROBIN
-        for i, (for_left, for_right) in enumerate(state, start=1):
-            ok = (
-                for_left.kind is want
-                and for_right.kind is want
-                and grids_equal(for_left.grid, grids.tgrids[i - 1])
-                and grids_equal(for_right.grid, grids.tgrids[i])
-            )
-            if not classical:
-                ok = ok and for_left.robin_p == config.robin_p == for_right.robin_p
-            if not ok:
-                raise IncompatibleGrids(f"transmission pair {i} does not fit this run")
+            for i in range(1, partition.n_interfaces + 1)
+        ]
 
-    # Monitored history starts from the guesses read at the interfaces.
-    prev = [
-        force_compatible(
-            cache.project(guesses[i - 1], grids.tgrids[i - 1]),
-            problem,
-            partition.interface_position(i),
-            ygrid,
-        )
-        for i in range(1, partition.n_interfaces + 1)
-    ]
-    monitor_grids = tuple(grids.tgrids[i - 1] for i in range(1, partition.n_interfaces + 1))
-    ref, metric = resolve_reference(problem, partition, grids, reference, monitor_grids, ygrid)
-    monitor = _Monitor(config, cache, ref, metric, initial=guesses, prev=prev)
+        def sweep():
+            nonlocal state
+            fields = _solve_all(spaces, lambda s, i: state[i - 1][1 if i < s else 0])
 
-    for k in range(1, config.max_iters + 1):
-        fields = {}
-        for s in range(1, n + 1):
-            space = spaces[s]
-            left = space.physical_trace("left") if s == 1 else state[s - 2][1]
-            right = space.physical_trace("right") if s == n else state[s - 1][0]
-            fields[s] = space.solve(left, right)
-
-        new_state = []
-        iter_fluxes = []
-        monitored = []
-        for i in range(1, partition.n_interfaces + 1):
-            xi = partition.interface_position(i)
-            left_space, right_space = spaces[i], spaces[i + 1]
-            left_field, right_field = fields[i], fields[i + 1]
-            if classical:
-                j_in_right = right_space.xgrid.node_index(xi + shift)
-                j_in_left = left_space.xgrid.node_index(xi - shift)
-                vals_right = (
-                    right_field.values[:, j_in_right]
-                    if ygrid is None
-                    else right_field.values[:, j_in_right, :]
+            new_state = []
+            iter_fluxes = []
+            monitored = []
+            for i in range(1, partition.n_interfaces + 1):
+                xi = partition.interface_position(i)
+                left_space, right_space = spaces[i], spaces[i + 1]
+                left_field, right_field = fields[i], fields[i + 1]
+                if classical:
+                    j_in_right = right_space.xgrid.node_index(xi + shift)
+                    j_in_left = left_space.xgrid.node_index(xi - shift)
+                    for_left = InterfaceTrace(
+                        TraceKind.DIRICHLET, right_space.tgrid, right_field.values[:, j_in_right]
+                    )
+                    for_right = InterfaceTrace(
+                        TraceKind.DIRICHLET, left_space.tgrid, left_field.values[:, j_in_left]
+                    )
+                else:
+                    p = config.robin_p
+                    w_left = left_space.flux(left_field, "right")
+                    w_right = right_space.flux(right_field, "left")
+                    iter_fluxes.append(w_left)
+                    for_left = InterfaceTrace(
+                        TraceKind.ROBIN,
+                        right_space.tgrid,
+                        w_right.samples + p * right_field.boundary_values("left"),
+                        robin_p=p,
+                    )
+                    for_right = InterfaceTrace(
+                        TraceKind.ROBIN,
+                        left_space.tgrid,
+                        -w_left.samples + p * left_field.boundary_values("right"),
+                        robin_p=p,
+                    )
+                new_state.append(
+                    (
+                        cache.project(for_left, left_space.tgrid),
+                        cache.project(for_right, right_space.tgrid),
+                    )
                 )
-                vals_left = (
-                    left_field.values[:, j_in_left]
-                    if ygrid is None
-                    else left_field.values[:, j_in_left, :]
-                )
-                for_left = InterfaceTrace(TraceKind.DIRICHLET, right_space.tgrid, vals_right)
-                for_right = InterfaceTrace(TraceKind.DIRICHLET, left_space.tgrid, vals_left)
-            else:
-                p = config.robin_p
-                w_left = left_space.flux(left_field, "right")
-                w_right = right_space.flux(right_field, "left")
-                iter_fluxes.append(w_left)
-                for_left = InterfaceTrace(
-                    TraceKind.ROBIN,
-                    right_space.tgrid,
-                    w_right.samples + p * right_field.boundary_values("left"),
-                    robin_p=p,
-                )
-                for_right = InterfaceTrace(
-                    TraceKind.ROBIN,
-                    left_space.tgrid,
-                    -w_left.samples + p * left_field.boundary_values("right"),
-                    robin_p=p,
-                )
-            new_state.append(
-                (
-                    cache.project(for_left, left_space.tgrid),
-                    cache.project(for_right, right_space.tgrid),
-                )
-            )
 
-            j_iface = left_space.xgrid.node_index(xi)
-            vals = (
-                left_field.values[:, j_iface]
-                if ygrid is None
-                else left_field.values[:, j_iface, :]
-            )
-            monitored.append(InterfaceTrace(TraceKind.DIRICHLET, left_space.tgrid, vals))
-        state = new_state
+                j_iface = left_space.xgrid.node_index(xi)
+                monitored.append(
+                    InterfaceTrace(TraceKind.DIRICHLET, left_space.tgrid, left_field.values[:, j_iface])
+                )
+            state = new_state
+            return monitored, tuple(iter_fluxes)
 
-        if monitor.record(k, monitored, tuple(iter_fluxes)):
-            break
+        return sweep, grids.tgrids[:-1], prev
 
-    return monitor.history()
+    return _drive(
+        problem,
+        partition,
+        grids,
+        config,
+        init_guesses,
+        reference,
+        (Method.SWR_CLASSICAL, Method.SWR_ROBIN),
+        start,
+        bounds=bounds,
+    )

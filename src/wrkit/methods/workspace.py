@@ -1,11 +1,12 @@
 """Shared plumbing for the waveform-relaxation drivers.
 
 This module owns everything the three drivers have in common: the
-per-run grid bundle, one solver adapter per subdomain (model dispatch,
-physical boundary data, flux extraction), projection-plan caching
-between per-subdomain time grids, reference resolution for the error
-metric, normalization of initial guesses, and the per-iteration
-monitor that applies the stopping rule.
+per-run grid bundle, one solver adapter class per model (data sampling,
+physical boundary data, solve, flux extraction, impedance),
+projection-plan caching between per-subdomain time grids, reference
+resolution for the error metric, normalization of initial guesses, the
+per-iteration monitor that applies the stopping rule, and the driver
+loop into which each method plugs its sweep.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from ..kernels import (
     solve_wave_subdomain,
     wave_interface_flux,
 )
+from ..kernels.common import dirichlet_history, strip_data
 from ..kernels.problems import SpaceTimeField
 from ..projection import build_plan, project_trace
 from .config import IterationHistory, Method, WrConfig
@@ -135,115 +137,162 @@ class _PlanCache:
 
 
 class _Workspace:
-    """Solver adapter for one subdomain. Internal to the drivers."""
+    """Solver adapter for one subdomain, one subclass per model. Internal to the drivers.
 
-    def __init__(
-        self,
-        problem,
-        grids: RunGrids,
-        index: int,
-        lo: float,
-        hi: float,
-        tgrid: TimeGrid,
-        ygrid: SpaceGrid1D | None,
-        speed: float | None,
-    ):
+    Subclasses sample their model's data on the subdomain grids and
+    supply ``solve(left_bc, right_bc, homogeneous=False)`` and
+    ``flux(field, side)``, the Schur-consistent +x derivative history at
+    one boundary of a solve. ``homogeneous=True`` zeroes initial data,
+    source and 2D lid data, as the Neumann-Neumann correction stage needs.
+    ``impedance`` weights the slope carried across an interface: the wave
+    speed, or 1 for heat, whose diffusivity is shared. The static methods
+    read the problem: x interval, speed per subdomain (None for heat),
+    initial value function, and shared y grid (None in 1D).
+    """
+
+    impedance = 1.0
+
+    def __init__(self, problem, xgrid: SpaceGrid1D, tgrid: TimeGrid, ygrid, speed):
         self.problem = problem
-        self.index = index
-        self.xgrid = SpaceGrid1D.with_spacing(lo, hi, grids.dx)
+        self.xgrid = xgrid
         self.tgrid = tgrid
         self.ygrid = ygrid
+        if speed is not None:
+            self.c = self.impedance = speed
+        self.data = self._sample()
 
-        x = self.xgrid.nodes
-        t = tgrid.times
-        if isinstance(problem, HeatProblem):
-            self.nu = problem.nu
-            self.u0 = sample(problem.initial, x.shape, x)
-        elif isinstance(problem, WaveProblem):
-            self.c = float(speed)
-            self.u0 = sample(problem.initial_u, x.shape, x)
-            self.v0 = sample(problem.initial_ut, x.shape, x)
-        elif isinstance(problem, Wave2DProblem):
-            self.c = float(speed)
-            y = ygrid.nodes
-            node_shape = (len(x), len(y))
-            lid_shape = (len(t), len(x))
-            self.u0 = sample(problem.initial_u, node_shape, x[:, None], y[None, :])
-            self.v0 = sample(problem.initial_ut, node_shape, x[:, None], y[None, :])
-            self.bottom = sample(problem.boundary_bottom, lid_shape, x[None, :], t[:, None])
-            self.top = sample(problem.boundary_top, lid_shape, x[None, :], t[:, None])
-        else:
-            raise TypeError(f"unsupported problem type: {type(problem).__name__}")
+    @staticmethod
+    def interval(problem) -> tuple[float, float]:
+        return problem.interval
 
-    @property
-    def ny(self) -> int | None:
-        return None if self.ygrid is None else self.ygrid.n_cells
+    @staticmethod
+    def make_ygrid(problem, grids: RunGrids) -> SpaceGrid1D | None:
+        return None
 
-    def physical_trace(self, side: str) -> InterfaceTrace:
-        """The problem's Dirichlet data at a physical x boundary."""
+    def _inputs(self, homogeneous: bool):
+        """Sampled data arrays and the source, or zeros in their place."""
+        if homogeneous:
+            return [np.zeros_like(a) for a in self.data], None
+        return self.data, self.problem.source
+
+    def physical_trace(self, side: str, homogeneous: bool = False) -> InterfaceTrace:
+        """The problem's Dirichlet data at a physical x boundary (zero if homogeneous)."""
+        if homogeneous:
+            ny = None if self.ygrid is None else self.ygrid.n_cells
+            return zero_trace(self.tgrid, TraceKind.DIRICHLET, ny=ny)
         fn = (
             self.problem.boundary_left if side == "left" else self.problem.boundary_right
         )
-        t = self.tgrid.times
-        if self.ygrid is None:
-            values = sample(fn, t.shape, t)
-        else:
-            y = self.ygrid.nodes
-            values = sample(fn, (len(t), len(y)), y[None, :], t[:, None])
-        return InterfaceTrace(TraceKind.DIRICHLET, self.tgrid, values)
-
-    def zero_dirichlet(self) -> InterfaceTrace:
-        return zero_trace(self.tgrid, TraceKind.DIRICHLET, ny=self.ny)
-
-    def solve(
-        self,
-        left_bc: InterfaceTrace,
-        right_bc: InterfaceTrace,
-        homogeneous: bool = False,
-    ) -> SpaceTimeField:
-        """Solve this subdomain's problem with the given boundary traces.
-
-        ``homogeneous=True`` replaces initial data and source (and the
-        physical y data in 2D) by zero; the Neumann-Neumann correction
-        stage solves that way.
-        """
-        problem = self.problem
-        if isinstance(problem, HeatProblem):
-            u0 = np.zeros_like(self.u0) if homogeneous else self.u0
-            source = None if homogeneous else problem.source
-            return solve_heat_subdomain(
-                self.xgrid, self.nu, self.tgrid, u0, left_bc, right_bc, source
-            )
-        if isinstance(problem, WaveProblem):
-            u0 = np.zeros_like(self.u0) if homogeneous else self.u0
-            v0 = np.zeros_like(self.v0) if homogeneous else self.v0
-            source = None if homogeneous else problem.source
-            return solve_wave_subdomain(
-                self.xgrid, self.c, self.tgrid, u0, v0, left_bc, right_bc, source
-            )
-        if homogeneous:
-            u0 = np.zeros_like(self.u0)
-            v0 = np.zeros_like(self.v0)
-            bottom = np.zeros_like(self.bottom)
-            top = np.zeros_like(self.top)
-            source = None
-        else:
-            u0, v0, bottom, top = self.u0, self.v0, self.bottom, self.top
-            source = problem.source
-        return solve_wave_strip_2d(
-            self.xgrid, self.ygrid, self.c, self.tgrid, u0, v0, left_bc, right_bc, bottom, top, source
-        )
-
-    def flux(self, field: SpaceTimeField, side: str, homogeneous: bool = False) -> InterfaceTrace:
-        """Schur-consistent +x derivative history at one boundary of a solve."""
-        source = None if homogeneous else self.problem.source
-        if isinstance(self.problem, HeatProblem):
-            return heat_interface_flux(field, side, self.nu, source)
-        return wave_interface_flux(field, side, self.c, source)
+        return dirichlet_history(fn, self.tgrid, self.ygrid)
 
     def dirichlet_trace(self, field: SpaceTimeField, side: str) -> InterfaceTrace:
         """Solution history on one boundary of a solve, as a trace."""
         return InterfaceTrace(TraceKind.DIRICHLET, self.tgrid, field.boundary_values(side))
+
+
+class _Heat1D(_Workspace):
+    """u_t = nu u_xx + f on one subdomain."""
+
+    @staticmethod
+    def speeds(problem, n: int) -> list[float | None]:
+        return [None] * n
+
+    @staticmethod
+    def initial_value(problem):
+        return problem.initial
+
+    def _sample(self) -> list[np.ndarray]:
+        x = self.xgrid.nodes
+        return [sample(self.problem.initial, x.shape, x)]
+
+    def solve(self, left_bc, right_bc, homogeneous=False) -> SpaceTimeField:
+        (u0,), source = self._inputs(homogeneous)
+        return solve_heat_subdomain(
+            self.xgrid, self.problem.nu, self.tgrid, u0, left_bc, right_bc, source
+        )
+
+    def flux(self, field: SpaceTimeField, side: str) -> InterfaceTrace:
+        return heat_interface_flux(field, side, self.problem.nu, self.problem.source)
+
+
+class _Wave1D(_Workspace):
+    """u_tt = c^2 u_xx + f on one subdomain, with that subdomain's speed."""
+
+    @staticmethod
+    def speeds(problem, n: int) -> list[float | None]:
+        if np.ndim(problem.speed) == 0:
+            return [float(problem.speed)] * n
+        speeds = [float(c) for c in problem.speed]
+        if len(speeds) != n:
+            raise ValidationError(f"need one wave speed per subdomain ({n}), got {len(speeds)}")
+        return speeds
+
+    @staticmethod
+    def initial_value(problem):
+        return problem.initial_u
+
+    def _sample(self) -> list[np.ndarray]:
+        problem, x = self.problem, self.xgrid.nodes
+        return [sample(problem.initial_u, x.shape, x), sample(problem.initial_ut, x.shape, x)]
+
+    def solve(self, left_bc, right_bc, homogeneous=False) -> SpaceTimeField:
+        (u0, v0), source = self._inputs(homogeneous)
+        return solve_wave_subdomain(
+            self.xgrid, self.c, self.tgrid, u0, v0, left_bc, right_bc, source
+        )
+
+    def flux(self, field: SpaceTimeField, side: str) -> InterfaceTrace:
+        return wave_interface_flux(field, side, self.c, self.problem.source)
+
+
+class _Strip2D(_Wave1D):
+    """u_tt = c^2 (u_xx + u_yy) + f on one strip, with pre-sampled lid data."""
+
+    @staticmethod
+    def interval(problem) -> tuple[float, float]:
+        return problem.x_interval
+
+    @staticmethod
+    def make_ygrid(problem, grids: RunGrids) -> SpaceGrid1D:
+        if grids.dy is None:
+            raise ValidationError("2D strip runs need dy in RunGrids")
+        return _make_ygrid(problem, grids.dy)
+
+    def _sample(self) -> list[np.ndarray]:
+        return strip_data(self.problem, self.xgrid, self.ygrid, self.tgrid)
+
+    def solve(self, left_bc, right_bc, homogeneous=False) -> SpaceTimeField:
+        (u0, v0, bottom, top), source = self._inputs(homogeneous)
+        return solve_wave_strip_2d(
+            self.xgrid, self.ygrid, self.c, self.tgrid, u0, v0, left_bc, right_bc, bottom, top, source
+        )
+
+
+_ADAPTERS = {HeatProblem: _Heat1D, WaveProblem: _Wave1D, Wave2DProblem: _Strip2D}
+
+
+def _adapter(problem) -> type[_Workspace]:
+    """The workspace class of a problem's model."""
+    model = _ADAPTERS.get(type(problem))
+    if model is None:
+        raise TypeError(f"unsupported problem type: {type(problem).__name__}")
+    return model
+
+
+def _solve_all(spaces: dict[int, _Workspace], inner, homogeneous: bool = False) -> dict:
+    """Solve every subdomain once, independently of the others.
+
+    ``inner(s, i)`` is the data subdomain ``s`` takes at interface ``i``;
+    the two ends of the chain take the physical data (zero data in a
+    homogeneous solve).
+    """
+    n = len(spaces)
+    fields = {}
+    for s, space in spaces.items():
+        left = space.physical_trace("left", homogeneous) if s == 1 else inner(s, s - 1)
+        right = space.physical_trace("right", homogeneous) if s == n else inner(s, s)
+        fields[s] = space.solve(left, right, homogeneous)
+    return fields
 
 
 def exchange_scale(producer: _Workspace, consumer: _Workspace) -> float:
@@ -264,28 +313,8 @@ def exchange_scale(producer: _Workspace, consumer: _Workspace) -> float:
     leave 0.98 of a white-noise error with one shared step of 0.04, and
     0.64 on the ``fig_wave_nonmatching`` grids.
     """
-    cp = getattr(producer, "c", None)
-    cc = getattr(consumer, "c", None)
-    if cp is None or cc is None or cp == cc:
-        return 1.0
-    return cp / cc
-
-
-def _problem_interval(problem) -> tuple[float, float]:
-    return problem.x_interval if isinstance(problem, Wave2DProblem) else problem.interval
-
-
-def _resolve_speeds(problem, n: int) -> list[float | None]:
-    if isinstance(problem, HeatProblem):
-        return [None] * n
-    if isinstance(problem, Wave2DProblem):
-        return [float(problem.speed)] * n
-    if np.ndim(problem.speed) == 0:
-        return [float(problem.speed)] * n
-    speeds = [float(c) for c in problem.speed]
-    if len(speeds) != n:
-        raise ValidationError(f"need one wave speed per subdomain ({n}), got {len(speeds)}")
-    return speeds
+    cp, cc = producer.impedance, consumer.impedance
+    return 1.0 if cp == cc else cp / cc
 
 
 def _make_ygrid(problem: Wave2DProblem, dy: float) -> SpaceGrid1D:
@@ -311,6 +340,7 @@ def build_workspaces(
     ``bounds`` optionally overrides subdomain intervals; the overlapping
     Schwarz driver extends its subdomains this way.
     """
+    model = _adapter(problem)
     n = partition.n_subdomains
     if len(grids.tgrids) != n:
         raise ValidationError(f"need one time grid per subdomain ({n}), got {len(grids.tgrids)}")
@@ -319,7 +349,7 @@ def build_workspaces(
         if abs(tg.T - T0) > 1e-12 * max(1.0, abs(T0)):
             raise ValidationError("all subdomains must cover the same time window")
 
-    a, b = _problem_interval(problem)
+    a, b = model.interval(problem)
     pa, pb = partition.interval
     scale = max(1.0, abs(a), abs(b))
     if abs(a - pa) > _INTERVAL_RTOL * scale or abs(b - pb) > _INTERVAL_RTOL * scale:
@@ -327,24 +357,16 @@ def build_workspaces(
             f"partition interval ({pa!r}, {pb!r}) does not match the problem's ({a!r}, {b!r})"
         )
 
-    ygrid = None
-    if isinstance(problem, Wave2DProblem):
-        if grids.dy is None:
-            raise ValidationError("2D strip runs need dy in RunGrids")
-        ygrid = _make_ygrid(problem, grids.dy)
-
-    speeds = _resolve_speeds(problem, n)
+    ygrid = model.make_ygrid(problem, grids)
+    speeds = model.speeds(problem, n)
     spaces: dict[int, _Workspace] = {}
     for i in range(1, n + 1):
         lo, hi = partition.bounds(i)
         if bounds is not None and i in bounds:
             lo, hi = bounds[i]
-        spaces[i] = _Workspace(problem, grids, i, lo, hi, grids.tgrids[i - 1], ygrid, speeds[i - 1])
+        xgrid = SpaceGrid1D.with_spacing(lo, hi, grids.dx)
+        spaces[i] = model(problem, xgrid, grids.tgrids[i - 1], ygrid, speeds[i - 1])
     return spaces, ygrid
-
-
-def _initial_value_fn(problem):
-    return problem.initial if isinstance(problem, HeatProblem) else problem.initial_u
 
 
 def force_compatible(
@@ -364,7 +386,7 @@ def force_compatible(
     value.
     """
     values = np.array(trace.samples, dtype=float)
-    u0 = _initial_value_fn(problem)
+    u0 = _adapter(problem).initial_value(problem)
     if trace.is_2d:
         y = ygrid.nodes
         t = trace.grid.times
@@ -416,8 +438,7 @@ def traces_from_field(
     out = []
     for i in range(1, partition.n_interfaces + 1):
         j = field.xgrid.node_index(partition.interface_position(i))
-        values = field.values[:, j] if not field.is_2d else field.values[:, j, :]
-        trace = InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, values)
+        trace = InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, field.values[:, j])
         if target_grids is not None:
             trace = project_trace(trace, build_plan(field.tgrid, target_grids[i - 1]))
         out.append(trace)
@@ -536,6 +557,42 @@ class _Monitor:
         )
 
 
+def _drive(
+    problem,
+    partition: Partition1D,
+    grids: RunGrids,
+    config: WrConfig,
+    init_guesses,
+    reference,
+    methods: tuple[Method, ...],
+    start,
+    bounds: dict[int, tuple[float, float]] | None = None,
+) -> IterationHistory:
+    """The loop every driver runs around its own sweep.
+
+    Checks the method, builds the workspaces (on ``bounds`` where given)
+    and normalizes the guesses. ``start(spaces, ygrid, cache, trace_grids,
+    guesses)`` then returns ``(sweep, monitor_grids, prev)``: ``sweep()``
+    runs one iteration and returns the monitored traces (on
+    ``monitor_grids``, where the reference is resolved) and the fluxes it
+    exchanged, and ``prev`` is what the first update is measured against.
+    """
+    if config.method not in methods:
+        names = " or ".join(m.name for m in methods)
+        raise ValidationError(f"config.method must be {names}, got {config.method}")
+    spaces, ygrid = build_workspaces(problem, partition, grids, bounds)
+    trace_grids = guess_grids(partition, grids, config)
+    guesses = normalize_guesses(problem, partition, init_guesses, trace_grids, ygrid)
+    cache = _PlanCache()
+    sweep, monitor_grids, prev = start(spaces, ygrid, cache, trace_grids, guesses)
+    ref, metric = resolve_reference(problem, partition, grids, reference, monitor_grids, ygrid)
+    monitor = _Monitor(config, cache, ref, metric, initial=guesses, prev=prev)
+    for k in range(1, config.max_iters + 1):
+        if monitor.record(k, *sweep()):
+            break
+    return monitor.history()
+
+
 def swr_state_from_field(
     field: SpaceTimeField,
     partition: Partition1D,
@@ -561,19 +618,13 @@ def swr_state_from_field(
             shift = config.overlap_cells * grids.dx
             j_right = field.xgrid.node_index(xi + shift)
             j_left = field.xgrid.node_index(xi - shift)
-            vals_right = field.values[:, j_right] if not field.is_2d else field.values[:, j_right, :]
-            vals_left = field.values[:, j_left] if not field.is_2d else field.values[:, j_left, :]
-            for_left_sub = InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, vals_right)
-            for_right_sub = InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, vals_left)
+            for_left_sub = InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, field.values[:, j_right])
+            for_right_sub = InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, field.values[:, j_left])
         elif config.method is Method.SWR_ROBIN:
             p = config.robin_p
             j = field.xgrid.node_index(xi)
-            u = field.values[:, j] if not field.is_2d else field.values[:, j, :]
-            w = (
-                (field.values[:, j + 1] - field.values[:, j - 1])
-                if not field.is_2d
-                else (field.values[:, j + 1, :] - field.values[:, j - 1, :])
-            ) / (2.0 * field.xgrid.dx)
+            u = field.values[:, j]
+            w = (field.values[:, j + 1] - field.values[:, j - 1]) / (2.0 * field.xgrid.dx)
             for_left_sub = InterfaceTrace(TraceKind.ROBIN, field.tgrid, w + p * u, robin_p=p)
             for_right_sub = InterfaceTrace(TraceKind.ROBIN, field.tgrid, -w + p * u, robin_p=p)
         else:

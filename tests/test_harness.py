@@ -110,6 +110,12 @@ def test_validation_failures():
         load_config(MINIMAL_HEAT + "left = bogus\n")
     with pytest.raises(ValidationError):  # CFL above one
         load_config(TINY_WAVE.replace("dx = 0.02", "dx = 0.01"))
+    with pytest.raises(ValidationError):  # subdomains of one cell each
+        load_config(
+            MINIMAL_HEAT.replace("interval = 0, 5", "interval = 0, 1")
+            .replace("0, 2.5, 5", "0, 0.5, 1")
+            .replace("dx = 0.05", "dx = 0.5")
+        )
 
 
 def test_per_subdomain_dt_lengths():
@@ -332,6 +338,19 @@ def test_cli_error_paths(tmp_path, capsys):
     rc = main(["preset", "no_such_preset"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+    for kind, params in (
+        ("heat-equal", ["count=5", "h=1", "T=2"]),  # nu missing
+        ("heat-equal", ["count=5", "h=x", "nu=1", "T=2"]),
+        ("heat-equal", ["count=5", "h=1", "nu=1", "T=-2"]),
+        ("heat-equal", ["count=4", "h=1", "nu=1", "T=2"]),  # even count
+        ("wave-steps", ["T=5", "widths=1,1", "c=x"]),
+    ):
+        rc = main(["bound", "--kind", kind, "--params", *params])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
 
 def test_cli_compare(tmp_path, capsys):

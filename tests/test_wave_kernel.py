@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,23 @@ def test_piecewise_speeds_monodomain_needs_partition():
     field = solve_monodomain(problem, xgrid, tgrid, partition=partition)
     assert field.values.shape == (len(tgrid.times), xgrid.n_nodes)
     np.testing.assert_array_equal(field.values[0], problem.initial_u(xgrid.nodes))
+
+
+@pytest.mark.parametrize("c", [1.0, 0.7])
+def test_equal_piecewise_speeds_match_uniform_speed(c):
+    # One speed given per subdomain takes the piecewise path; it must
+    # march the uniform scheme. A source, a nonzero initial rate and a
+    # clipped final step exercise every term of the march.
+    problem = replace(
+        wave_problem(interval=(0.0, 4.0), speed=c),
+        initial_ut=lambda x: np.sin(x),
+        source=lambda x, t: x * np.cos(t),
+    )
+    xgrid = SpaceGrid1D.with_spacing(0.0, 4.0, 0.05)
+    tgrid = make_time_grid_clipped(2.0, 0.03)
+    partition = make_partition((0.0, 1.0, 2.0, 3.0, 4.0))
+    uniform = solve_monodomain(problem, xgrid, tgrid).values
+    piecewise = solve_monodomain(
+        replace(problem, speed=(c,) * 4), xgrid, tgrid, partition=partition
+    ).values
+    assert np.max(np.abs(piecewise - uniform)) <= 1e-13 * np.max(np.abs(uniform))
