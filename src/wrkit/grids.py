@@ -39,6 +39,7 @@ __all__ = [
     "make_partition",
     "make_time_grid",
     "make_time_grid_clipped",
+    "CFL_SLACK",
     "cfl_number",
     "grids_equal",
     "zero_trace",
@@ -49,6 +50,9 @@ SNAP_RTOL = 1e-12
 
 #: T/dt must be an integer to within this absolute slack.
 DIVISIBILITY_ATOL = 1e-9
+
+#: Slack on the Courant limit so exactly-1 setups are admitted.
+CFL_SLACK = 1e-12
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -200,12 +204,11 @@ def make_time_grid_clipped(T: float, dt: float) -> TimeGrid:
     covered ``[0, dt, 2 dt, ..., m dt, T]``. Used for benchmark setups
     whose per-subdomain steps do not divide the shared window.
     """
-    if T <= 0 or dt <= 0:
-        raise ValueError("T and dt must be positive")
-    ratio = T / dt
-    if abs(ratio - round(ratio)) <= DIVISIBILITY_ATOL and round(ratio) >= 1:
+    try:
         return make_time_grid(T, dt)
-    full = math.floor(ratio)
+    except NonDivisibleWindow:
+        pass
+    full = math.floor(T / dt)
     times = np.empty(full + 2)
     times[: full + 1] = np.arange(full + 1) * dt
     times[-1] = T
@@ -216,7 +219,8 @@ def cfl_number(c: float, dx: float, dt: float, dy: float | None = None) -> float
     """Courant number of the explicit wave step.
 
     1D: ``c dt / dx``. 2D (five-point cross stencil on a rectangle):
-    ``c dt sqrt(1/dx^2 + 1/dy^2)``. Values above 1 are unstable.
+    ``c dt sqrt(1/dx^2 + 1/dy^2)``. Values above ``1 + CFL_SLACK`` are
+    rejected as unstable; callers pass the largest step of a time grid.
     """
     if dy is None:
         return c * dt / dx

@@ -163,10 +163,7 @@ def main(argv=None) -> int:
             iters = "-" if row.iterations is None else str(row.iterations)
             print(f"{row.label:<16} {row.method:<15} {iters:>10}  {row.final_error!r}")
         return 0
-    except WrkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (WrkitError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

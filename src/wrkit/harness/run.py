@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..bounds import heat_bound_equal, heat_bound_even, heat_bound_unequal
-from ..errors import IncompatibleGrids, InconsistentSpecs, ValidationError
+from ..errors import InconsistentSpecs, ValidationError
 from ..grids import Partition1D, make_partition
 from ..kernels import HeatProblem, SpaceTimeField, Wave2DProblem, WaveProblem
 from ..methods import Arrangement, IterationHistory, Method, WrConfig, dnwr_run, guess_grids, make_run_grids, nnwr_run, swr_run
-from ..methods.workspace import _make_ygrid, normalize_guesses, resolve_reference, traces_from_field
-from ..projection import build_plan, project_trace
+from ..methods.workspace import resolve_reference, snap_ygrid, trace_distance, traces_from_field
 from . import presets
 from .spec import ExperimentSpec
 
@@ -40,10 +39,6 @@ _RUNNERS = {
     Method.SWR_CLASSICAL: swr_run,
     Method.SWR_ROBIN: swr_run,
 }
-
-# dt divides T when T/dt is within this of an integer (same rule the
-# strict time-grid constructor applies)
-_DIVISIBILITY_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -153,14 +148,6 @@ def build_problem(spec: ExperimentSpec):
     )
 
 
-def _needs_clipping(spec: ExperimentSpec) -> bool:
-    for dt in spec.dt_list():
-        ratio = spec.T / dt
-        if abs(ratio - round(ratio)) > _DIVISIBILITY_ATOL or round(ratio) < 1:
-            return True
-    return False
-
-
 def _setup(spec: ExperimentSpec):
     problem = build_problem(spec)
     partition = make_partition(spec.partition)
@@ -170,36 +157,23 @@ def _setup(spec: ExperimentSpec):
         spec.T,
         spec.dt if isinstance(spec.dt, float) else list(spec.dt),
         dy=spec.dy,
-        clip=_needs_clipping(spec),
+        clip=True,
     )
-    ygrid = _make_ygrid(problem, spec.dy) if spec.model == "wave2d" else None
+    ygrid = snap_ygrid(spec.y_interval, spec.dy) if spec.model == "wave2d" else None
     return problem, partition, grids, ygrid
 
 
 def _initial_error(guesses, reference) -> float:
     """Max-abs distance of the starting traces to the reference traces.
 
-    Projects each guess onto its reference grid, the same direction the
-    per-iteration monitor uses, so iteration-k errors are directly
-    comparable with this one.
+    The same :func:`trace_distance` the per-iteration monitor applies, so
+    iteration-k errors are directly comparable with this one.
     """
-    worst = 0.0
-    for g, ref in zip(guesses, reference):
-        proj = project_trace(g, build_plan(g.grid, ref.grid))
-        worst = max(worst, float(np.max(np.abs(proj.samples - ref.samples))))
-    return worst
+    return max(trace_distance(guesses, reference))
 
 
 # ---------------------------------------------------------------------------
 # convergence envelope overlay
-
-
-def _equal_widths(partition: Partition1D) -> float | None:
-    widths = [partition.bounds(i)[1] - partition.bounds(i)[0] for i in range(1, partition.n_subdomains + 1)]
-    h = widths[0]
-    if all(abs(w - h) <= 1e-12 * max(1.0, h) for w in widths):
-        return h
-    return None
 
 
 def _bound_fn(spec: ExperimentSpec, partition: Partition1D):
@@ -219,12 +193,10 @@ def _bound_fn(spec: ExperimentSpec, partition: Partition1D):
     ):
         return None
     n = partition.n_subdomains
-    widths = tuple(
-        partition.bounds(i)[1] - partition.bounds(i)[0] for i in range(1, n + 1)
-    )
-    h = _equal_widths(partition)
+    widths = partition.widths
+    h = float(widths[0])
     if n % 2 == 1 and n >= 3:
-        if h is not None:
+        if all(abs(w - h) <= 1e-12 * max(1.0, h) for w in widths):
             return lambda k: heat_bound_equal(n, h, spec.nu, spec.T, k)
         m = (n - 1) // 2
         return lambda k: heat_bound_unequal(m, widths, spec.nu, spec.T, k)
@@ -243,22 +215,15 @@ def _execute(spec: ExperimentSpec, reference=None):
     problem, partition, grids, ygrid = _setup(spec)
     cfg = spec.config
     monitor_grids = guess_grids(partition, grids, cfg)
-    guesses = normalize_guesses(
-        problem,
-        partition,
-        presets.build_guesses(spec.guess, monitor_grids, ygrid),
-        monitor_grids,
-        ygrid,
-    )
+    guesses = presets.build_guesses(spec.guess, monitor_grids, ygrid)
     mode = "zero" if spec.zero_data else "auto"
     if reference is None:
         reference, _ = resolve_reference(
             problem, partition, grids, mode, monitor_grids, ygrid
         )
-    err0 = _initial_error(guesses, reference)
 
-    runner = _RUNNERS[cfg.method]
-    history = runner(problem, partition, grids, cfg, guesses, reference=reference)
+    history = _RUNNERS[cfg.method](problem, partition, grids, cfg, guesses, reference=reference)
+    err0 = _initial_error(history.initial, reference)
 
     bound_fn = _bound_fn(spec, partition)
     bound = None
@@ -270,7 +235,7 @@ def _execute(spec: ExperimentSpec, reference=None):
     info = {
         "reference": mode,
         "initial_error": err0,
-        "clipped": _needs_clipping(spec),
+        "clipped": not all(tg.uniform for tg in grids.tgrids),
         "ygrid": ygrid,
         "bound_overlay": bound is not None,
     }
@@ -371,12 +336,7 @@ def _reference_traces(history: IterationHistory, reference, partition):
                 "a field reference needs the partition to locate the interfaces"
             )
         return traces_from_field(reference, partition)
-    ref = tuple(reference)
-    if len(ref) != len(traces):
-        raise IncompatibleGrids(
-            f"need one reference trace per interface ({len(traces)}), got {len(ref)}"
-        )
-    return ref
+    return tuple(reference)
 
 
 def interface_error(
@@ -393,24 +353,14 @@ def interface_error(
     nodes (time and, in 2D, y).
     """
     refs = _reference_traces(history, reference, partition)
-    errors = []
-    for traces in history.dirichlet:
-        row = []
-        for tr, ref in zip(traces, refs):
-            if tr.samples.ndim != ref.samples.ndim:
-                raise IncompatibleGrids("trace and reference dimensionality differ")
-            proj = project_trace(tr, build_plan(tr.grid, ref.grid))
-            if proj.samples.shape != ref.samples.shape:
-                raise IncompatibleGrids("trace and reference sample shapes differ")
-            row.append(float(np.max(np.abs(proj.samples - ref.samples))))
-        errors.append(tuple(row))
+    errors = tuple(trace_distance(traces, refs) for traces in history.dirichlet)
     max_errors = tuple(max(row) for row in errors)
     tol = history.config.tol
     converged_at = next(
         (k for k, e in enumerate(max_errors, start=1) if e <= tol), None
     )
     err0 = _initial_error(history.initial, refs)
-    return _make_report(tuple(errors), max_errors, None, converged_at, err0)
+    return _make_report(errors, max_errors, None, converged_at, err0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,16 +404,11 @@ def compare_methods(
                 "specs passed to compare_methods differ beyond their method fields"
             )
 
-    problem, partition, grids, ygrid = _setup(specs[0])
-    mode = "zero" if specs[0].zero_data else "auto"
-    monitor_grids = guess_grids(partition, grids, specs[0].config)
-    reference, _ = resolve_reference(
-        problem, partition, grids, mode, monitor_grids, ygrid
-    )
-
+    reference = None  # the first run resolves it, the others reuse it
     rows = []
     for spec in specs:
         history, _, _ = _execute(spec, reference=reference)
+        reference = history.reference
         rows.append(
             ComparisonRow(
                 label=spec.label,

@@ -4,8 +4,8 @@ A config is UTF-8 text, one ``key = value`` per line, ``#`` to end of
 line is a comment. ``load_config`` parses, fills defaults, and runs every
 semantic check that can be done without solving anything: preset names
 exist, partitions sit on the space lattice with at least 2 cells per
-subdomain, explicit wave steps pass the CFL limit. Runs never start from
-a spec that would die mid-way.
+subdomain, explicit wave steps pass the CFL limit, Schwarz runs meet
+their driver's rules. Runs never start from a spec that would die mid-way.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 from ..errors import ParseError, UnknownKey, ValidationError, WrkitError
-from ..grids import cfl_number, make_partition
+from ..grids import CFL_SLACK, SpaceGrid1D, cfl_number, make_partition, make_time_grid_clipped
 from ..methods import Arrangement, Method, WrConfig
+from ..methods.swr import schwarz_shift
+from ..methods.workspace import check_span, snap_ygrid
 from . import presets
 
 __all__ = ["ExperimentSpec", "load_config", "with_out_dir"]
@@ -62,9 +64,6 @@ _KEYS = (
 
 _2D_ONLY = ("dy", "y_interval", "bottom", "top")
 _WAVE_ONLY = ("c", "initial_rate")
-
-# how far any interface may sit off the dx lattice, relative to dx
-_SNAP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -207,30 +206,31 @@ def _reject_irrelevant(pairs: dict[str, str], model: str, method: Method) -> Non
 
 
 def _check_lattice(spec: ExperimentSpec) -> None:
+    """The run's own span check and space grids, so no spec fails them mid-run."""
     a, b = spec.interval
     if not b > a:
         raise ValidationError("interval must have positive length")
-    bounds = spec.partition
-    if abs(bounds[0] - a) > _SNAP_RTOL or abs(bounds[-1] - b) > _SNAP_RTOL * max(1.0, abs(b)):
-        raise ValidationError("partition must span the interval exactly")
-    for p in bounds:
-        cells = (p - a) / spec.dx
-        if abs(cells - round(cells)) > _SNAP_RTOL * max(1.0, abs(cells)):
-            raise ValidationError(
-                f"partition boundary {p!r} is off the dx={spec.dx!r} lattice"
-            )
     try:
-        make_partition(bounds)
-    except WrkitError as exc:  # increasing, at least two subdomains
+        partition = make_partition(spec.partition)  # increasing, at least two subdomains
+        check_span(spec.interval, partition)
+        grid = SpaceGrid1D.with_spacing(a, b, spec.dx)
+        for p in spec.partition:
+            grid.node_index(p)
+        cells = [
+            SpaceGrid1D.with_spacing(*partition.bounds(i), spec.dx).n_cells
+            for i in range(1, partition.n_subdomains + 1)
+        ]
+    except WrkitError as exc:
         raise ValidationError(str(exc)) from None
-    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
-        if round((hi - lo) / spec.dx) < 2:
+    for i, n in enumerate(cells, start=1):
+        if n < 2:
             raise ValidationError(f"subdomain {i} is narrower than 2 cells of dx={spec.dx!r}")
 
 
-def _actual_dy(spec: ExperimentSpec) -> float:
-    y0, y1 = spec.y_interval
-    return (y1 - y0) / max(2, round((y1 - y0) / spec.dy))
+def _check_schwarz(spec: ExperimentSpec) -> None:
+    if spec.config.method in (Method.SWR_CLASSICAL, Method.SWR_ROBIN):
+        speeds = () if spec.c is None else spec.c_list()
+        schwarz_shift(spec.config, make_partition(spec.partition), spec.dx, speeds)
 
 
 def _check_cfl(spec: ExperimentSpec) -> None:
@@ -242,12 +242,13 @@ def _check_cfl(spec: ExperimentSpec) -> None:
         raise ValidationError(
             f"need one wave speed per subdomain ({spec.n_subdomains}), got {len(speeds)}"
         )
-    dy = _actual_dy(spec) if spec.model == "wave2d" else None
+    dy = snap_ygrid(spec.y_interval, spec.dy).dx if spec.model == "wave2d" else None
     for i, (c, dt) in enumerate(zip(speeds, steps), start=1):
         if c <= 0 or dt <= 0:
             raise ValidationError("wave speeds and time steps must be positive")
-        courant = cfl_number(c, spec.dx, dt, dy=dy)
-        if courant > 1.0 + 1e-12:
+        # the run's time grid: a step that does not divide T is clipped
+        courant = cfl_number(c, spec.dx, make_time_grid_clipped(spec.T, dt).max_step, dy=dy)
+        if courant > 1.0 + CFL_SLACK:
             raise ValidationError(
                 f"subdomain {i} fails the CFL check: c*dt/dx = {courant!r} > 1"
             )
@@ -281,8 +282,9 @@ def load_config(text: str) -> ExperimentSpec:
     that are not ``key = value``, :class:`UnknownKey` for keys outside
     the schema, and :class:`ValidationError` for anything semantically
     wrong: missing required keys, bad preset names, theta out of (0, 1],
-    partitions off the lattice, subdomains narrower than 2 cells, or
-    explicit wave steps above the CFL limit.
+    partitions off the lattice, subdomains narrower than 2 cells,
+    explicit wave steps above the CFL limit, or Schwarz runs across
+    wave speed jumps or with an overlap past a neighboring subdomain.
     """
     pairs = _parse_lines(text)
 
@@ -373,10 +375,11 @@ def load_config(text: str) -> ExperimentSpec:
         )
     if spec.nu is not None and spec.nu <= 0:
         raise ValidationError("nu must be positive")
-    if spec.model == "wave2d" and spec.dy <= 0:
-        raise ValidationError("dy must be positive")
+    if spec.model == "wave2d" and not (spec.dy > 0 and spec.y_interval[1] > spec.y_interval[0]):
+        raise ValidationError("dy and the y_interval length must be positive")
     _check_lattice(spec)
     _check_cfl(spec)
+    _check_schwarz(spec)
     _check_presets(spec)
     return spec
 

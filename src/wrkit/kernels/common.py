@@ -8,10 +8,7 @@ from ..errors import IncompatibleGrids, WrongBoundaryKind
 from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, grids_equal
 from .problems import SpaceTimeField, sample
 
-__all__ = ["CFL_SLACK", "check_bc", "dirichlet_history", "strip_data", "leapfrog", "half_cell_flux"]
-
-#: Slack on the Courant limit so exactly-1 setups are admitted.
-CFL_SLACK = 1e-12
+__all__ = ["check_bc", "dirichlet_history", "strip_data", "leapfrog", "half_cell_flux"]
 
 
 def check_bc(bc: InterfaceTrace, tgrid: TimeGrid, side: str, ny: int | None = None) -> None:

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CflViolation
-from ..grids import InterfaceTrace, Partition1D, SpaceGrid1D, TimeGrid, TraceKind
-from .common import CFL_SLACK, dirichlet_history, leapfrog, strip_data
+from ..grids import CFL_SLACK, InterfaceTrace, Partition1D, SpaceGrid1D, TimeGrid, TraceKind
+from .common import dirichlet_history, leapfrog, strip_data
 from .heat import solve_heat_subdomain
 from .problems import HeatProblem, SpaceTimeField, Wave2DProblem, WaveProblem, sample
 from .wave import solve_wave_subdomain
@@ -74,7 +74,7 @@ def _solve_wave_piecewise(
     times = tgrid.times
     wl, wc, wr = weights
 
-    courant = np.sqrt(0.5 * (wl + wr).max()) * np.diff(times).max() / dx
+    courant = np.sqrt(0.5 * (wl + wr).max()) * tgrid.max_step / dx
     if courant > 1.0 + CFL_SLACK:
         raise CflViolation(f"max c*dt/dx = {courant!r} exceeds 1")
 

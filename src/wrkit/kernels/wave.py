@@ -39,8 +39,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import CflViolation
-from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind
-from .common import CFL_SLACK, check_bc, half_cell_flux, leapfrog
+from ..grids import CFL_SLACK, InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, cfl_number
+from .common import check_bc, half_cell_flux, leapfrog
 from .problems import SpaceTimeField
 
 __all__ = ["solve_wave_subdomain", "wave_interface_flux"]
@@ -89,7 +89,7 @@ def solve_wave_subdomain(
     x = grid.nodes
     times = tgrid.times
 
-    courant = c * np.diff(times).max() / dx
+    courant = cfl_number(c, dx, tgrid.max_step)
     if courant > 1.0 + CFL_SLACK:
         raise CflViolation(f"c*dt/dx = {courant!r} exceeds 1")
 

@@ -16,13 +16,11 @@ Stability: c dt sqrt(1/dx^2 + 1/dy^2) <= 1 against the largest step.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import CflViolation
-from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind
-from .common import CFL_SLACK, check_bc, leapfrog
+from ..grids import CFL_SLACK, InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, cfl_number
+from .common import check_bc, leapfrog
 from .problems import SpaceTimeField
 
 __all__ = ["solve_wave_strip_2d"]
@@ -74,7 +72,7 @@ def solve_wave_strip_2d(
     times = tgrid.times
     m = len(times)
 
-    courant = c * np.diff(times).max() * math.sqrt(1.0 / dx**2 + 1.0 / dy**2)
+    courant = cfl_number(c, dx, tgrid.max_step, dy)
     if courant > 1.0 + CFL_SLACK:
         raise CflViolation(f"c*dt*sqrt(1/dx^2+1/dy^2) = {courant!r} exceeds 1")
 

@@ -96,10 +96,8 @@ class IterationHistory:
 
     All per-iteration containers have one entry per performed iteration;
     ``dirichlet[k][i]`` is the interface-``i+1`` solution trace after
-    iteration ``k+1`` (after relaxation, where the method relaxes) and
-    ``fluxes[k]`` holds the derivative-type data the method exchanged
-    that iteration (empty for classical Schwarz, which only exchanges
-    solution values). ``errors[k][i]`` is the monitored interface error
+    iteration ``k+1`` (after relaxation, where the method relaxes).
+    ``errors[k][i]`` is the monitored interface error
     and ``max_errors[k]`` its maximum over interfaces; ``metric`` says
     what the numbers mean: distance to ``reference``, or the relative
     size of the latest update when the run had no reference.
@@ -110,7 +108,6 @@ class IterationHistory:
     config: WrConfig
     initial: tuple[InterfaceTrace, ...]
     dirichlet: tuple[tuple[InterfaceTrace, ...], ...]
-    fluxes: tuple[tuple[InterfaceTrace, ...], ...]
     errors: tuple[tuple[float, ...], ...]
     max_errors: tuple[float, ...]
     converged_at: int | None

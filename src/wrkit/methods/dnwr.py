@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..grids import InterfaceTrace, Partition1D
+from ..grids import Partition1D
 from .config import Method, WrConfig, relax_update
 from .schedule import Role, arrangement_schedule, producer_map
 from .workspace import RunGrids, _drive, exchange_scale
@@ -45,7 +45,6 @@ def dnwr_run(
         def sweep():
             nonlocal g
             fields: dict[int, object] = {}
-            iter_fluxes: list[InterfaceTrace | None] = [None] * partition.n_interfaces
 
             def boundary(task, side):
                 s = task.subdomain
@@ -61,7 +60,6 @@ def dnwr_run(
                 if role is Role.DIRICHLET:
                     return cache.project(g[iface - 1], space.tgrid)
                 raw = spaces[neighbor].flux(fields[neighbor], their_side)
-                iter_fluxes[iface - 1] = raw
                 scale = exchange_scale(spaces[neighbor], space)
                 if scale != 1.0:
                     raw = raw.with_samples(raw.samples * scale)
@@ -83,7 +81,7 @@ def dnwr_run(
                 fresh = spaces[p].dirichlet_trace(fields[p], side)
                 new_g.append(relax_update(theta, fresh, g[i - 1]))
             g = new_g
-            return g, tuple(iter_fluxes)
+            return g
 
         return sweep, trace_grids, g
 

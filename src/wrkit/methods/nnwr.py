@@ -84,7 +84,7 @@ def nnwr_run(
                 updated = g[i - 1].samples - theta * (psi_left.samples + psi_right.samples)
                 new_g.append(g[i - 1].with_samples(updated))
             g = new_g
-            return g, tuple(jumps)
+            return g
 
         return sweep, trace_grids, g
 

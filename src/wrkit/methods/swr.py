@@ -5,9 +5,29 @@ from __future__ import annotations
 from ..errors import IncompatibleGrids, ValidationError
 from ..grids import InterfaceTrace, Partition1D, TraceKind, grids_equal
 from .config import Method, WrConfig
-from .workspace import RunGrids, _drive, _solve_all, force_compatible
+from .workspace import RunGrids, _adapter, _drive, _solve_all, force_compatible
 
 __all__ = ["swr_run"]
+
+
+def schwarz_shift(config: WrConfig, partition: Partition1D, dx: float, speeds) -> float:
+    """How far classical Schwarz extends each subdomain into its neighbors (0 for Robin).
+
+    Raises :class:`ValidationError` for ``speeds`` (one per subdomain,
+    None for heat) that differ and for an overlap past a neighboring
+    subdomain. ``swr_run`` and ``load_config`` both apply it.
+    """
+    if len(set(speeds)) > 1:
+        raise ValidationError("Schwarz transmission across wave speed jumps is not supported")
+    if config.method is not Method.SWR_CLASSICAL:
+        return 0.0
+    shift = config.overlap_cells * dx
+    if shift >= partition.h_min:
+        raise ValidationError(
+            f"overlap {shift!r} must stay inside the neighboring subdomains "
+            f"(narrowest is {partition.h_min!r})"
+        )
+    return shift
 
 
 def _extended_bounds(partition: Partition1D, shift: float) -> dict[int, tuple[float, float]]:
@@ -52,22 +72,12 @@ def swr_run(
     at the interface coordinate. There is no relaxation; theta is ignored.
     """
     classical = config.method is Method.SWR_CLASSICAL
-    shift = 0.0
-    bounds = None
-    if classical:
-        shift = config.overlap_cells * grids.dx
-        if shift >= partition.h_min:
-            raise ValidationError(
-                f"overlap {shift!r} must stay inside the neighboring subdomains "
-                f"(narrowest is {partition.h_min!r})"
-            )
-        bounds = _extended_bounds(partition, shift)
+    speeds = _adapter(problem).speeds(problem, partition.n_subdomains)
+    shift = schwarz_shift(config, partition, grids.dx, speeds)
+    bounds = _extended_bounds(partition, shift) if classical else None
 
     def start(spaces, ygrid, cache, seed_grids, guesses):
         nonlocal state
-        if len({space.impedance for space in spaces.values()}) > 1:
-            raise ValidationError("Schwarz transmission across wave speed jumps is not supported")
-
         # Transmission state, one pair per interface: data consumed by the
         # left subdomain at its right (possibly extended) boundary, and by
         # the right subdomain at its left one. Stored on the consumer grids.
@@ -124,7 +134,6 @@ def swr_run(
             fields = _solve_all(spaces, lambda s, i: state[i - 1][1 if i < s else 0])
 
             new_state = []
-            iter_fluxes = []
             monitored = []
             for i in range(1, partition.n_interfaces + 1):
                 xi = partition.interface_position(i)
@@ -143,7 +152,6 @@ def swr_run(
                     p = config.robin_p
                     w_left = left_space.flux(left_field, "right")
                     w_right = right_space.flux(right_field, "left")
-                    iter_fluxes.append(w_left)
                     for_left = InterfaceTrace(
                         TraceKind.ROBIN,
                         right_space.tgrid,
@@ -168,7 +176,7 @@ def swr_run(
                     InterfaceTrace(TraceKind.DIRICHLET, left_space.tgrid, left_field.values[:, j_iface])
                 )
             state = new_state
-            return monitored, tuple(iter_fluxes)
+            return monitored
 
         return sweep, grids.tgrids[:-1], prev
 

@@ -1,12 +1,14 @@
 """Shared plumbing for the waveform-relaxation drivers.
 
 This module owns everything the three drivers have in common: the
-per-run grid bundle, one solver adapter class per model (data sampling,
+per-run grid bundle, the lattice rules a run applies (partition span,
+snapped y grid), one solver adapter class per model (data sampling,
 physical boundary data, solve, flux extraction, impedance),
 projection-plan caching between per-subdomain time grids, reference
-resolution for the error metric, normalization of initial guesses, the
-per-iteration monitor that applies the stopping rule, and the driver
-loop into which each method plugs its sweep.
+resolution and the trace distance that is the error metric,
+normalization of initial guesses, the per-iteration monitor that
+applies the stopping rule, and the driver loop into which each method
+plugs its sweep.
 """
 
 from __future__ import annotations
@@ -136,6 +138,54 @@ class _PlanCache:
         return project_trace(trace, plan)
 
 
+def trace_distance(traces, reference, cache: _PlanCache | None = None) -> tuple[float, ...]:
+    """Max-abs distance of each trace to its reference trace, per interface.
+
+    Each trace is projected onto its reference trace's time grid and
+    compared over all nodes (time and, in 2D, y). This is the error the
+    drivers monitor, the harness's initial error, and what
+    ``interface_error`` re-measures. Raises :class:`IncompatibleGrids`
+    when the counts differ, or a trace and its reference differ in
+    dimensionality or shape.
+    """
+    if len(traces) != len(reference):
+        raise IncompatibleGrids(
+            f"need one reference trace per interface ({len(traces)}), got {len(reference)}"
+        )
+    cache = _PlanCache() if cache is None else cache
+    out = []
+    for tr, ref in zip(traces, reference):
+        if tr.samples.ndim != ref.samples.ndim:
+            raise IncompatibleGrids("trace and reference dimensionality differ")
+        proj = cache.project(tr, ref.grid)
+        if proj.samples.shape != ref.samples.shape:
+            raise IncompatibleGrids("trace and reference sample shapes differ")
+        out.append(float(np.max(np.abs(proj.samples - ref.samples))))
+    return tuple(out)
+
+
+def check_span(interval: tuple[float, float], partition: Partition1D) -> None:
+    """Reject a partition whose ends are not the problem's x interval."""
+    a, b = interval
+    pa, pb = partition.interval
+    scale = max(1.0, abs(a), abs(b))
+    if abs(a - pa) > _INTERVAL_RTOL * scale or abs(b - pb) > _INTERVAL_RTOL * scale:
+        raise ValidationError(
+            f"partition interval ({pa!r}, {pb!r}) does not match the problem's ({a!r}, {b!r})"
+        )
+
+
+def snap_ygrid(y_interval: tuple[float, float], dy: float) -> SpaceGrid1D:
+    """The shared y grid of a strip decomposition.
+
+    The requested spacing is snapped to the nearest node count, so
+    apparently non-divisible values (0.16 on a width-pi strip, say)
+    resolve to the obvious lattice instead of raising.
+    """
+    y0, y1 = y_interval
+    return SpaceGrid1D.with_cells(y0, y1, max(2, round((y1 - y0) / dy)))
+
+
 class _Workspace:
     """Solver adapter for one subdomain, one subclass per model. Internal to the drivers.
 
@@ -256,7 +306,7 @@ class _Strip2D(_Wave1D):
     def make_ygrid(problem, grids: RunGrids) -> SpaceGrid1D:
         if grids.dy is None:
             raise ValidationError("2D strip runs need dy in RunGrids")
-        return _make_ygrid(problem, grids.dy)
+        return snap_ygrid(problem.y_interval, grids.dy)
 
     def _sample(self) -> list[np.ndarray]:
         return strip_data(self.problem, self.xgrid, self.ygrid, self.tgrid)
@@ -317,18 +367,6 @@ def exchange_scale(producer: _Workspace, consumer: _Workspace) -> float:
     return 1.0 if cp == cc else cp / cc
 
 
-def _make_ygrid(problem: Wave2DProblem, dy: float) -> SpaceGrid1D:
-    """The shared y grid of a strip decomposition.
-
-    The requested spacing is snapped to the nearest node count, so
-    apparently non-divisible values (0.16 on a width-pi strip, say)
-    resolve to the obvious lattice instead of raising.
-    """
-    y0, y1 = problem.y_interval
-    n = max(2, round((y1 - y0) / dy))
-    return SpaceGrid1D.with_cells(y0, y1, n)
-
-
 def build_workspaces(
     problem,
     partition: Partition1D,
@@ -349,13 +387,7 @@ def build_workspaces(
         if abs(tg.T - T0) > 1e-12 * max(1.0, abs(T0)):
             raise ValidationError("all subdomains must cover the same time window")
 
-    a, b = model.interval(problem)
-    pa, pb = partition.interval
-    scale = max(1.0, abs(a), abs(b))
-    if abs(a - pa) > _INTERVAL_RTOL * scale or abs(b - pb) > _INTERVAL_RTOL * scale:
-        raise ValidationError(
-            f"partition interval ({pa!r}, {pb!r}) does not match the problem's ({a!r}, {b!r})"
-        )
+    check_span(model.interval(problem), partition)
 
     ygrid = model.make_ygrid(problem, grids)
     speeds = model.speeds(problem, n)
@@ -498,9 +530,8 @@ def resolve_reference(
 class _Monitor:
     """Collects per-iteration results and applies the stopping rule.
 
-    With a reference, the monitored error is the max-abs distance of each
-    interface trace to its reference trace, compared on the reference's
-    time grid. Without one, it is the max-abs size of the latest update
+    With a reference, the monitored error is :func:`trace_distance` to
+    the reference traces. Without one, it is the max-abs size of the latest update
     relative to the trace's own scale (clipped below at 1), so the rule
     degrades gracefully for traces near zero.
     """
@@ -513,18 +544,14 @@ class _Monitor:
         self.initial = tuple(initial)
         self.prev = list(prev)
         self.dirichlet: list[tuple[InterfaceTrace, ...]] = []
-        self.fluxes: list[tuple[InterfaceTrace, ...]] = []
         self.errors: list[tuple[float, ...]] = []
         self.max_errors: list[float] = []
         self.converged_at: int | None = None
 
-    def record(self, k: int, traces, fluxes) -> bool:
+    def record(self, k: int, traces) -> bool:
         """Append iteration ``k``; True when the run should stop."""
         if self.metric == "reference":
-            errs = tuple(
-                float(np.max(np.abs(self.cache.project(tr, ref.grid).samples - ref.samples)))
-                for tr, ref in zip(traces, self.reference)
-            )
+            errs = trace_distance(traces, self.reference, self.cache)
         else:
             values = []
             for tr, old in zip(traces, self.prev):
@@ -533,7 +560,6 @@ class _Monitor:
                 values.append(jump / scale)
             errs = tuple(values)
         self.dirichlet.append(tuple(traces))
-        self.fluxes.append(tuple(fluxes))
         self.errors.append(errs)
         worst = max(errs)
         self.max_errors.append(worst)
@@ -548,7 +574,6 @@ class _Monitor:
             config=self.config,
             initial=self.initial,
             dirichlet=tuple(self.dirichlet),
-            fluxes=tuple(self.fluxes),
             errors=tuple(self.errors),
             max_errors=tuple(self.max_errors),
             converged_at=self.converged_at,
@@ -574,8 +599,8 @@ def _drive(
     and normalizes the guesses. ``start(spaces, ygrid, cache, trace_grids,
     guesses)`` then returns ``(sweep, monitor_grids, prev)``: ``sweep()``
     runs one iteration and returns the monitored traces (on
-    ``monitor_grids``, where the reference is resolved) and the fluxes it
-    exchanged, and ``prev`` is what the first update is measured against.
+    ``monitor_grids``, where the reference is resolved), and ``prev`` is
+    what the first update is measured against.
     """
     if config.method not in methods:
         names = " or ".join(m.name for m in methods)
@@ -588,7 +613,7 @@ def _drive(
     ref, metric = resolve_reference(problem, partition, grids, reference, monitor_grids, ygrid)
     monitor = _Monitor(config, cache, ref, metric, initial=guesses, prev=prev)
     for k in range(1, config.max_iters + 1):
-        if monitor.record(k, *sweep()):
+        if monitor.record(k, sweep()):
             break
     return monitor.history()
 

@@ -12,7 +12,7 @@ from wrkit.errors import (
     UnknownKey,
     ValidationError,
 )
-from wrkit.grids import make_partition, make_time_grid
+from wrkit.grids import make_partition, make_time_grid, zero_trace
 from wrkit.harness import (
     build_guesses,
     compare_methods,
@@ -36,6 +36,16 @@ dx = 0.05
 dt = 0.02
 T = 0.2
 nu = 1
+"""
+
+SPEED_JUMP_WAVE = """\
+model = wave1d
+interval = 0, 6
+partition = 0, 2, 4, 6
+c = 0.25, 2, 0.5
+dx = 0.1
+dt = 0.039
+T = 2
 """
 
 TINY_WAVE = """\
@@ -116,6 +126,33 @@ def test_validation_failures():
             .replace("0, 2.5, 5", "0, 0.5, 1")
             .replace("dx = 0.05", "dx = 0.5")
         )
+    # a boundary 1e-9 of a cell off the lattice: the run's node lookup
+    # allows 1e-12 of a cell, so load_config must reject it too
+    with pytest.raises(ValidationError):
+        load_config(
+            MINIMAL_HEAT.replace("interval = 0, 5", "interval = 0, 1")
+            .replace("0, 2.5, 5", "0, 0.5000000001, 1")
+            .replace("dx = 0.05", "dx = 0.1")
+        )
+    with pytest.raises(ValidationError):  # reversed y interval
+        load_config(preset_text("fig_wave2d_T0p24") + "y_interval = 1, 0\n")
+    with pytest.raises(ValidationError):  # Robin Schwarz across wave speed jumps
+        load_config(SPEED_JUMP_WAVE + "method = swr_robin\nrobin_p = 1\n")
+    with pytest.raises(ValidationError):  # overlap as wide as the narrowest subdomain
+        load_config(
+            MINIMAL_HEAT.replace("interval = 0, 5", "interval = 0, 1")
+            .replace("0, 2.5, 5", "0, 0.2, 1")
+            .replace("dx = 0.05", "dx = 0.1")
+            + "method = swr_classical\noverlap_cells = 2\n"
+        )
+    # both Schwarz specs run with the rule met: one shared speed, a narrower overlap
+    load_config(SPEED_JUMP_WAVE.replace("0.25, 2, 0.5", "2") + "method = swr_robin\nrobin_p = 1\n")
+    load_config(
+        MINIMAL_HEAT.replace("interval = 0, 5", "interval = 0, 1")
+        .replace("0, 2.5, 5", "0, 0.2, 1")
+        .replace("dx = 0.05", "dx = 0.1")
+        + "method = swr_classical\noverlap_cells = 1\n"
+    )
 
 
 def test_per_subdomain_dt_lengths():
@@ -237,6 +274,17 @@ def test_interface_error_rejects_mismatched_shapes():
     hist = dnwr_run(prob, part, grids, cfg, build_guesses("t2", gg, None))
     with pytest.raises(IncompatibleGrids):
         interface_error(hist, [hist.final_traces[0], hist.final_traces[0]])
+
+
+def test_driver_rejects_reference_of_other_dimensionality():
+    prob = heat_problem()
+    part = make_partition((0.0, 2.5, 5.0))
+    grids = make_run_grids(part, 0.05, 0.5, 0.02)
+    cfg = WrConfig(method=Method.DNWR, max_iters=2)
+    gg = guess_grids(part, grids, cfg)
+    strip_like = [zero_trace(gg[0], ny=2)]  # (26, 3) samples for a 1D run
+    with pytest.raises(IncompatibleGrids):
+        dnwr_run(prob, part, grids, cfg, build_guesses("t2", gg, None), reference=strip_like)
 
 
 COMPARE_BASE = """\

@@ -1,0 +1,106 @@
+"""Write every shipped preset, or compare two such output directories.
+
+    PYTHONPATH=src python3 tools/preset_diff.py run DIR
+    python3 tools/preset_diff.py compare OLD NEW
+
+``run`` executes all presets with whichever ``wrkit`` is importable and
+writes each preset's ``<label>.csv`` and ``<label>_manifest.txt`` into
+DIR. ``compare`` prints one line per file found in either directory:
+``identical``, or for a CSV that differs in value, the largest |delta|
+per differing column divided by the run's ``initial_error`` (read from
+its manifest), and the largest |delta| / |old value| in that column.
+It exits 1 when a file is missing from one side, a manifest differs,
+or two CSVs disagree in header or row count; value differences alone
+exit 0, since judging them is the reader's job.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import sys
+from pathlib import Path
+
+
+def _run(directory: str) -> int:
+    from wrkit.harness import load_config, preset_names, preset_text, run_experiment, with_out_dir
+
+    for name in preset_names():
+        run_experiment(with_out_dir(load_config(preset_text(name)), directory))
+        print(f"wrote {name}")
+    return 0
+
+
+def _rows(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def _initial_error(manifest: Path) -> float | None:
+    for line in manifest.read_text(encoding="utf-8").splitlines():
+        key, sep, value = line.partition(" = ")
+        if sep and key == "initial_error":
+            return float(value)
+    return None
+
+
+def _csv_delta(old: Path, new: Path, scale: float | None) -> tuple[bool, str]:
+    """(fatal, description) of how two preset CSVs differ."""
+    a, b = _rows(old), _rows(new)
+    if a[0] != b[0] or len(a) != len(b):
+        return True, f"header or row count differs ({len(a) - 1} vs {len(b) - 1} rows)"
+    parts = []
+    for col, name in enumerate(a[0]):
+        olds = [float(row[col]) for row in a[1:]]
+        news = [float(row[col]) for row in b[1:]]
+        delta = max((abs(x - y) for x, y in zip(olds, news)), default=0.0)
+        if delta == 0.0:
+            continue
+        rel = max(abs(x - y) / abs(x) if x else float("inf") for x, y in zip(olds, news) if x != y)
+        rel_err0 = f"{delta / scale:.2e}" if scale else "n/a"
+        parts.append(f"{name}: max|d|/initial_error {rel_err0}, max relative {rel:.2e}")
+    return False, "; ".join(parts) if parts else "same values, different text"
+
+
+def _compare(old_dir: str, new_dir: str) -> int:
+    old, new = Path(old_dir), Path(new_dir)
+    names = sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()})
+    failed = False
+    for name in names:
+        a, b = old / name, new / name
+        if not a.is_file() or not b.is_file():
+            print(f"{name}: missing in {old_dir if not a.is_file() else new_dir}")
+            failed = True
+        elif a.read_bytes() == b.read_bytes():
+            print(f"{name}: identical")
+        elif name.endswith("_manifest.txt"):
+            print(f"{name}: manifest differs")
+            failed = True
+        elif name.endswith(".csv"):
+            manifest = new / name.replace(".csv", "_manifest.txt")
+            scale = _initial_error(manifest) if manifest.is_file() else None
+            fatal, text = _csv_delta(a, b, scale)
+            print(f"{name}: {text}")
+            failed = failed or fatal
+        else:
+            print(f"{name}: differs")
+            failed = True
+    return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    top = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = top.add_subparsers(dest="command", required=True)
+    run = sub.add_parser("run", help="write every preset into DIR")
+    run.add_argument("dir")
+    cmp = sub.add_parser("compare", help="compare two directories written by run")
+    cmp.add_argument("old")
+    cmp.add_argument("new")
+    args = top.parse_args(argv)
+    if args.command == "run":
+        return _run(args.dir)
+    return _compare(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
