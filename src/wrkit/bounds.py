@@ -27,23 +27,19 @@ error is 5.1e-16, and tests cross-check it against the same oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import EvenCount, OddCount, QDiverged, UnequalWidths
+from .errors import EvenCount, OddCount, QDiverged
 
 __all__ = [
-    "BoundCurve",
     "erfc_eval",
     "reflection_series",
     "heat_bound_unequal",
     "heat_bound_even",
     "heat_bound_equal",
     "wave_steps_needed",
-    "bound_region",
-    "make_bound_curve",
 ]
 
 #: Hard cap on reflection-series terms (defensive; see reflection_series).
@@ -123,36 +119,32 @@ def heat_bound_even(m: int, widths: Sequence[float], nu: float, T: float, k: int
     return _envelope(2 * m - 1 + 2.0 * w.max() / w[m], w.min(), nu, T, k)
 
 
-def heat_bound_equal(count: int, h, nu: float, T: float, k: int) -> float:
+def heat_bound_equal(count: int, h: float, nu: float, T: float, k: int) -> float:
     """Tightened envelope for an odd count 2m+1 of equal-width subdomains.
 
     B(k) = (min{2m - 1, Q(h, nu, T)})^k * erfc(k h / (2 sqrt(nu T))).
 
-    ``h`` may be a scalar width or the full width list (which must then be
-    uniform; otherwise UnequalWidths).
+    A Q series that does not settle (QDiverged) leaves 2m - 1 as the
+    multiplier: its partial sum is then above 8e37.
     """
     if count < 3 or count % 2 == 0:
         raise EvenCount("equal-width envelope is defined for odd counts 2m+1 >= 3")
-    if np.ndim(h) > 0:
-        w = np.asarray(h, dtype=float)
-        if len(w) != count:
-            raise ValueError(f"expected {count} widths, got {len(w)}")
-        if not np.allclose(w, w[0], rtol=1e-12, atol=0.0):
-            raise UnequalWidths(f"widths are not equal: {w.tolist()}")
-        h = float(w[0])
     h = float(h)
     m = (count - 1) // 2
-    return _envelope(min(2 * m - 1, reflection_series(h, nu, T)), h, nu, T, k)
+    try:
+        multiplier = min(2 * m - 1, reflection_series(h, nu, T))
+    except QDiverged:
+        multiplier = 2 * m - 1
+    return _envelope(multiplier, h, nu, T, k)
 
 
-def wave_steps_needed(T: float, widths, speeds, strict_2d: bool = False) -> int:
+def wave_steps_needed(T: float, widths, speeds) -> int:
     """Iterations after which the wave iteration is exact.
 
     One sweep extends the region of exact interface data by
     ``min_i(h_i / c_i)`` in time; ``k`` sweeps cover a window with
-    ``T <= k * min_i(h_i/c_i)`` (strict inequality for the 2D strip
-    variant), and one more sweep propagates the final data, so the
-    returned count is ``k + 1``.
+    ``T <= k * min_i(h_i/c_i)``, and one more sweep propagates the final
+    data, so the returned count is ``k + 1``.
 
     Per-subdomain speeds are reduced with ``min(h_i/c_i)``; that
     extension of the single-speed statement is a heuristic about the
@@ -172,54 +164,5 @@ def wave_steps_needed(T: float, widths, speeds, strict_2d: bool = False) -> int:
     if len(c) != len(w):
         raise ValueError("speeds must be scalar or one per subdomain")
     hoc = float((w / c).min())
-    ratio = T / hoc
-    if strict_2d:
-        k = math.floor(ratio + 1e-12) + 1
-    else:
-        k = math.ceil(ratio - 1e-12)
+    k = math.ceil(T / hoc - 1e-12)
     return max(k, 1) + 1
-
-
-def bound_region(m: int, h: float, nu: float, T: float) -> str:
-    """Which equal-width multiplier is smaller: ``2m-1`` or the Q series.
-
-    Returns ``"Q_estimate"`` when Q(h, nu, T) < 2m - 1 and
-    ``"multiplier_estimate"`` otherwise (ties and diverging Q both mean
-    the plain multiplier is the binding one).
-    """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    try:
-        q = reflection_series(h, nu, T)
-    except QDiverged:
-        return "multiplier_estimate"
-    return "Q_estimate" if q < 2 * m - 1 else "multiplier_estimate"
-
-
-@dataclass(frozen=True, eq=False)
-class BoundCurve:
-    """Envelope values B(k) for k = ks[0]..ks[-1], with a tag naming the model."""
-
-    ks: np.ndarray
-    values: np.ndarray
-    tag: str
-
-    def __post_init__(self):
-        ks = np.asarray(self.ks, dtype=int)
-        vals = np.asarray(self.values, dtype=float)
-        if ks.shape != vals.shape or ks.ndim != 1:
-            raise ValueError("ks and values must be matching 1D arrays")
-        if np.any(vals < 0):
-            raise ValueError("bound values must be nonnegative")
-        if len(ks) and ks[0] == 0 and not math.isclose(vals[0], 1.0, rel_tol=1e-12):
-            raise ValueError("bounds are relative to the initial error: B(0) = 1")
-        ks.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "ks", ks)
-        object.__setattr__(self, "values", vals)
-
-
-def make_bound_curve(fn: Callable[[int], float], kmax: int, tag: str) -> BoundCurve:
-    """Tabulate ``fn(k)`` for k = 0..kmax into a BoundCurve."""
-    ks = np.arange(kmax + 1)
-    return BoundCurve(ks, np.array([fn(int(k)) for k in ks]), tag)

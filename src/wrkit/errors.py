@@ -76,10 +76,6 @@ class OddCount(WrkitError):
     """This envelope is defined for an even number of subdomains."""
 
 
-class UnequalWidths(WrkitError):
-    """This envelope requires all subdomain widths to be equal."""
-
-
 class QDiverged(WrkitError):
     """The reflection series did not converge within the term budget."""
 

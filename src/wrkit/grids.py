@@ -73,7 +73,7 @@ class TraceKind(enum.Enum):
 class Partition1D:
     """Strictly increasing subdomain boundaries of a 1D interval.
 
-    Derived quantities (widths, extrema, middle index) are recomputed from
+    Derived quantities (widths, the narrowest width) are recomputed from
     the boundaries on every access so they can never go stale.
     """
 
@@ -101,18 +101,6 @@ class Partition1D:
     @property
     def h_min(self) -> float:
         return float(self.widths.min())
-
-    @property
-    def h_max(self) -> float:
-        return float(self.widths.max())
-
-    @property
-    def middle_index(self) -> int:
-        """1-based index of the middle subdomain (odd counts only)."""
-        n = self.n_subdomains
-        if n % 2 == 0:
-            raise ValueError("middle_index is defined for odd subdomain counts")
-        return (n + 1) // 2
 
     def bounds(self, i: int) -> tuple[float, float]:
         """Endpoints of subdomain ``i`` (1-based)."""
@@ -201,8 +189,8 @@ def make_time_grid_clipped(T: float, dt: float) -> TimeGrid:
 
     When ``dt`` divides ``T`` this is exactly :func:`make_time_grid`;
     otherwise the last node is pulled back to ``T`` so the window is
-    covered ``[0, dt, 2 dt, ..., m dt, T]``. Used for benchmark setups
-    whose per-subdomain steps do not divide the shared window.
+    covered ``[0, dt, 2 dt, ..., m dt, T]``. Every run builds its
+    per-subdomain time grids this way.
     """
     try:
         return make_time_grid(T, dt)
@@ -334,9 +322,8 @@ def zero_trace(
     grid: TimeGrid,
     kind: TraceKind = TraceKind.DIRICHLET,
     ny: int | None = None,
-    robin_p: float | None = None,
 ) -> InterfaceTrace:
     """All-zero trace on ``grid`` (2D when ``ny`` is given)."""
     m = len(grid.times)
     shape = (m,) if ny is None else (m, ny + 1)
-    return InterfaceTrace(kind, grid, np.zeros(shape), robin_p=robin_p)
+    return InterfaceTrace(kind, grid, np.zeros(shape))

@@ -12,14 +12,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from ..bounds import heat_bound_equal, heat_bound_even, heat_bound_unequal
 from ..errors import InconsistentSpecs, ValidationError
 from ..grids import Partition1D, make_partition
-from ..kernels import HeatProblem, SpaceTimeField, Wave2DProblem, WaveProblem
+from ..kernels import HeatProblem, Wave2DProblem, WaveProblem
 from ..methods import Arrangement, IterationHistory, Method, WrConfig, dnwr_run, guess_grids, make_run_grids, nnwr_run, swr_run
-from ..methods.workspace import resolve_reference, snap_ygrid, trace_distance, traces_from_field
+from ..methods.workspace import _PlanCache, resolve_reference, snap_ygrid, trace_distance
 from . import presets
 from .spec import ExperimentSpec
 
@@ -157,7 +155,6 @@ def _setup(spec: ExperimentSpec):
         spec.T,
         spec.dt if isinstance(spec.dt, float) else list(spec.dt),
         dy=spec.dy,
-        clip=True,
     )
     ygrid = snap_ygrid(spec.y_interval, spec.dy) if spec.model == "wave2d" else None
     return problem, partition, grids, ygrid
@@ -322,45 +319,26 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> ErrorRep
 # post-hoc error measurement
 
 
-def _reference_traces(history: IterationHistory, reference, partition):
-    traces = history.dirichlet[0]
-    if isinstance(reference, str):
-        if reference != "zero":
-            raise ValidationError(
-                f"reference must be 'zero', a field, or traces, got {reference!r}"
-            )
-        return tuple(tr.with_samples(np.zeros_like(tr.samples)) for tr in traces)
-    if isinstance(reference, SpaceTimeField):
-        if partition is None:
-            raise ValidationError(
-                "a field reference needs the partition to locate the interfaces"
-            )
-        return traces_from_field(reference, partition)
-    return tuple(reference)
+def interface_error(history: IterationHistory, reference) -> ErrorReport:
+    """Re-measure a run's interface errors against given reference traces.
 
-
-def interface_error(
-    history: IterationHistory,
-    reference,
-    partition: Partition1D | None = None,
-) -> ErrorReport:
-    """Re-measure a run's interface errors against a given reference.
-
-    ``reference`` is the string ``"zero"``, a full-domain
-    :class:`SpaceTimeField` (needs ``partition`` to locate interfaces),
-    or one trace per interface. Each stored trace is projected onto the
-    reference trace's time grid and compared in the max norm over all
-    nodes (time and, in 2D, y).
+    ``reference`` holds one trace per interface. Each stored trace is
+    projected onto its reference trace's time grid and compared in the
+    max norm over all nodes (time and, in 2D, y); every row shares one
+    projection plan per pair of grids.
     """
-    refs = _reference_traces(history, reference, partition)
-    errors = tuple(trace_distance(traces, refs) for traces in history.dirichlet)
+    cache = _PlanCache()
+    rows = [
+        trace_distance(traces, reference, cache)
+        for traces in (history.initial, *history.dirichlet)
+    ]
+    errors = tuple(rows[1:])
     max_errors = tuple(max(row) for row in errors)
     tol = history.config.tol
     converged_at = next(
         (k for k, e in enumerate(max_errors, start=1) if e <= tol), None
     )
-    err0 = _initial_error(history.initial, refs)
-    return _make_report(errors, max_errors, None, converged_at, err0)
+    return _make_report(errors, max_errors, None, converged_at, max(rows[0]))
 
 
 # ---------------------------------------------------------------------------

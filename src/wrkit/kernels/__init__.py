@@ -1,7 +1,7 @@
 """Finite-difference kernels: per-subdomain solves and flux extraction."""
 
 from .heat import heat_interface_flux, solve_heat_subdomain
-from .monodomain import piecewise_wave_weights, solve_monodomain
+from .monodomain import solve_monodomain
 from .problems import HeatProblem, SpaceTimeField, Wave2DProblem, WaveProblem, sample
 from .wave import solve_wave_subdomain, wave_interface_flux
 from .wave2d import solve_wave_strip_2d
@@ -18,5 +18,4 @@ __all__ = [
     "wave_interface_flux",
     "solve_wave_strip_2d",
     "solve_monodomain",
-    "piecewise_wave_weights",
 ]

@@ -21,10 +21,10 @@ from .problems import HeatProblem, SpaceTimeField, Wave2DProblem, WaveProblem, s
 from .wave import solve_wave_subdomain
 from .wave2d import solve_wave_strip_2d
 
-__all__ = ["solve_monodomain", "piecewise_wave_weights"]
+__all__ = ["solve_monodomain"]
 
 
-def piecewise_wave_weights(
+def _piecewise_wave_weights(
     grid: SpaceGrid1D, partition: Partition1D, speeds
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stencil weights (wl, wc, wr) of the second difference, per node.
@@ -133,7 +133,7 @@ def solve_monodomain(
             )
         if partition is None:
             raise ValueError("per-subdomain speeds need the partition")
-        weights = piecewise_wave_weights(xgrid, partition, problem.speed)
+        weights = _piecewise_wave_weights(xgrid, partition, problem.speed)
         return _solve_wave_piecewise(xgrid, tgrid, weights, u0, v0, left, right, problem.source)
 
     if isinstance(problem, Wave2DProblem):

@@ -116,10 +116,6 @@ class Schedule:
                         "before that neighbor has solved"
                     )
 
-    @property
-    def n_stages(self) -> int:
-        return len(self.stages)
-
 
 def arrangement_schedule(n_subdomains: int, arrangement: Arrangement) -> Schedule:
     """Build the stage schedule of one sweep arrangement for ``n`` subdomains."""

@@ -25,7 +25,6 @@ from ..grids import (
     TimeGrid,
     TraceKind,
     grids_equal,
-    make_time_grid,
     make_time_grid_clipped,
     zero_trace,
 )
@@ -79,17 +78,16 @@ def make_run_grids(
     T: float,
     dt,
     dy: float | None = None,
-    clip: bool = False,
 ) -> RunGrids:
     """Build the grid bundle from a spacing, a window, and step sizes.
 
     ``dt`` is one step size for all subdomains or a sequence with one per
-    subdomain. With ``clip=True`` steps that do not divide ``T`` get a
-    shorter final step instead of raising.
+    subdomain. A step that does not divide ``T`` gets a shorter final
+    step (:func:`~wrkit.grids.make_time_grid_clipped`); one that does
+    gives the uniform grid.
     """
-    maker = make_time_grid_clipped if clip else make_time_grid
     if np.ndim(dt) == 0:
-        tgrid = maker(T, float(dt))
+        tgrid = make_time_grid_clipped(T, float(dt))
         tgrids = (tgrid,) * partition.n_subdomains
     else:
         values = [float(v) for v in dt]
@@ -97,7 +95,7 @@ def make_run_grids(
             raise ValidationError(
                 f"need one dt per subdomain ({partition.n_subdomains}), got {len(values)}"
             )
-        tgrids = tuple(maker(T, v) for v in values)
+        tgrids = tuple(make_time_grid_clipped(T, v) for v in values)
     return RunGrids(float(dx), tgrids, None if dy is None else float(dy))
 
 
@@ -504,8 +502,10 @@ def resolve_reference(
     the interface histories off that field; ``"zero"`` compares against
     zero (error-equation runs, where all problem data vanishes and the
     interface traces themselves are the error); an explicit sequence
-    supplies one trace per interface; ``None`` means no reference, and
-    the drivers monitor the size of each update instead.
+    supplies one trace per interface (another count raises
+    :class:`IncompatibleGrids`, as :func:`trace_distance` does); ``None``
+    means no reference, and the drivers monitor the size of each update
+    instead.
     """
     if reference is None:
         return None, "update_drop"
@@ -521,7 +521,7 @@ def resolve_reference(
         )
     ref = tuple(reference)
     if len(ref) != partition.n_interfaces:
-        raise ValidationError(
+        raise IncompatibleGrids(
             f"need one reference trace per interface ({partition.n_interfaces}), got {len(ref)}"
         )
     return ref, "reference"

@@ -14,17 +14,14 @@ import numpy as np
 import pytest
 
 from wrkit.bounds import (
-    BoundCurve,
-    bound_region,
     erfc_eval,
     heat_bound_equal,
     heat_bound_even,
     heat_bound_unequal,
-    make_bound_curve,
     reflection_series,
     wave_steps_needed,
 )
-from wrkit.errors import EvenCount, OddCount, QDiverged, UnequalWidths
+from wrkit.errors import EvenCount, OddCount, QDiverged
 
 mpmath.mp.dps = 30
 
@@ -138,15 +135,7 @@ def test_equal_bound_uses_min_of_q_and_multiplier():
     assert got100 == pytest.approx(want100, rel=1e-12)
 
 
-def test_equal_bound_accepts_width_list():
-    a = heat_bound_equal(5, (1.0,) * 5, 1.0, 2.0, 3)
-    b = heat_bound_equal(5, 1.0, 1.0, 2.0, 3)
-    assert a == b
-
-
 def test_equal_bound_rejects_unequal_and_even():
-    with pytest.raises(UnequalWidths):
-        heat_bound_equal(5, (1.0, 1.0, 2.0, 1.0, 1.0), 1.0, 2.0, 1)
     with pytest.raises(EvenCount):
         heat_bound_equal(4, 1.0, 1.0, 2.0, 1)
 
@@ -157,11 +146,6 @@ def test_equal_bound_never_above_unequal():
             eq = heat_bound_equal(5, 1.0, 1.0, T, k)
             uneq = heat_bound_unequal(2, (1.0,) * 5, 1.0, T, k)
             assert eq <= uneq * (1.0 + 1e-12)
-
-
-def test_bound_region_switch():
-    assert bound_region(2, 1.0, 1.0, 0.2) == "Q_estimate"
-    assert bound_region(2, 1.0, 1.0, 100.0) == "multiplier_estimate"
 
 
 def test_heat_bound_superlinearity():
@@ -189,12 +173,6 @@ def test_wave_steps_per_subdomain_speeds():
     assert wave_steps_needed(2.0, (2.0, 2.0, 2.0), (0.25, 2.0, 0.5)) == 3
 
 
-def test_wave_steps_strict_2d():
-    # Equality T = k*h/c does NOT count as covered for the strip variant.
-    assert wave_steps_needed(0.5, (0.5, 0.5), 1.0, strict_2d=True) == 3
-    assert wave_steps_needed(0.49, (0.5, 0.5), 1.0, strict_2d=True) == 2
-
-
 def test_wave_steps_monotone_in_window():
     counts = [wave_steps_needed(T, (1.0, 0.5, 1.5), 1.0) for T in np.linspace(0.1, 6, 40)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
@@ -214,16 +192,3 @@ def test_wave_steps_rejects_bad_inputs():
         wave_steps_needed(1.0, (1.0, -1.0), 1.0)
     with pytest.raises(ValueError):
         wave_steps_needed(1.0, (1.0, 1.0, 1.0), (1.0, 2.0))
-
-
-def test_bound_curve_normalization():
-    curve = make_bound_curve(lambda k: heat_bound_equal(5, 1.0, 1.0, 2.0, k), 10, "demo")
-    assert curve.values[0] == 1.0
-    assert curve.ks[0] == 0 and curve.ks[-1] == 10
-    assert curve.tag == "demo"
-    with pytest.raises(ValueError):
-        BoundCurve(np.array([0, 1]), np.array([0.5, 0.1]), "bad-start")
-    with pytest.raises(ValueError):
-        BoundCurve(np.array([0, 1]), np.array([1.0, -0.1]), "negative")
-    with pytest.raises(ValueError):
-        BoundCurve(np.array([0, 1, 2]), np.array([1.0, 0.5]), "shape")

@@ -32,8 +32,6 @@ def test_partition_five_equal():
     assert p.n_interfaces == 4
     np.testing.assert_array_equal(p.widths, np.ones(5))
     assert p.h_min == 1.0
-    assert p.h_max == 1.0
-    assert p.middle_index == 3
     assert p.interval == (0.0, 5.0)
     assert p.bounds(1) == (0.0, 1.0)
     assert p.bounds(5) == (4.0, 5.0)
@@ -44,7 +42,6 @@ def test_partition_uneven():
     p = make_partition((0.0, 1.0, 1.5, 3.0, 4.0, 5.0))
     np.testing.assert_allclose(p.widths, [1.0, 0.5, 1.5, 1.0, 1.0])
     assert p.h_min == 0.5
-    assert p.h_max == 1.5
 
 
 def test_partition_rejects_non_increasing():
@@ -59,14 +56,6 @@ def test_partition_rejects_too_few():
         make_partition((0.0, 1.0))
     with pytest.raises(TooFewSubdomains):
         make_partition((0.0,))
-
-
-def test_partition_middle_index_even_count_undefined():
-    # Even counts have no single middle subdomain; the outward sweep
-    # derives its own pivot instead of consulting this property.
-    p = make_partition((0.0, 1.0, 2.0, 3.0, 4.0))
-    with pytest.raises(ValueError):
-        p.middle_index
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+
+import wrkit.methods.workspace as workspace
 
 from wrkit.errors import (
     IncompatibleGrids,
@@ -15,6 +19,7 @@ from wrkit.errors import (
 from wrkit.grids import make_partition, make_time_grid, zero_trace
 from wrkit.harness import (
     build_guesses,
+    build_problem,
     compare_methods,
     interface_error,
     load_config,
@@ -46,6 +51,19 @@ c = 0.25, 2, 0.5
 dx = 0.1
 dt = 0.039
 T = 2
+"""
+
+# nu T / h^2 = 2500: the equal-width reflection series Q does not settle.
+DIVERGENT_Q_HEAT = """\
+model = heat1d
+interval = 0, 3
+partition = 0, 1, 2, 3
+nu = 100
+dx = 0.1
+dt = 0.5
+T = 25
+arrangement = outward
+theta = 0.5
 """
 
 TINY_WAVE = """\
@@ -242,6 +260,17 @@ def test_heat_preset_bound_column(tmp_path):
     assert header.endswith(",bound")
 
 
+
+def test_bound_overlay_when_q_diverges(tmp_path):
+    # A Q series that does not settle leaves 2m - 1 = 1 as the multiplier,
+    # so the run still writes its files and the overlay is the erfc factor.
+    spec = load_config(DIVERGENT_Q_HEAT)
+    report = run_experiment(with_out_dir(spec, str(tmp_path)))
+    assert report.bound is not None
+    assert report.bound[0] == math.erfc(1.0 / (2.0 * math.sqrt(2500.0))) * report.initial_error
+    assert (tmp_path / "experiment.csv").exists()
+    assert (tmp_path / "experiment_manifest.txt").exists()
+
 def test_interface_error_against_zero_reference():
     # A zero problem keeps the g(t) = t^2 guess error exactly measurable:
     # the initial distance to the zero reference is max t^2 = T^2.
@@ -275,6 +304,34 @@ def test_interface_error_rejects_mismatched_shapes():
     with pytest.raises(IncompatibleGrids):
         interface_error(hist, [hist.final_traces[0], hist.final_traces[0]])
 
+
+
+def test_interface_error_builds_one_plan_per_pair_of_grids(monkeypatch):
+    # Both interface traces of fig_wave_nonmatching live on coarser grids
+    # than the reference; every row of the run shares those two plans.
+    spec = load_config(preset_text("fig_wave_nonmatching"))
+    part = make_partition(spec.partition)
+    grids = make_run_grids(part, spec.dx, spec.T, spec.dt)
+    gg = guess_grids(part, grids, spec.config)
+    guesses = build_guesses(spec.guess, gg, None)
+    hist = dnwr_run(build_problem(spec), part, grids, spec.config, guesses)
+    assert hist.iterations > 2
+    calls = []
+    real = workspace.build_plan
+    monkeypatch.setattr(workspace, "build_plan", lambda src, dst: calls.append(1) or real(src, dst))
+    interface_error(hist, hist.reference)
+    assert len(calls) == 2
+
+
+def test_driver_rejects_wrong_count_of_reference_traces():
+    prob = heat_problem()
+    part = make_partition((0.0, 2.5, 5.0))
+    grids = make_run_grids(part, 0.05, 0.5, 0.02)
+    cfg = WrConfig(method=Method.DNWR, max_iters=2)
+    gg = guess_grids(part, grids, cfg)
+    two = [zero_trace(gg[0]), zero_trace(gg[0])]  # one interface, two traces
+    with pytest.raises(IncompatibleGrids):
+        dnwr_run(prob, part, grids, cfg, build_guesses("t2", gg, None), reference=two)
 
 def test_driver_rejects_reference_of_other_dimensionality():
     prob = heat_problem()
@@ -371,6 +428,15 @@ def test_cli_bound_subcommand(capsys):
     assert rc == 0
     assert capsys.readouterr().out.strip() == "11"
 
+
+
+def test_cli_bound_heat_equal_when_q_diverges(capsys):
+    rc = main(["bound", "--kind", "heat-equal", "--params", "count=5", "h=1", "nu=1", "T=2500"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 22
+    # 2m - 1 = 3 binds: B(2) = 3^2 erfc(2 h / (2 sqrt(nu T)))
+    assert lines[3] == f"2,{9 * math.erfc(2.0 / (2.0 * math.sqrt(2500.0)))!r}"
 
 def test_cli_error_paths(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "missing.cfg")])

@@ -255,7 +255,7 @@ def test_wave_fixed_point_with_per_subdomain_speeds(cfg):
     # which makes the split exact for piecewise-constant speed as well.
     prob = wave_problem(interval=(0.0, 6.0), speed=(0.25, 2.0, 0.5))
     part = make_partition((0.0, 2.0, 4.0, 6.0))
-    grids = make_run_grids(part, 0.1, 2.0, 0.039, clip=True)
+    grids = make_run_grids(part, 0.1, 2.0, 0.039)
     xgrid = SpaceGrid1D.with_spacing(0.0, 6.0, grids.dx)
     field = solve_monodomain(prob, xgrid, grids.tgrids[0], partition=part)
     gg = guess_grids(part, grids, cfg)
@@ -273,7 +273,7 @@ def test_wave_fixed_point_with_per_subdomain_speeds(cfg):
 def test_schwarz_rejects_per_subdomain_speeds():
     prob = wave_problem(interval=(0.0, 6.0), speed=(0.25, 2.0, 0.5))
     part = make_partition((0.0, 2.0, 4.0, 6.0))
-    grids = make_run_grids(part, 0.1, 2.0, 0.039, clip=True)
+    grids = make_run_grids(part, 0.1, 2.0, 0.039)
     for cfg in (
         WrConfig(method=Method.SWR_CLASSICAL),
         WrConfig(method=Method.SWR_ROBIN, robin_p=1.0),
