@@ -1,11 +1,10 @@
 """Benchmark harness: configs, presets, experiment execution, CLI."""
 
-from .presets import build_guesses, preset_names, preset_text
+from .presets import build_guesses, build_problem, preset_names, preset_text
 from .run import (
     ComparisonRow,
     ComparisonTable,
     ErrorReport,
-    build_problem,
     compare_methods,
     interface_error,
     run_experiment,

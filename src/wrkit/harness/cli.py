@@ -18,7 +18,7 @@ from ..bounds import heat_bound_equal, heat_bound_even, heat_bound_unequal, wave
 from ..errors import WrkitError
 from .presets import preset_names, preset_text
 from .run import compare_methods, run_experiment
-from .spec import load_config, with_out_dir
+from .spec import ExperimentSpec, _int, _number, _number_or_list, _numbers, load_config, with_out_dir
 
 __all__ = ["main"]
 
@@ -72,7 +72,7 @@ def _print_report(label: str, report, out_dir: str) -> None:
 
 def _run_config_text(text: str, fallback_label: str, out: str | None) -> int:
     spec = load_config(text)
-    if spec.label == "experiment" and fallback_label:
+    if spec.label == ExperimentSpec.label and fallback_label:
         spec = replace(spec, label=fallback_label)
     spec = with_out_dir(spec, out)
     report = run_experiment(spec)
@@ -90,36 +90,30 @@ def _parse_params(tokens) -> dict[str, str]:
     return out
 
 
-def _floats(value: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in value.split(","))
-
-
 def _cmd_bound(kind: str, params: dict[str, str]) -> int:
     """Print one envelope curve or step count; every failure is a WrkitError.
 
-    All rows are computed before the first one is printed, so a failing
-    call leaves stdout empty.
+    Numbers go through the config parsers, so they must be finite. All
+    rows are computed before the first one is printed, so a failing call
+    leaves stdout empty.
     """
 
-    def take(key: str, convert, default: str | None = None):
+    def take(key: str, parse, default: str | None = None):
         value = params.pop(key, default)
         if value is None:
             raise WrkitError(f"bound --kind {kind} needs {key}=VALUE")
-        try:
-            return convert(value)
-        except ValueError:
-            raise WrkitError(f"bound param {key}={value!r} is not a valid value") from None
+        return parse(value, key)
 
-    kmax = take("kmax", int, "20")
+    kmax = take("kmax", _int, "20")
     if kind == "wave-steps":
-        T, widths, speeds = take("T", float), take("widths", _floats), take("c", _floats, "1")
-        fn, args = wave_steps_needed, (T, widths, speeds[0] if len(speeds) == 1 else speeds)
+        fn = wave_steps_needed
+        args = (take("T", _number), take("widths", _numbers), take("c", _number_or_list, "1"))
     elif kind == "heat-equal":
         fn = heat_bound_equal
-        args = (take("count", int), take("h", float), take("nu", float), take("T", float))
+        args = (take("count", _int), take("h", _number), take("nu", _number), take("T", _number))
     else:
         fn = heat_bound_unequal if kind == "heat-unequal" else heat_bound_even
-        args = (take("m", int), take("widths", _floats), take("nu", float), take("T", float))
+        args = (take("m", _int), take("widths", _numbers), take("nu", _number), take("T", _number))
     if params:
         raise WrkitError(f"unused bound params: {sorted(params)}")
     try:

@@ -2,32 +2,28 @@
 
 Data presets are enumerated identifiers rather than parsed expressions:
 each benchmark uses a handful of fixed functions, so shipping them as
-named callables keeps configs trivially validatable. The registries are
-split by slot because the same name can mean different arities (a time
-signal, a 1D profile, a 2D side trace).
+named callables keeps configs trivially validatable. There is one table
+per data slot because the same name can mean different arities (a time
+signal, a 1D profile, a 2D side trace); :func:`build_problem` is the
+only reader of those tables.
 """
 
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ValidationError
 from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind
+from ..kernels import HeatProblem, Wave2DProblem, WaveProblem
+
+if TYPE_CHECKING:
+    from .spec import ExperimentSpec
 
 __all__ = [
-    "TIME_DATA",
-    "SPACE_DATA",
-    "SPACE2D_DATA",
-    "SIDE_DATA",
-    "EDGE_DATA",
-    "GUESS_NAMES",
-    "time_fn",
-    "space_fn",
-    "space2d_fn",
-    "side_fn",
-    "edge_fn",
+    "build_problem",
     "parse_guess",
     "build_guesses",
     "preset_text",
@@ -39,7 +35,7 @@ __all__ = [
 # data presets
 
 # boundary signals of one variable t
-TIME_DATA = {
+_TIME_DATA = {
     "zero": lambda t: 0.0,
     "t2": lambda t: t**2,
     "t3": lambda t: t**3,
@@ -47,15 +43,16 @@ TIME_DATA = {
     "t2exp": lambda t: t**2 * np.exp(-t),
 }
 
-# 1D initial profiles; built against the problem interval so "parabola"
-# always vanishes at both physical ends
-SPACE_DATA = ("zero", "parabola")
-
 # 2D initial profiles over (x, y)
-SPACE2D_DATA = ("zero", "poly2d")
+_SPACE2D_DATA = {
+    "zero": lambda x, y: 0.0,
+    "poly2d": lambda x, y: (
+        x * y * (x - 1.0) * (y - np.pi) * (5.0 * x - 2.0) * (4.0 * x - 3.0)
+    ),
+}
 
 # 2D left/right boundary traces over (y, t)
-SIDE_DATA = {
+_SIDE_DATA = {
     "zero": lambda y, t: 0.0,
     "tsiny": lambda y, t: t * np.sin(y),
     "t2siny": lambda y, t: t**2 * np.sin(y),
@@ -63,52 +60,72 @@ SIDE_DATA = {
 }
 
 # 2D bottom/top boundary traces over (x, t)
-EDGE_DATA = {
+_EDGE_DATA = {
     "zero": lambda x, t: 0.0,
 }
 
-GUESS_NAMES = ("zero", "t2", "t2exp", "tsin")
+# volume sources; None is zero forcing
+_SOURCE_DATA = {
+    "zero": None,
+}
+
+_GUESS_NAMES = ("zero", "t2", "t2exp", "tsin")
 _RANDOM_GUESS = re.compile(r"^random\((\d+)\)$")
 
 
-def time_fn(name: str):
-    try:
-        return TIME_DATA[name]
-    except KeyError:
-        raise ValidationError(f"unknown boundary data preset {name!r}") from None
+def build_problem(spec: ExperimentSpec):
+    """The solver-facing problem statement a spec describes.
 
+    Looks up every data slot's preset name in that slot's table and
+    raises :class:`ValidationError` for a name the table lacks, which is
+    how ``load_config`` checks the data presets.
+    """
 
-def space_fn(name: str, interval: tuple[float, float]):
-    if name == "zero":
-        return lambda x: 0.0
-    if name == "parabola":
-        a, b = interval
-        return lambda x: (x - a) * (b - x)
-    raise ValidationError(f"unknown initial data preset {name!r}")
+    def data(key: str, table: dict):
+        name = getattr(spec, key)
+        try:
+            return table[name]
+        except KeyError:
+            raise ValidationError(
+                f"unknown {key} preset {name!r} for {spec.model}: use one of {tuple(table)}"
+            ) from None
 
-
-def space2d_fn(name: str):
-    if name == "zero":
-        return lambda x, y: 0.0
-    if name == "poly2d":
-        return lambda x, y: (
-            x * y * (x - 1.0) * (y - np.pi) * (5.0 * x - 2.0) * (4.0 * x - 3.0)
+    source = data("source", _SOURCE_DATA)
+    if spec.model == "wave2d":
+        return Wave2DProblem(
+            x_interval=spec.interval,
+            speed=spec.c,
+            initial_u=data("initial", _SPACE2D_DATA),
+            initial_ut=data("initial_rate", _SPACE2D_DATA),
+            boundary_left=data("left", _SIDE_DATA),
+            boundary_right=data("right", _SIDE_DATA),
+            boundary_bottom=data("bottom", _EDGE_DATA),
+            boundary_top=data("top", _EDGE_DATA),
+            source=source,
+            y_interval=spec.y_interval,
         )
-    raise ValidationError(f"unknown 2D initial data preset {name!r}")
-
-
-def side_fn(name: str):
-    try:
-        return SIDE_DATA[name]
-    except KeyError:
-        raise ValidationError(f"unknown 2D side data preset {name!r}") from None
-
-
-def edge_fn(name: str):
-    try:
-        return EDGE_DATA[name]
-    except KeyError:
-        raise ValidationError(f"unknown 2D edge data preset {name!r}") from None
+    # 1D initial profiles are built against the problem interval, so
+    # "parabola" always vanishes at both physical ends
+    a, b = spec.interval
+    space = {"zero": lambda x: 0.0, "parabola": lambda x: (x - a) * (b - x)}
+    if spec.model == "heat1d":
+        return HeatProblem(
+            interval=spec.interval,
+            nu=spec.nu,
+            initial=data("initial", space),
+            boundary_left=data("left", _TIME_DATA),
+            boundary_right=data("right", _TIME_DATA),
+            source=source,
+        )
+    return WaveProblem(
+        interval=spec.interval,
+        speed=spec.c,
+        initial_u=data("initial", space),
+        initial_ut=data("initial_rate", space),
+        boundary_left=data("left", _TIME_DATA),
+        boundary_right=data("right", _TIME_DATA),
+        source=source,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +137,10 @@ def parse_guess(token: str) -> tuple[str, int | None]:
     m = _RANDOM_GUESS.match(token)
     if m:
         return "random", int(m.group(1))
-    if token in GUESS_NAMES:
+    if token in _GUESS_NAMES:
         return token, None
     raise ValidationError(
-        f"unknown guess preset {token!r}: use one of {GUESS_NAMES} or random(N)"
+        f"unknown guess preset {token!r}: use one of {_GUESS_NAMES} or random(N)"
     )
 
 

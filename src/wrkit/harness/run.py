@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from ..bounds import heat_bound_equal, heat_bound_even, heat_bound_unequal
 from ..errors import InconsistentSpecs, ValidationError
 from ..grids import Partition1D, make_partition
-from ..kernels import HeatProblem, Wave2DProblem, WaveProblem
 from ..methods import Arrangement, IterationHistory, Method, WrConfig, dnwr_run, guess_grids, make_run_grids, nnwr_run, swr_run
 from ..methods.workspace import _PlanCache, resolve_reference, snap_ygrid, trace_distance
 from . import presets
@@ -25,7 +24,6 @@ __all__ = [
     "ErrorReport",
     "ComparisonRow",
     "ComparisonTable",
-    "build_problem",
     "run_experiment",
     "interface_error",
     "compare_methods",
@@ -114,40 +112,8 @@ def _make_report(
 # problem and grid construction
 
 
-def build_problem(spec: ExperimentSpec):
-    """The solver-facing problem statement a spec describes."""
-    if spec.model == "heat1d":
-        return HeatProblem(
-            interval=spec.interval,
-            nu=spec.nu,
-            initial=presets.space_fn(spec.initial, spec.interval),
-            boundary_left=presets.time_fn(spec.left),
-            boundary_right=presets.time_fn(spec.right),
-        )
-    if spec.model == "wave1d":
-        return WaveProblem(
-            interval=spec.interval,
-            speed=spec.c,
-            initial_u=presets.space_fn(spec.initial, spec.interval),
-            initial_ut=presets.space_fn(spec.initial_rate, spec.interval),
-            boundary_left=presets.time_fn(spec.left),
-            boundary_right=presets.time_fn(spec.right),
-        )
-    return Wave2DProblem(
-        x_interval=spec.interval,
-        speed=spec.c,
-        initial_u=presets.space2d_fn(spec.initial),
-        initial_ut=presets.space2d_fn(spec.initial_rate),
-        boundary_left=presets.side_fn(spec.left),
-        boundary_right=presets.side_fn(spec.right),
-        boundary_bottom=presets.edge_fn(spec.bottom),
-        boundary_top=presets.edge_fn(spec.top),
-        y_interval=spec.y_interval,
-    )
-
-
 def _setup(spec: ExperimentSpec):
-    problem = build_problem(spec)
+    problem = presets.build_problem(spec)
     partition = make_partition(spec.partition)
     grids = make_run_grids(
         partition,
@@ -270,7 +236,7 @@ def _manifest_text(spec: ExperimentSpec, report: ErrorReport, info: dict) -> str
     put("source", spec.source)
     cfg = spec.config
     put("method", cfg.method.value)
-    put("arrangement", spec.arrangement_name())
+    put("arrangement", cfg.arrangement.value)
     put("theta", _fmt(cfg.theta_resolved))
     put("tol", _fmt(cfg.tol))
     put("max_iters", str(cfg.max_iters))

@@ -1,7 +1,8 @@
 """Experiment descriptions and the key=value config parser.
 
 A config is UTF-8 text, one ``key = value`` per line, ``#`` to end of
-line is a comment. ``load_config`` parses, fills defaults, and runs every
+line is a comment. ``load_config`` parses each key through one table
+(``_KEYS``), leaves absent keys to the dataclass defaults, and runs every
 semantic check that can be done without solving anything: preset names
 exist, partitions sit on the space lattice with at least 2 cells per
 subdomain, explicit wave steps pass the CFL limit, Schwarz runs meet
@@ -11,7 +12,8 @@ their driver's rules. Runs never start from a spec that would die mid-way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable
 
 from ..errors import ParseError, UnknownKey, ValidationError, WrkitError
 from ..grids import CFL_SLACK, SpaceGrid1D, cfl_number, make_partition, make_time_grid_clipped
@@ -23,47 +25,7 @@ from . import presets
 __all__ = ["ExperimentSpec", "load_config", "with_out_dir"]
 
 _MODELS = ("heat1d", "wave1d", "wave2d")
-
-_ARRANGEMENTS = {
-    "sequential": Arrangement.A1,
-    "redblack": Arrangement.A2,
-    "outward": Arrangement.A3,
-}
-_ARRANGEMENT_NAMES = {v: k for k, v in _ARRANGEMENTS.items()}
-
-# full key schema; anything else is UnknownKey
-_KEYS = (
-    "model",
-    "interval",
-    "y_interval",
-    "partition",
-    "nu",
-    "c",
-    "dx",
-    "dy",
-    "dt",
-    "T",
-    "initial",
-    "initial_rate",
-    "left",
-    "right",
-    "bottom",
-    "top",
-    "source",
-    "method",
-    "arrangement",
-    "theta",
-    "tol",
-    "max_iters",
-    "overlap_cells",
-    "robin_p",
-    "guess",
-    "label",
-    "out",
-)
-
-_2D_ONLY = ("dy", "y_interval", "bottom", "top")
-_WAVE_ONLY = ("c", "initial_rate")
+_WAVE = ("wave1d", "wave2d")
 
 
 @dataclass(frozen=True)
@@ -123,9 +85,6 @@ class ExperimentSpec:
             return self.c
         return (self.c,) * self.n_subdomains
 
-    def arrangement_name(self) -> str:
-        return _ARRANGEMENT_NAMES[self.config.arrangement]
-
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -154,18 +113,50 @@ def _parse_lines(text: str) -> dict[str, str]:
     return pairs
 
 
-def _floats(value: str) -> tuple[float, ...]:
+# Parsers take (value, key) and raise ValidationError naming the key.
+
+
+def _numbers(value: str, key: str) -> tuple[float, ...]:
+    """A comma list of finite numbers."""
     try:
-        return tuple(float(tok) for tok in value.split(","))
+        vals = tuple(float(tok) for tok in value.split(","))
     except ValueError:
-        raise ValidationError(f"expected a number or comma list, got {value!r}") from None
+        raise ValidationError(f"key {key!r} takes a number or comma list, got {value!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ValidationError(f"key {key!r} takes finite numbers, got {value!r}")
+    return vals
 
 
-def _float(value: str, key: str) -> float:
-    vals = _floats(value)
+def _number(value: str, key: str) -> float:
+    vals = _numbers(value, key)
     if len(vals) != 1:
         raise ValidationError(f"key {key!r} takes a single number, got {value!r}")
     return vals[0]
+
+
+def _pair(value: str, key: str) -> tuple[float, float]:
+    vals = _numbers(value, key)
+    if len(vals) != 2:
+        raise ValidationError(f"key {key!r} takes two numbers, got {value!r}")
+    return vals
+
+
+def _number_or_list(value: str, key: str) -> float | tuple[float, ...]:
+    """One number shared by all subdomains, or one per subdomain."""
+    vals = _numbers(value, key)
+    return vals[0] if len(vals) == 1 else vals
+
+
+def _positive(parse):
+    """``parse``, with every number it reads required to be positive."""
+
+    def parse_positive(value: str, key: str):
+        out = parse(value, key)
+        if min(_numbers(value, key)) <= 0:
+            raise ValidationError(f"key {key!r} must be positive, got {value!r}")
+        return out
+
+    return parse_positive
 
 
 def _int(value: str, key: str) -> int:
@@ -175,34 +166,90 @@ def _int(value: str, key: str) -> int:
         raise ValidationError(f"key {key!r} takes an integer, got {value!r}") from None
 
 
-def _scalar_or_per_subdomain(value: str) -> float | tuple[float, ...]:
-    vals = _floats(value)
-    return vals[0] if len(vals) == 1 else vals
+def _text(value: str, key: str) -> str:
+    return value
 
 
-def _pair(value: str, key: str) -> tuple[float, float]:
-    vals = _floats(value)
-    if len(vals) != 2:
-        raise ValidationError(f"key {key!r} takes two numbers, got {value!r}")
-    return (vals[0], vals[1])
+def _choice(options):
+    """Parser for one of ``options``: a tuple of names, or an Enum by value."""
+    members = tuple(options)
+    names = tuple(getattr(m, "value", m) for m in members)
+
+    def parse(value: str, key: str):
+        if value not in names:
+            raise ValidationError(f"{key} must be one of {names}, got {value!r}")
+        return members[names.index(value)]
+
+    return parse
 
 
-def _reject_irrelevant(pairs: dict[str, str], model: str, method: Method) -> None:
-    if model != "wave2d":
-        for key in _2D_ONLY:
-            if key in pairs:
-                raise ValidationError(f"key {key!r} only applies to wave2d runs")
-    if model == "heat1d":
-        for key in _WAVE_ONLY:
-            if key in pairs:
-                raise ValidationError(f"key {key!r} only applies to wave runs")
-    else:
-        if "nu" in pairs:
-            raise ValidationError("key 'nu' only applies to heat1d runs")
-    if method is not Method.SWR_CLASSICAL and "overlap_cells" in pairs:
-        raise ValidationError("key 'overlap_cells' only applies to swr_classical")
-    if method is not Method.SWR_ROBIN and "robin_p" in pairs:
-        raise ValidationError("key 'robin_p' only applies to swr_robin")
+def _guess(value: str, key: str) -> str:
+    presets.parse_guess(value)
+    return value
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: its parser, and the models and methods that take it.
+
+    A required key must be given wherever it applies. Keys are named as
+    the :class:`ExperimentSpec` or :class:`WrConfig` field they fill, so
+    an absent key takes that field's default.
+    """
+
+    parse: Callable[[str, str], object]
+    models: tuple[str, ...] = _MODELS
+    methods: tuple[Method, ...] = tuple(Method)
+    required: bool = False
+
+
+# the full key schema; anything else is UnknownKey
+_KEYS = {
+    "model": _Key(_choice(_MODELS)),  # checked first: applicability depends on it
+    "interval": _Key(_pair, required=True),
+    "y_interval": _Key(_pair, models=("wave2d",)),
+    "partition": _Key(_numbers, required=True),
+    "nu": _Key(_positive(_number), models=("heat1d",), required=True),
+    "c": _Key(_positive(_number_or_list), models=_WAVE, required=True),
+    "dx": _Key(_positive(_number), required=True),
+    "dy": _Key(_positive(_number), models=("wave2d",), required=True),
+    "dt": _Key(_positive(_number_or_list), required=True),
+    "T": _Key(_positive(_number), required=True),
+    "initial": _Key(_text),
+    "initial_rate": _Key(_text, models=_WAVE),
+    "left": _Key(_text),
+    "right": _Key(_text),
+    "bottom": _Key(_text, models=("wave2d",)),
+    "top": _Key(_text, models=("wave2d",)),
+    "source": _Key(_text),
+    "method": _Key(_choice(Method)),
+    "arrangement": _Key(_choice(Arrangement)),
+    "theta": _Key(_number),
+    "tol": _Key(_number),
+    "max_iters": _Key(_int),
+    "overlap_cells": _Key(_int, methods=(Method.SWR_CLASSICAL,)),
+    "robin_p": _Key(_number, methods=(Method.SWR_ROBIN,), required=True),
+    "guess": _Key(_guess),
+    "label": _Key(_text),
+    "out": _Key(_text),
+}
+
+_CONFIG_KEYS = tuple(f.name for f in fields(WrConfig))
+
+
+def _check_keys(values: dict, model: str, method: Method) -> None:
+    """Every given key applies to the run, and every required one is given."""
+    for key, entry in _KEYS.items():
+        if model not in entry.models:
+            scope = entry.models
+        elif method not in entry.methods:
+            scope = tuple(m.value for m in entry.methods)
+        else:
+            if entry.required and key not in values:
+                raise ValidationError(f"missing required key {key!r}")
+            continue
+        if key in values:
+            raise ValidationError(f"key {key!r} only applies to {' and '.join(scope)} runs")
 
 
 def _check_lattice(spec: ExperimentSpec) -> None:
@@ -244,8 +291,6 @@ def _check_cfl(spec: ExperimentSpec) -> None:
         )
     dy = snap_ygrid(spec.y_interval, spec.dy).dx if spec.model == "wave2d" else None
     for i, (c, dt) in enumerate(zip(speeds, steps), start=1):
-        if c <= 0 or dt <= 0:
-            raise ValidationError("wave speeds and time steps must be positive")
         # the run's time grid: a step that does not divide T is clipped
         courant = cfl_number(c, spec.dx, make_time_grid_clipped(spec.T, dt).max_step, dy=dy)
         if courant > 1.0 + CFL_SLACK:
@@ -254,133 +299,44 @@ def _check_cfl(spec: ExperimentSpec) -> None:
             )
 
 
-def _check_presets(spec: ExperimentSpec) -> None:
-    presets.parse_guess(spec.guess)
-    if spec.guess == "tsin" and spec.model != "wave2d":
-        raise ValidationError("guess preset 'tsin' needs a 2D run")
-    if spec.source != "zero":
-        raise ValidationError("only the zero source preset is shipped")
-    if spec.model == "wave2d":
-        presets.space2d_fn(spec.initial)
-        presets.space2d_fn(spec.initial_rate)
-        presets.side_fn(spec.left)
-        presets.side_fn(spec.right)
-        presets.edge_fn(spec.bottom)
-        presets.edge_fn(spec.top)
-    else:
-        presets.space_fn(spec.initial, spec.interval)
-        presets.time_fn(spec.left)
-        presets.time_fn(spec.right)
-        if spec.model == "wave1d":
-            presets.space_fn(spec.initial_rate, spec.interval)
-
-
 def load_config(text: str) -> ExperimentSpec:
     """Parse and validate config text into an :class:`ExperimentSpec`.
 
     Raises :class:`ParseError` (with the 1-based line number) for lines
     that are not ``key = value``, :class:`UnknownKey` for keys outside
     the schema, and :class:`ValidationError` for anything semantically
-    wrong: missing required keys, bad preset names, theta out of (0, 1],
+    wrong: non-finite numbers, missing required keys, keys that do not
+    apply to the model or method, bad preset names, theta out of (0, 1],
     partitions off the lattice, subdomains narrower than 2 cells,
-    explicit wave steps above the CFL limit, or Schwarz runs across
-    wave speed jumps or with an overlap past a neighboring subdomain.
+    explicit wave steps above the CFL limit, Robin Schwarz on a wave
+    model, or Schwarz runs across wave speed jumps or with an overlap
+    past a neighboring subdomain.
     """
-    pairs = _parse_lines(text)
-
-    model = pairs.get("model")
-    if model is None:
+    values = {key: _KEYS[key].parse(raw, key) for key, raw in _parse_lines(text).items()}
+    if "model" not in values:
         raise ValidationError("missing required key 'model'")
-    if model not in _MODELS:
-        raise ValidationError(f"model must be one of {_MODELS}, got {model!r}")
+    model = values["model"]
+    _check_keys(values, model, values.get("method", WrConfig.method))
+    config = WrConfig(**{key: values.pop(key) for key in _CONFIG_KEYS if key in values})
+    if model == "wave2d":
+        values.setdefault("y_interval", (0.0, math.pi))
+    spec = ExperimentSpec(config=config, **values)
 
-    for key in ("interval", "partition", "dx", "dt", "T"):
-        if key not in pairs:
-            raise ValidationError(f"missing required key {key!r}")
-    if model == "heat1d" and "nu" not in pairs:
-        raise ValidationError("heat1d runs need 'nu'")
-    if model != "heat1d" and "c" not in pairs:
-        raise ValidationError("wave runs need 'c'")
-    if model == "wave2d" and "dy" not in pairs:
-        raise ValidationError("wave2d runs need 'dy'")
-
-    try:
-        method = Method(pairs["method"]) if "method" in pairs else Method.DNWR
-    except ValueError:
-        names = tuple(m.value for m in Method)
-        raise ValidationError(
-            f"method must be one of {names}, got {pairs['method']!r}"
-        ) from None
-    _reject_irrelevant(pairs, model, method)
-
-    arrangement = _ARRANGEMENTS.get(pairs.get("arrangement", "outward"))
-    if arrangement is None:
-        raise ValidationError(
-            f"arrangement must be one of {tuple(_ARRANGEMENTS)}, got {pairs['arrangement']!r}"
-        )
-
-    guess = pairs.get("guess", "zero")
-
-    config = WrConfig(
-        method=method,
-        theta=_float(pairs["theta"], "theta") if "theta" in pairs else None,
-        max_iters=_int(pairs["max_iters"], "max_iters") if "max_iters" in pairs else 50,
-        tol=_float(pairs["tol"], "tol") if "tol" in pairs else 1e-10,
-        arrangement=arrangement,
-        overlap_cells=_int(pairs["overlap_cells"], "overlap_cells")
-        if "overlap_cells" in pairs
-        else 1,
-        robin_p=_float(pairs["robin_p"], "robin_p") if "robin_p" in pairs else None,
-    )
-
-    c = _scalar_or_per_subdomain(pairs["c"]) if "c" in pairs else None
-    if model == "wave2d" and isinstance(c, tuple):
+    if model == "wave2d" and isinstance(spec.c, tuple):
         raise ValidationError("wave2d takes a single wave speed")
-
-    spec = ExperimentSpec(
-        model=model,
-        interval=_pair(pairs["interval"], "interval"),
-        partition=_floats(pairs["partition"]),
-        dx=_float(pairs["dx"], "dx"),
-        dt=_scalar_or_per_subdomain(pairs["dt"]),
-        T=_float(pairs["T"], "T"),
-        nu=_float(pairs["nu"], "nu") if "nu" in pairs else None,
-        c=c,
-        dy=_float(pairs["dy"], "dy") if "dy" in pairs else None,
-        y_interval=_pair(pairs["y_interval"], "y_interval")
-        if "y_interval" in pairs
-        else ((0.0, math.pi) if model == "wave2d" else None),
-        initial=pairs.get("initial", "zero"),
-        initial_rate=pairs.get("initial_rate", "zero"),
-        left=pairs.get("left", "zero"),
-        right=pairs.get("right", "zero"),
-        bottom=pairs.get("bottom", "zero"),
-        top=pairs.get("top", "zero"),
-        source=pairs.get("source", "zero"),
-        config=config,
-        guess=guess,
-        label=pairs.get("label", "experiment"),
-        out=pairs.get("out", "runs"),
-    )
-
-    if spec.dx <= 0 or spec.T <= 0:
-        raise ValidationError("dx and T must be positive")
-    for dt in spec.dt_list():
-        if dt <= 0:
-            raise ValidationError("time steps must be positive")
     if len(spec.dt_list()) != spec.n_subdomains:
         raise ValidationError(
             f"need one time step per subdomain ({spec.n_subdomains}), "
             f"got {len(spec.dt_list())}"
         )
-    if spec.nu is not None and spec.nu <= 0:
-        raise ValidationError("nu must be positive")
-    if spec.model == "wave2d" and not (spec.dy > 0 and spec.y_interval[1] > spec.y_interval[0]):
-        raise ValidationError("dy and the y_interval length must be positive")
+    if model == "wave2d" and not spec.y_interval[1] > spec.y_interval[0]:
+        raise ValidationError("y_interval must have positive length")
     _check_lattice(spec)
     _check_cfl(spec)
     _check_schwarz(spec)
-    _check_presets(spec)
+    presets.build_problem(spec)  # every data slot names one of its presets
+    if spec.guess == "tsin" and model != "wave2d":
+        raise ValidationError("guess preset 'tsin' needs a 2D run")
     return spec
 
 

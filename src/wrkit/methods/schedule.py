@@ -47,11 +47,14 @@ __all__ = [
 
 
 class Arrangement(enum.Enum):
-    """How the Dirichlet-Neumann sweep walks the subdomain chain."""
+    """How the Dirichlet-Neumann sweep walks the subdomain chain.
 
-    A1 = "A1"  # sequential, left to right
-    A2 = "A2"  # red-black: odd subdomains first, then even
-    A3 = "A3"  # middle subdomain first, then outward pairs
+    The values are the names a config's ``arrangement`` key takes.
+    """
+
+    A1 = "sequential"  # left to right
+    A2 = "redblack"  # odd subdomains first, then even
+    A3 = "outward"  # middle subdomain first, then outward pairs
 
 
 class Role(enum.Enum):

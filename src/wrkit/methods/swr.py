@@ -13,10 +13,18 @@ __all__ = ["swr_run"]
 def schwarz_shift(config: WrConfig, partition: Partition1D, dx: float, speeds) -> float:
     """How far classical Schwarz extends each subdomain into its neighbors (0 for Robin).
 
-    Raises :class:`ValidationError` for ``speeds`` (one per subdomain,
-    None for heat) that differ and for an overlap past a neighboring
-    subdomain. ``swr_run`` and ``load_config`` both apply it.
+    Raises :class:`ValidationError` for Robin transmission on a wave
+    model, for ``speeds`` (one per subdomain, None for heat) that differ
+    and for an overlap past a neighboring subdomain. ``swr_run`` and
+    ``load_config`` both apply it.
     """
+    if config.method is Method.SWR_ROBIN and any(c is not None for c in speeds):
+        # Robin Schwarz diverges on waves. On fig_wave_T5, from an initial
+        # error of 23.7, the max interface error after 200 sweeps is 4.4e30
+        # at p = 1 and 2.3e69 at p = 4; at p = 4, 1000 sweeps reach 1.5e157
+        # in 21-28 s on a 2-vCPU host, and the run exits 0 with "did not
+        # converge".
+        raise ValidationError("Robin Schwarz transmission diverges on wave models; use it on heat1d")
     if len(set(speeds)) > 1:
         raise ValidationError("Schwarz transmission across wave speed jumps is not supported")
     if config.method is not Method.SWR_CLASSICAL:
@@ -58,7 +66,8 @@ def swr_run(
       ``overlap_cells`` lattice cells into each neighbor and exchange
       Dirichlet values at the extended boundaries;
     * Robin (``Method.SWR_ROBIN``): subdomains do not overlap and
-      exchange the outward combination ``du/dn + p u`` at the interfaces.
+      exchange the outward combination ``du/dn + p u`` at the interfaces;
+      heat problems only (see :func:`schwarz_shift`).
 
     ``init_guesses`` supplies one Dirichlet trace per interface (the
     usual guess presets); it seeds the transmission data on both sides of

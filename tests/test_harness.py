@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wrkit.harness.spec as spec_module
 import wrkit.methods.workspace as workspace
 
 from wrkit.errors import (
@@ -29,7 +32,7 @@ from wrkit.harness import (
     with_out_dir,
 )
 from wrkit.harness.cli import main
-from wrkit.methods import Method, WrConfig, dnwr_run, guess_grids, make_run_grids
+from wrkit.methods import Arrangement, Method, WrConfig, dnwr_run, guess_grids, make_run_grids
 
 from conftest import heat_problem
 
@@ -163,14 +166,50 @@ def test_validation_failures():
             .replace("dx = 0.05", "dx = 0.1")
             + "method = swr_classical\noverlap_cells = 2\n"
         )
-    # both Schwarz specs run with the rule met: one shared speed, a narrower overlap
-    load_config(SPEED_JUMP_WAVE.replace("0.25, 2, 0.5", "2") + "method = swr_robin\nrobin_p = 1\n")
+    with pytest.raises(ValidationError):  # Robin Schwarz on a wave model
+        load_config(SPEED_JUMP_WAVE.replace("0.25, 2, 0.5", "2") + "method = swr_robin\nrobin_p = 1\n")
+    for line, bad in (
+        ("dx = 0.05", "dx = nan"),
+        ("nu = 1", "nu = nan"),
+        ("dt = 0.02", "dt = nan"),
+        ("T = 0.2", "T = inf"),
+        ("nu = 1", "nu = 1\ntol = nan"),
+    ):
+        with pytest.raises(ValidationError):  # non-finite numbers
+            load_config(MINIMAL_HEAT.replace(line, bad))
+    # both Schwarz specs run with the rule met: Robin on heat, a narrower overlap
+    load_config(MINIMAL_HEAT + "method = swr_robin\nrobin_p = 1\n")
     load_config(
         MINIMAL_HEAT.replace("interval = 0, 5", "interval = 0, 1")
         .replace("0, 2.5, 5", "0, 0.2, 1")
         .replace("dx = 0.05", "dx = 0.1")
         + "method = swr_classical\noverlap_cells = 1\n"
     )
+
+
+def test_arrangement_names_round_trip(tmp_path):
+    for name, member in (
+        ("sequential", Arrangement.A1),
+        ("redblack", Arrangement.A2),
+        ("outward", Arrangement.A3),
+    ):
+        spec = load_config(MINIMAL_HEAT + f"arrangement = {name}\nlabel = {name}\n")
+        assert spec.config.arrangement is member
+        run_experiment(spec, out_dir=str(tmp_path))
+        manifest = (tmp_path / f"{name}_manifest.txt").read_text().splitlines()
+        assert f"arrangement = {name}" in manifest
+    with pytest.raises(ValidationError):
+        load_config(MINIMAL_HEAT + "arrangement = bogus\n")
+
+
+def test_readme_config_table_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config format", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            keys.update(re.findall(r"`([^`]+)`", row.split("|")[1]))
+    assert keys == set(spec_module._KEYS)
 
 
 def test_per_subdomain_dt_lengths():
@@ -453,12 +492,21 @@ def test_cli_error_paths(tmp_path, capsys):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
 
+    endless = tmp_path / "endless.cfg"
+    endless.write_text(MINIMAL_HEAT.replace("T = 0.2", "T = inf"))
+    rc = main(["run", "--config", str(endless)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
     for kind, params in (
         ("heat-equal", ["count=5", "h=1", "T=2"]),  # nu missing
         ("heat-equal", ["count=5", "h=x", "nu=1", "T=2"]),
         ("heat-equal", ["count=5", "h=1", "nu=1", "T=-2"]),
         ("heat-equal", ["count=4", "h=1", "nu=1", "T=2"]),  # even count
         ("wave-steps", ["T=5", "widths=1,1", "c=x"]),
+        ("wave-steps", ["T=inf", "widths=1,1", "c=1"]),
+        ("wave-steps", ["T=2", "widths=1,1", "c=inf"]),
     ):
         rc = main(["bound", "--kind", kind, "--params", *params])
         captured = capsys.readouterr()

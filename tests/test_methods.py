@@ -199,7 +199,7 @@ ALL_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.method.value}-{c.arrangement.value}")
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.method.value}-{c.arrangement.name}")
 def test_zero_problem_converges_immediately(cfg):
     prob = heat_problem()
     prob = type(prob)(
@@ -216,7 +216,7 @@ def test_zero_problem_converges_immediately(cfg):
     assert hist.max_errors[0] == 0.0
 
 
-@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.method.value}-{c.arrangement.value}")
+@pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.method.value}-{c.arrangement.name}")
 def test_heat_fixed_point(cfg):
     # Warm-started from the exact single-domain interface histories,
     # every method must stay put: the split solves reproduce the
@@ -248,7 +248,7 @@ def test_heat_fixed_point(cfg):
         WrConfig(method=Method.DNWR, arrangement=Arrangement.A3),
         WrConfig(method=Method.NNWR),
     ],
-    ids=lambda c: f"{c.method.value}-{c.arrangement.value}",
+    ids=lambda c: f"{c.method.value}-{c.arrangement.name}",
 )
 def test_wave_fixed_point_with_per_subdomain_speeds(cfg):
     # The interface stencil weights neighbor slopes by the local speeds,
@@ -280,6 +280,15 @@ def test_schwarz_rejects_per_subdomain_speeds():
     ):
         with pytest.raises(ValidationError):
             run_method(cfg, prob, part, grids)
+
+
+def test_robin_schwarz_rejects_wave_problems():
+    # one shared speed: only the Robin-on-waves rule can reject this run
+    prob = wave_problem(interval=(0.0, 3.0))
+    part = make_partition((0.0, 1.0, 2.0, 3.0))
+    grids = make_run_grids(part, 0.05, 0.5, 0.05)
+    with pytest.raises(ValidationError):
+        run_method(WrConfig(method=Method.SWR_ROBIN, robin_p=1.0, max_iters=2), prob, part, grids)
 
 
 def test_arrangements_share_one_fixed_point():
