@@ -223,7 +223,7 @@ _KEYS = {
     "top": _Key(_text, models=("wave2d",)),
     "source": _Key(_text),
     "method": _Key(_choice(Method)),
-    "arrangement": _Key(_choice(Arrangement)),
+    "arrangement": _Key(_choice(Arrangement), methods=(Method.DNWR,)),
     "theta": _Key(_number),
     "tol": _Key(_number),
     "max_iters": _Key(_int),

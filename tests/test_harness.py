@@ -168,6 +168,9 @@ def test_validation_failures():
         )
     with pytest.raises(ValidationError):  # Robin Schwarz on a wave model
         load_config(SPEED_JUMP_WAVE.replace("0.25, 2, 0.5", "2") + "method = swr_robin\nrobin_p = 1\n")
+    for method in ("nnwr", "swr_classical"):
+        with pytest.raises(ValidationError, match="only applies to dnwr"):  # sweep order is DNWR's
+            load_config(MINIMAL_HEAT + f"method = {method}\narrangement = redblack\n")
     for line, bad in (
         ("dx = 0.05", "dx = nan"),
         ("nu = 1", "nu = nan"),

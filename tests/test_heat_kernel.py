@@ -12,6 +12,7 @@ from wrkit.grids import (
     TraceKind,
     make_partition,
     make_time_grid,
+    make_time_grid_clipped,
     zero_trace,
 )
 from wrkit.kernels import (
@@ -48,6 +49,44 @@ def test_one_step_against_dense_solve():
     )
     assert field.values[1, 0] == 0.0 and field.values[1, 4] == 0.0
     np.testing.assert_array_equal(field.values[0], u0)
+
+
+def test_clipped_window_against_dense_march():
+    # Steps 0.3, 0.3, 0.3, 0.1: two step sizes, so the march needs two
+    # factors. The oracle is the docstring's stencil, row by row, with the
+    # Dirichlet node kept as an equation u_0 = g and the Robin row unscaled.
+    grid = SpaceGrid1D.with_spacing(0.0, 1.0, 0.1)
+    tgrid = make_time_grid_clipped(1.0, 0.3)
+    np.testing.assert_allclose(np.diff(tgrid.times), [0.3, 0.3, 0.3, 0.1], rtol=1e-12)
+    nu, p, dx, nx = 1.0, 2.0, grid.dx, grid.n_cells
+    u0 = np.cos(grid.nodes)
+    g = 1.0 + np.sin(3.0 * tgrid.times)
+    rho = np.cos(2.0 * tgrid.times)
+    left = InterfaceTrace(TraceKind.DIRICHLET, tgrid, g)
+    right = InterfaceTrace(TraceKind.ROBIN, tgrid, rho, robin_p=p)
+    field = solve_heat_subdomain(grid, nu, tgrid, u0, left, right)
+
+    expect = [u0]
+    for n, dt in enumerate(np.diff(tgrid.times)):
+        r = nu * dt / dx**2
+        A = np.zeros((nx + 1, nx + 1))
+        b = expect[-1].copy()
+        A[0, 0], b[0] = 1.0, g[n + 1]
+        for i in range(1, nx):
+            A[i, i - 1 : i + 2] = (-r, 1.0 + 2.0 * r, -r)
+        A[nx, nx - 1 : nx + 1] = (-2.0 * r, 1.0 + 2.0 * r + 2.0 * dx * r * p)
+        b[nx] += 2.0 * r * dx * rho[n + 1]
+        expect.append(np.linalg.solve(A, b))
+    np.testing.assert_allclose(field.values, np.array(expect), rtol=0, atol=1e-13)
+
+
+def test_non_finite_step_raises():
+    # r = 2500: the Neumann row adds 2 r dx * 1e308 = inf to the right-hand side.
+    grid = SpaceGrid1D.with_spacing(0.0, 1.0, 0.02)
+    tgrid = make_time_grid(1.0, 1.0)
+    right = neumann_trace(tgrid, lambda t: np.full_like(t, 1e308))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        solve_heat_subdomain(grid, 1.0, tgrid, np.zeros(grid.n_nodes), zero_trace(tgrid), right)
 
 
 def test_one_step_left_flux():

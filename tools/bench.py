@@ -1,0 +1,112 @@
+"""Write a BENCH file: every preset, a few scaling runs and the per-layer medians.
+
+    python3 tools/bench.py BENCH_2.json
+
+Run from the root of a checkout; the program is imported from ``src/``.
+The JSON file holds:
+
+* ``machine``: CPU, core count and Python/numpy/scipy versions, as the
+  benchmark records them;
+* ``presets``: for each shipped preset, the median wall time of three
+  runs (``load_config`` plus ``run_experiment``), its sweep count and
+  whether it reached its tolerance;
+* ``scaling``: larger runs of the same shape, each with its config text:
+  the ``fig_heat_nsub*`` chain on (0, 5) with 5, 9 and 17 equal
+  subdomains (dx snapped to the partition lattice nearest 0.02, dt
+  0.004, T 2, sequential sweep), the unit-Courant wave chain of
+  ``fig_wave_T5`` at dx 0.02, 0.01 and 0.005, and the three-strip
+  ``cmp2d_3sub_dnwr`` run at dy 0.16, 0.08 and 0.04 (dt 0.02 throughout,
+  so every dy passes the Courant check); one run each;
+* ``perfbench``: per workload, the metrics of one traced
+  ``perfbench/run.py --trace 1`` run at perfbench's default seed and
+  length (the per-layer values are medians over its traced replays),
+  read back from the record it writes to ``.perfbench_out/``.
+
+Timings come from one process on whatever else the host is doing, so
+compare two BENCH files only when they were written on the same machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from wrkit.harness import load_config, preset_names, preset_text, run_experiment  # noqa: E402
+from wrkit.harness.presets import _heat_nsub  # noqa: E402
+
+REPEATS = 3
+WORKLOADS = ("chains_1d", "strip_methods")
+
+
+def _replace(text: str, **values: str) -> str:
+    lines = []
+    for line in text.splitlines():
+        key = line.partition(" = ")[0]
+        lines.append(f"{key} = {values[key]}" if key in values else line)
+    return "\n".join(lines) + "\n"
+
+
+def _scaling() -> dict[str, str]:
+    runs = {f"heat_{n}sub": _replace(_heat_nsub(n), label=f"heat_{n}sub") for n in (5, 9, 17)}
+    for dx in ("0.02", "0.01", "0.005"):
+        runs[f"wave_dx{dx}"] = _replace(preset_text("fig_wave_T5"), dx=dx, dt=dx, label=f"wave_dx{dx}")
+    for dy in ("0.16", "0.08", "0.04"):
+        runs[f"strip_dy{dy}"] = _replace(preset_text("cmp2d_3sub_dnwr"), dy=dy, dt="0.02", label=f"strip_dy{dy}")
+    return runs
+
+
+def _timed(text: str, out_dir: str, repeats: int) -> dict:
+    walls = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        report = run_experiment(load_config(text), out_dir)
+        walls.append(time.perf_counter() - start)
+    return {"wall_s": statistics.median(walls), "sweeps": len(report.max_errors), "converged": report.converged_at is not None}
+
+
+def _perfbench(workload: str) -> dict:
+    subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "1"],
+        cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
+    )
+    return json.loads((ROOT / ".perfbench_out" / f"{workload}-seed1-trace1.json").read_text())
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    p.add_argument("out", help="the BENCH_<n>.json file to write")
+    args = p.parse_args(argv)
+
+    bench: dict = {"machine": None, "presets": {}, "scaling": {}, "perfbench": {}}
+    with tempfile.TemporaryDirectory() as out_dir:
+        for name in preset_names():
+            bench["presets"][name] = _timed(preset_text(name), out_dir, REPEATS)
+            print(f"preset {name}: {bench['presets'][name]}", flush=True)
+        for name, text in _scaling().items():
+            bench["scaling"][name] = {"config": text, **_timed(text, out_dir, 1)}
+            print(f"scaling {name}: wall_s {bench['scaling'][name]['wall_s']:.3f}", flush=True)
+    for workload in WORKLOADS:
+        record = _perfbench(workload)
+        bench["machine"] = record["machine"]
+        bench["perfbench"][workload] = {
+            "seed": record["seed"],
+            "seconds": record["seconds"],
+            "metrics": {k: v["value"] for k, v in record["metrics"].items()},
+        }
+        print(f"perfbench {workload}: done", flush=True)
+    Path(args.out).write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
