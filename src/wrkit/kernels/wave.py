@@ -16,10 +16,12 @@ the steps are uniform. Stability requires the Courant number c dt/dx <= 1
 (checked against the largest step); at exactly 1 the scheme transports
 along characteristics without dispersion.
 
-Boundary handling matches the heat kernel: Dirichlet nodes are pinned,
-Neumann/Robin boundaries eliminate a mirror ghost node using the +x
-oriented derivative data (applied also inside the Taylor step, so the
-start is as accurate as the march).
+Boundary handling: Dirichlet nodes are pinned, and a Neumann boundary
+eliminates a mirror ghost node using the +x oriented derivative data
+(applied also inside the Taylor step, so the start is as accurate as the
+march). Robin data raises :class:`WrongBoundaryKind`: its only producer
+is Robin Schwarz, which diverges on waves and is rejected for them (see
+:func:`wrkit.methods.swr.schwarz_shift`).
 
 Flux extraction mirrors the heat version with the PDE-based half-cell
 correction,
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CflViolation
+from ..errors import CflViolation, WrongBoundaryKind
 from ..grids import CFL_SLACK, InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, cfl_number
 from .common import check_bc, half_cell_flux, leapfrog
 from .problems import SpaceTimeField
@@ -47,21 +49,15 @@ __all__ = ["solve_wave_subdomain", "wave_interface_flux"]
 
 
 def _ghost_laplacian(v: np.ndarray, dx: float, left_bc, right_bc, n: int) -> np.ndarray:
-    """Second space difference (times dx^2 yet to divide) with bc ghosts at step n."""
+    """Second space difference (times dx^2 yet to divide) with Neumann ghosts at step n."""
     lap = np.empty_like(v)
     lap[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
     if left_bc.kind is TraceKind.NEUMANN:
         lap[0] = 2.0 * (v[1] - v[0]) - 2.0 * dx * left_bc.samples[n]
-    elif left_bc.kind is TraceKind.ROBIN:
-        rho = left_bc.samples[n]
-        lap[0] = 2.0 * (v[1] - v[0]) + 2.0 * dx * (rho - left_bc.robin_p * v[0])
     else:
         lap[0] = 0.0  # pinned; never used
     if right_bc.kind is TraceKind.NEUMANN:
         lap[-1] = 2.0 * (v[-2] - v[-1]) + 2.0 * dx * right_bc.samples[n]
-    elif right_bc.kind is TraceKind.ROBIN:
-        rho = right_bc.samples[n]
-        lap[-1] = 2.0 * (v[-2] - v[-1]) + 2.0 * dx * (rho - right_bc.robin_p * v[-1])
     else:
         lap[-1] = 0.0
     return lap
@@ -77,9 +73,14 @@ def solve_wave_subdomain(
     right_bc: InterfaceTrace,
     source=None,
 ) -> SpaceTimeField:
-    """March the explicit wave scheme across the window on one subdomain."""
+    """March the explicit wave scheme across the window on one subdomain.
+
+    Raises :class:`WrongBoundaryKind` for Robin boundary data.
+    """
     check_bc(left_bc, tgrid, "left")
     check_bc(right_bc, tgrid, "right")
+    if TraceKind.ROBIN in (left_bc.kind, right_bc.kind):
+        raise WrongBoundaryKind("the wave kernel takes Dirichlet or Neumann data, not Robin")
     if c <= 0:
         raise ValueError("wave speed must be positive")
     nx = grid.n_cells

@@ -7,9 +7,11 @@ Same three-level scheme as the 1D kernel with the five-point Laplacian,
 Taylor start included (the march is :func:`.common.leapfrog`), on a
 strip (x_left, x_right) x (y0, y1). The y boundaries always carry
 physical Dirichlet data (pinned rows, applied last so they own the
-corner nodes); the x boundaries take interface traces of any kind, with
-one sample column per y node. Neumann/Robin ghost columns mirror the 1D
-formulas row by row.
+corner nodes); the x boundaries take Dirichlet or Neumann interface
+traces, with one sample column per y node. Neumann ghost columns mirror
+the 1D formula row by row. Robin data raises :class:`WrongBoundaryKind`,
+as in the 1D kernel: Robin Schwarz, its only producer, diverges on
+waves and is rejected for them.
 
 Stability: c dt sqrt(1/dx^2 + 1/dy^2) <= 1 against the largest step.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import CflViolation
+from ..errors import CflViolation, WrongBoundaryKind
 from ..grids import CFL_SLACK, InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, cfl_number
 from .common import check_bc, leapfrog
 from .problems import SpaceTimeField
@@ -27,17 +29,10 @@ __all__ = ["solve_wave_strip_2d"]
 
 
 def _ghost_column(v: np.ndarray, dx: float, bc: InterfaceTrace, n: int, side: str) -> np.ndarray:
-    """Mirror ghost column next to an x boundary at time step n."""
+    """Mirror ghost column next to a Neumann x boundary at time step n."""
     if side == "left":
-        inner, bound = v[1, :], v[0, :]
-        sgn = -1.0
-    else:
-        inner, bound = v[-2, :], v[-1, :]
-        sgn = 1.0
-    if bc.kind is TraceKind.NEUMANN:
-        return inner + sgn * 2.0 * dx * bc.samples[n]
-    # Robin: data is outward-oriented, so both sides take the same form.
-    return inner + 2.0 * dx * (bc.samples[n] - bc.robin_p * bound)
+        return v[1, :] - 2.0 * dx * bc.samples[n]
+    return v[-2, :] + 2.0 * dx * bc.samples[n]
 
 
 def solve_wave_strip_2d(
@@ -57,11 +52,14 @@ def solve_wave_strip_2d(
 
     ``initial_u``/``initial_ut`` are nodal arrays (nx+1, ny+1);
     ``bottom``/``top`` are pre-sampled physical Dirichlet histories of
-    shape (M+1, nx+1) on the y boundaries.
+    shape (M+1, nx+1) on the y boundaries. Raises
+    :class:`WrongBoundaryKind` for Robin boundary data.
     """
     ny = ygrid.n_cells
     check_bc(left_bc, tgrid, "left", ny)
     check_bc(right_bc, tgrid, "right", ny)
+    if TraceKind.ROBIN in (left_bc.kind, right_bc.kind):
+        raise WrongBoundaryKind("the strip kernel takes Dirichlet or Neumann data, not Robin")
     if c <= 0:
         raise ValueError("wave speed must be positive")
     nx = xgrid.n_cells

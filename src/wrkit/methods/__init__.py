@@ -11,14 +11,8 @@ from .schedule import (
     arrangement_schedule,
     producer_map,
 )
-from .swr import swr_run
-from .workspace import (
-    RunGrids,
-    guess_grids,
-    make_run_grids,
-    swr_state_from_field,
-    traces_from_field,
-)
+from .swr import swr_run, swr_state_from_field
+from .workspace import RunGrids, guess_grids, make_run_grids, traces_from_field
 
 __all__ = [
     "Arrangement",

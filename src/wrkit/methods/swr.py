@@ -1,13 +1,14 @@
-"""Schwarz waveform-relaxation drivers: overlapping and Robin variants."""
+"""Schwarz waveform relaxation, overlapping and Robin: one driver and its warm-start state."""
 
 from __future__ import annotations
 
 from ..errors import IncompatibleGrids, ValidationError
 from ..grids import InterfaceTrace, Partition1D, TraceKind, grids_equal
+from ..kernels.problems import SpaceTimeField
 from .config import Method, WrConfig
-from .workspace import RunGrids, _adapter, _drive, _solve_all, force_compatible
+from .workspace import RunGrids, _adapter, _drive, _PlanCache, _solve_all, force_compatible
 
-__all__ = ["swr_run"]
+__all__ = ["swr_run", "swr_state_from_field"]
 
 
 def schwarz_shift(config: WrConfig, partition: Partition1D, dx: float, speeds) -> float:
@@ -48,6 +49,28 @@ def _extended_bounds(partition: Partition1D, shift: float) -> dict[int, tuple[fl
     return bounds
 
 
+def _column(field: SpaceTimeField, x: float) -> InterfaceTrace:
+    """The solution history of ``field`` at node ``x``, as a Dirichlet trace."""
+    j = field.xgrid.node_index(x)
+    return InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, field.values[:, j])
+
+
+def _transmitted(field: SpaceTimeField, side: str, x: float, robin_p, flux) -> InterfaceTrace:
+    """What the neighbor across the ``side`` boundary of a solve reads off it.
+
+    Classical Schwarz (``robin_p`` None) reads u at ``x``, the neighbor's
+    extended boundary inside this subdomain. Robin Schwarz reads the
+    neighbor's outward combination +/- w + p u at the ``side`` boundary,
+    with w = ``flux(field, side)`` the +x-oriented derivative.
+    """
+    if robin_p is None:
+        return _column(field, x)
+    sgn = 1.0 if side == "left" else -1.0
+    w = flux(field, side).samples
+    samples = sgn * w + robin_p * field.boundary_values(side)
+    return InterfaceTrace(TraceKind.ROBIN, field.tgrid, samples, robin_p=robin_p)
+
+
 def swr_run(
     problem,
     partition: Partition1D,
@@ -74,116 +97,70 @@ def swr_run(
     each interface. For Robin runs the guess values are used directly as
     initial Robin data. ``state`` optionally overrides the seeded
     transmission data with explicit per-interface pairs (as produced by
-    :func:`~wrkit.methods.swr_state_from_field`), which warm-starts the
-    iteration; the guesses still seed the monitored history.
+    :func:`swr_state_from_field`), which warm-starts the iteration; the
+    guesses still seed the monitored history.
 
     The monitored interface trace is the left neighbor's solution history
     at the interface coordinate. There is no relaxation; theta is ignored.
     """
-    classical = config.method is Method.SWR_CLASSICAL
+    if config.method is Method.SWR_ROBIN:
+        kind, robin_p = TraceKind.ROBIN, config.robin_p
+    else:
+        kind, robin_p = TraceKind.DIRICHLET, None
     speeds = _adapter(problem).speeds(problem, partition.n_subdomains)
     shift = schwarz_shift(config, partition, grids.dx, speeds)
-    bounds = _extended_bounds(partition, shift) if classical else None
 
     def start(spaces, ygrid, cache, seed_grids, guesses):
         nonlocal state
+
+        def seed(guess, grid, x):
+            """Transmission data from a Dirichlet guess, for the consumer on ``grid`` at ``x``."""
+            trace = cache.project(guess, grid)
+            if robin_p is None:
+                return force_compatible(trace, problem, x, ygrid)
+            return InterfaceTrace(TraceKind.ROBIN, grid, trace.samples, robin_p=robin_p)
+
         # Transmission state, one pair per interface: data consumed by the
         # left subdomain at its right (possibly extended) boundary, and by
         # the right subdomain at its left one. Stored on the consumer grids.
+        positions = [partition.interface_position(i) for i in range(1, partition.n_interfaces + 1)]
         if state is None:
-            state = []
-            for i in range(1, partition.n_interfaces + 1):
-                xi = partition.interface_position(i)
-                left_grid = grids.tgrids[i - 1]
-                right_grid = grids.tgrids[i]
-                for_left = cache.project(guesses[i - 1], left_grid)
-                for_right = cache.project(guesses[i - 1], right_grid)
-                if classical:
-                    for_left = force_compatible(for_left, problem, xi + shift, ygrid)
-                    for_right = force_compatible(for_right, problem, xi - shift, ygrid)
-                else:
-                    p = config.robin_p
-                    for_left = InterfaceTrace(TraceKind.ROBIN, left_grid, for_left.samples, robin_p=p)
-                    for_right = InterfaceTrace(
-                        TraceKind.ROBIN, right_grid, for_right.samples, robin_p=p
-                    )
-                state.append((for_left, for_right))
+            state = [
+                (seed(g, grids.tgrids[i], xi + shift), seed(g, grids.tgrids[i + 1], xi - shift))
+                for i, (g, xi) in enumerate(zip(guesses, positions))
+            ]
         else:
             state = [tuple(pair) for pair in state]
             if len(state) != partition.n_interfaces:
                 raise ValidationError(
                     f"need one transmission pair per interface ({partition.n_interfaces})"
                 )
-            want = TraceKind.DIRICHLET if classical else TraceKind.ROBIN
             for i, (for_left, for_right) in enumerate(state, start=1):
-                ok = (
-                    for_left.kind is want
-                    and for_right.kind is want
-                    and grids_equal(for_left.grid, grids.tgrids[i - 1])
-                    and grids_equal(for_right.grid, grids.tgrids[i])
-                )
-                if not classical:
-                    ok = ok and for_left.robin_p == config.robin_p == for_right.robin_p
-                if not ok:
-                    raise IncompatibleGrids(f"transmission pair {i} does not fit this run")
+                for trace, grid in ((for_left, grids.tgrids[i - 1]), (for_right, grids.tgrids[i])):
+                    # A Dirichlet trace has robin_p None, so one test serves both variants.
+                    fits = trace.kind is kind and trace.robin_p == robin_p
+                    if not (fits and grids_equal(trace.grid, grid)):
+                        raise IncompatibleGrids(f"transmission pair {i} does not fit this run")
 
         # Monitored history starts from the guesses read at the interfaces.
         prev = [
-            force_compatible(
-                cache.project(guesses[i - 1], grids.tgrids[i - 1]),
-                problem,
-                partition.interface_position(i),
-                ygrid,
-            )
-            for i in range(1, partition.n_interfaces + 1)
+            force_compatible(cache.project(g, grids.tgrids[i]), problem, xi, ygrid)
+            for i, (g, xi) in enumerate(zip(guesses, positions))
         ]
 
         def sweep():
             nonlocal state
             fields = _solve_all(spaces, lambda s, i: state[i - 1][1 if i < s else 0])
-
             new_state = []
             monitored = []
-            for i in range(1, partition.n_interfaces + 1):
-                xi = partition.interface_position(i)
-                left_space, right_space = spaces[i], spaces[i + 1]
-                left_field, right_field = fields[i], fields[i + 1]
-                if classical:
-                    j_in_right = right_space.xgrid.node_index(xi + shift)
-                    j_in_left = left_space.xgrid.node_index(xi - shift)
-                    for_left = InterfaceTrace(
-                        TraceKind.DIRICHLET, right_space.tgrid, right_field.values[:, j_in_right]
-                    )
-                    for_right = InterfaceTrace(
-                        TraceKind.DIRICHLET, left_space.tgrid, left_field.values[:, j_in_left]
-                    )
-                else:
-                    p = config.robin_p
-                    w_left = left_space.flux(left_field, "right")
-                    w_right = right_space.flux(right_field, "left")
-                    for_left = InterfaceTrace(
-                        TraceKind.ROBIN,
-                        right_space.tgrid,
-                        w_right.samples + p * right_field.boundary_values("left"),
-                        robin_p=p,
-                    )
-                    for_right = InterfaceTrace(
-                        TraceKind.ROBIN,
-                        left_space.tgrid,
-                        -w_left.samples + p * left_field.boundary_values("right"),
-                        robin_p=p,
-                    )
+            for i, xi in enumerate(positions, start=1):
+                left, right = spaces[i], spaces[i + 1]
+                for_right = _transmitted(fields[i], "right", xi - shift, robin_p, left.flux)
+                for_left = _transmitted(fields[i + 1], "left", xi + shift, robin_p, right.flux)
                 new_state.append(
-                    (
-                        cache.project(for_left, left_space.tgrid),
-                        cache.project(for_right, right_space.tgrid),
-                    )
+                    (cache.project(for_left, left.tgrid), cache.project(for_right, right.tgrid))
                 )
-
-                j_iface = left_space.xgrid.node_index(xi)
-                monitored.append(
-                    InterfaceTrace(TraceKind.DIRICHLET, left_space.tgrid, left_field.values[:, j_iface])
-                )
+                monitored.append(_column(fields[i], xi))
             state = new_state
             return monitored
 
@@ -198,5 +175,42 @@ def swr_run(
         reference,
         (Method.SWR_CLASSICAL, Method.SWR_ROBIN),
         start,
-        bounds=bounds,
+        bounds=_extended_bounds(partition, shift),
     )
+
+
+def swr_state_from_field(
+    field: SpaceTimeField,
+    partition: Partition1D,
+    grids: RunGrids,
+    config: WrConfig,
+) -> list[tuple[InterfaceTrace, InterfaceTrace]]:
+    """Schwarz transmission state sampled from a full-domain field.
+
+    Returns, per interface, the pair of data traces the two neighbors
+    would consume next: for classical Schwarz the solution histories at
+    the interface pushed outward by the overlap, for Robin Schwarz the
+    outward Robin combinations built from the field's centered derivative
+    at the interface. Feeding this state into :func:`swr_run` warm-starts
+    the iteration at the discrete fixed point.
+    """
+    if config.method not in (Method.SWR_CLASSICAL, Method.SWR_ROBIN):
+        raise ValidationError("transmission state applies to the Schwarz methods only")
+    cache = _PlanCache()
+    out = []
+    for i in range(1, partition.n_interfaces + 1):
+        xi = partition.interface_position(i)
+        if config.method is Method.SWR_CLASSICAL:
+            shift = config.overlap_cells * grids.dx
+            pair = (_column(field, xi + shift), _column(field, xi - shift))
+        else:
+            p = config.robin_p
+            j = field.xgrid.node_index(xi)
+            u = field.values[:, j]
+            w = (field.values[:, j + 1] - field.values[:, j - 1]) / (2.0 * field.xgrid.dx)
+            pair = (
+                InterfaceTrace(TraceKind.ROBIN, field.tgrid, w + p * u, robin_p=p),
+                InterfaceTrace(TraceKind.ROBIN, field.tgrid, -w + p * u, robin_p=p),
+            )
+        out.append(tuple(cache.project(tr, g) for tr, g in zip(pair, grids.tgrids[i - 1 : i + 1])))
+    return out

@@ -8,7 +8,9 @@ projection-plan caching between per-subdomain time grids, reference
 resolution and the trace distance that is the error metric,
 normalization of initial guesses, the per-iteration monitor that
 applies the stopping rule, and the driver loop into which each method
-plugs its sweep.
+plugs its sweep. What one method carries between sweeps (the Schwarz
+transmission pairs and their warm start, say) lives in that method's
+module.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ __all__ = [
     "make_run_grids",
     "guess_grids",
     "traces_from_field",
-    "swr_state_from_field",
 ]
 
 _INTERVAL_RTOL = 1e-12
@@ -373,8 +374,8 @@ def build_workspaces(
 ) -> tuple[dict[int, _Workspace], SpaceGrid1D | None]:
     """One solver adapter per subdomain, plus the shared y grid (2D only).
 
-    ``bounds`` optionally overrides subdomain intervals; the overlapping
-    Schwarz driver extends its subdomains this way.
+    ``bounds`` optionally replaces every subdomain's interval; the
+    overlapping Schwarz driver extends its subdomains this way.
     """
     model = _adapter(problem)
     n = partition.n_subdomains
@@ -391,9 +392,7 @@ def build_workspaces(
     speeds = model.speeds(problem, n)
     spaces: dict[int, _Workspace] = {}
     for i in range(1, n + 1):
-        lo, hi = partition.bounds(i)
-        if bounds is not None and i in bounds:
-            lo, hi = bounds[i]
+        lo, hi = partition.bounds(i) if bounds is None else bounds[i]
         xgrid = SpaceGrid1D.with_spacing(lo, hi, grids.dx)
         spaces[i] = model(problem, xgrid, grids.tgrids[i - 1], ygrid, speeds[i - 1])
     return spaces, ygrid
@@ -616,45 +615,3 @@ def _drive(
         if monitor.record(k, sweep()):
             break
     return monitor.history()
-
-
-def swr_state_from_field(
-    field: SpaceTimeField,
-    partition: Partition1D,
-    grids: RunGrids,
-    config: WrConfig,
-) -> list[tuple[InterfaceTrace, InterfaceTrace]]:
-    """Schwarz transmission state sampled from a full-domain field.
-
-    Returns, per interface, the pair of data traces the two neighbors
-    would consume next: for classical Schwarz the solution histories at
-    the interface pushed outward by the overlap, for Robin Schwarz the
-    outward Robin combinations built from the field's centered derivative
-    at the interface. Feeding this state into :func:`~wrkit.methods.swr_run`
-    warm-starts the iteration at the discrete fixed point.
-    """
-    cache = _PlanCache()
-    out = []
-    for i in range(1, partition.n_interfaces + 1):
-        xi = partition.interface_position(i)
-        left_grid = grids.tgrids[i - 1]
-        right_grid = grids.tgrids[i]
-        if config.method is Method.SWR_CLASSICAL:
-            shift = config.overlap_cells * grids.dx
-            j_right = field.xgrid.node_index(xi + shift)
-            j_left = field.xgrid.node_index(xi - shift)
-            for_left_sub = InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, field.values[:, j_right])
-            for_right_sub = InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, field.values[:, j_left])
-        elif config.method is Method.SWR_ROBIN:
-            p = config.robin_p
-            j = field.xgrid.node_index(xi)
-            u = field.values[:, j]
-            w = (field.values[:, j + 1] - field.values[:, j - 1]) / (2.0 * field.xgrid.dx)
-            for_left_sub = InterfaceTrace(TraceKind.ROBIN, field.tgrid, w + p * u, robin_p=p)
-            for_right_sub = InterfaceTrace(TraceKind.ROBIN, field.tgrid, -w + p * u, robin_p=p)
-        else:
-            raise ValidationError("transmission state applies to the Schwarz methods only")
-        out.append(
-            (cache.project(for_left_sub, left_grid), cache.project(for_right_sub, right_grid))
-        )
-    return out

@@ -4,8 +4,9 @@ Subdomains may advance with different time steps, so transmission data
 recorded on one grid has to be re-sampled on another before it can be
 consumed. Re-sampling is piecewise-linear interpolation in time; the
 interpolation weights for a (source, destination) pair are precomputed
-once into a :class:`ProjectionPlan` by a single merged sweep over both
-node lists, and applying a plan is a vectorized gather.
+once into a :class:`ProjectionPlan` by one vectorized bracketing search
+(``numpy.searchsorted``) over the source nodes, and applying a plan is a
+vectorized gather.
 
 Linear interpolation keeps values inside the convex hull of neighbouring
 samples (no overshoot) and reproduces linear-in-time data exactly, which
@@ -34,9 +35,7 @@ class ProjectionPlan:
     For destination node ``k`` the value is
     ``w0[k] * samples[idx0[k]] + w1[k] * samples[idx1[k]]``; weights lie
     in [0, 1] and sum to 1 per node, and the bracketing indices are
-    nondecreasing in ``k``. ``work`` counts the elementary steps the
-    construction sweep performed (for cost accounting: it grows linearly
-    with the total node count).
+    nondecreasing in ``k``.
     """
 
     src: TimeGrid
@@ -46,7 +45,6 @@ class ProjectionPlan:
     w0: np.ndarray
     w1: np.ndarray
     identity: bool
-    work: int
 
     def __post_init__(self):
         for name in ("idx0", "idx1", "w0", "w1"):
@@ -66,41 +64,22 @@ def build_plan(src: TimeGrid, dst: TimeGrid) -> ProjectionPlan:
             f"source window T={src.T!r} differs from destination T={dst.T!r}"
         )
 
-    identity = grids_equal(src, dst)
     ts = src.times
     td = dst.times
-    n_dst = len(td)
-    idx0 = np.empty(n_dst, dtype=np.intp)
-    w0 = np.empty(n_dst)
-    work = 0
-
-    # Merged sweep: both node lists are increasing, so the bracketing
-    # source interval only ever moves forward.
-    j = 0
-    last = len(ts) - 2
-    for k in range(n_dst):
-        t = td[k]
-        while j < last and ts[j + 1] < t:
-            j += 1
-            work += 1
-        tau = ts[j + 1] - ts[j]
-        theta = (t - ts[j]) / tau
-        # Clamp away the float fuzz at shared endpoints.
-        theta = min(1.0, max(0.0, theta))
-        idx0[k] = j
-        w0[k] = 1.0 - theta
-        work += 1
-
-    idx1 = np.minimum(idx0 + 1, len(ts) - 1)
+    # The source interval [ts[j], ts[j+1]] that brackets each destination
+    # node: the last one starting strictly before it (the first at t=0).
+    idx0 = np.clip(np.searchsorted(ts, td, "left") - 1, 0, len(ts) - 2)
+    theta = (td - ts[idx0]) / (ts[idx0 + 1] - ts[idx0])
+    # Clamp away the float fuzz at shared endpoints.
+    w0 = 1.0 - np.clip(theta, 0.0, 1.0)
     return ProjectionPlan(
         src=src,
         dst=dst,
         idx0=idx0,
-        idx1=idx1,
+        idx1=np.minimum(idx0 + 1, len(ts) - 1),
         w0=w0,
         w1=1.0 - w0,
-        identity=identity,
-        work=work,
+        identity=grids_equal(src, dst),
     )
 
 
@@ -116,11 +95,6 @@ def project_trace(trace: InterfaceTrace, plan: ProjectionPlan) -> InterfaceTrace
         return trace
 
     samples = trace.samples
-    if samples.ndim == 1:
-        out = plan.w0 * samples[plan.idx0] + plan.w1 * samples[plan.idx1]
-    else:
-        out = (
-            plan.w0[:, None] * samples[plan.idx0]
-            + plan.w1[:, None] * samples[plan.idx1]
-        )
+    col = (-1,) + (1,) * (samples.ndim - 1)  # weights per row, broadcast over y in 2D
+    out = plan.w0.reshape(col) * samples[plan.idx0] + plan.w1.reshape(col) * samples[plan.idx1]
     return InterfaceTrace(trace.kind, plan.dst, out, robin_p=trace.robin_p)

@@ -363,6 +363,33 @@ def test_stage_order_does_not_change_bits(monkeypatch):
         assert np.array_equal(ta.samples, tb.samples)
 
 
+def test_swr_rejects_state_that_does_not_fit():
+    prob, part, grids = heat_setup()
+    field = solve_monodomain(prob, SpaceGrid1D.with_spacing(0.0, 5.0, grids.dx), grids.tgrids[0])
+    classical = WrConfig(method=Method.SWR_CLASSICAL, max_iters=1)
+    robin = WrConfig(method=Method.SWR_ROBIN, robin_p=2.0, max_iters=1)
+    other_p = WrConfig(method=Method.SWR_ROBIN, robin_p=3.0)
+    coarse = make_run_grids(part, grids.dx, 2.0, 0.04)
+    state = swr_state_from_field(field, part, grids, robin)
+    with pytest.raises(ValidationError, match="one transmission pair per interface"):
+        run_method(robin, prob, part, grids, state=state[:-1])
+    neumann = [
+        tuple(zero_trace(g, TraceKind.NEUMANN) for g in grids.tgrids[i - 1 : i + 1])
+        for i in range(1, part.n_interfaces + 1)
+    ]
+    for cfg, state in [
+        (robin, swr_state_from_field(field, part, grids, classical)),  # Dirichlet on Robin
+        (robin, swr_state_from_field(field, part, grids, other_p)),  # another coefficient
+        (robin, swr_state_from_field(field, part, coarse, robin)),  # wrong time grid
+        (classical, swr_state_from_field(field, part, grids, robin)),  # Robin on classical
+        (classical, swr_state_from_field(field, part, coarse, classical)),
+        (classical, neumann),
+    ]:
+        # The run's own check must reject the pair, not a kernel later on.
+        with pytest.raises(IncompatibleGrids, match="does not fit this run"):
+            run_method(cfg, prob, part, grids, state=state)
+
+
 def test_robin_sweep_beats_classical():
     prob, part, grids = heat_setup(n_subs=2)
     classical = run_method(

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wrkit.errors import CflViolation
+from wrkit.errors import CflViolation, WrongBoundaryKind
 from wrkit.grids import (
+    InterfaceTrace,
     SpaceGrid1D,
+    TraceKind,
     make_time_grid,
     zero_trace,
 )
@@ -155,3 +157,18 @@ def test_monodomain_dispatch_2d():
     x = xgrid.nodes[:, None]
     y = ygrid.nodes[None, :]
     np.testing.assert_array_equal(field.values[0], problem.initial_u(x, y))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_robin_boundary_rejected(side):
+    xgrid, ygrid, tgrid = strip_grids()
+    m = len(tgrid.times)
+    robin = InterfaceTrace(TraceKind.ROBIN, tgrid, np.zeros((m, ygrid.n_nodes)), robin_p=1.0)
+    zero = zero_trace(tgrid, ny=ygrid.n_cells)
+    bcs = {"left": zero, "right": zero, side: robin}
+    nodes = np.zeros((xgrid.n_nodes, ygrid.n_nodes))
+    lids = np.zeros((m, xgrid.n_nodes))
+    with pytest.raises(WrongBoundaryKind):
+        solve_wave_strip_2d(
+            xgrid, ygrid, 1.0, tgrid, nodes, nodes.copy(), bcs["left"], bcs["right"], lids, lids
+        )

@@ -129,6 +129,19 @@ def test_flux_not_recoverable_at_neumann_boundary():
         wave_interface_flux(field, "left", 1.0)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_robin_boundary_rejected(side):
+    # Only Robin Schwarz makes Robin data, and it is rejected on waves, so
+    # the kernel takes none rather than march an untested ghost.
+    grid = SpaceGrid1D.with_spacing(0.0, 1.0, 0.1)
+    tgrid = make_time_grid(1.0, 0.05)
+    robin = InterfaceTrace(TraceKind.ROBIN, tgrid, np.zeros(len(tgrid.times)), robin_p=1.0)
+    bcs = {"left": zero_trace(tgrid), "right": zero_trace(tgrid), side: robin}
+    zeros = np.zeros(grid.n_nodes)
+    with pytest.raises(WrongBoundaryKind):
+        solve_wave_subdomain(grid, 1.0, tgrid, zeros, zeros.copy(), bcs["left"], bcs["right"])
+
+
 def test_neumann_boundary_steady_state():
     grid = SpaceGrid1D.with_spacing(0.0, 1.0, 0.1)
     tgrid = make_time_grid(1.0, 0.05)
