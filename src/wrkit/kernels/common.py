@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import IncompatibleGrids, WrongBoundaryKind
 from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, grids_equal
-from .problems import SpaceTimeField, sample
+from .problems import ColumnField, SpaceTimeField, sample
 
 __all__ = ["check_bc", "dirichlet_history", "strip_data", "leapfrog", "half_cell_flux"]
 
@@ -80,7 +80,7 @@ def leapfrog(u: np.ndarray, times: np.ndarray, rate0: np.ndarray, accel, pin) ->
 
 
 def half_cell_flux(
-    field: SpaceTimeField,
+    field: SpaceTimeField | ColumnField,
     side: str,
     time_derivative,
     coef: float,
@@ -97,24 +97,24 @@ def half_cell_flux(
     with coef = nu and D_t the first time difference for heat, coef = c^2
     and D_t the second one for the wave models, and u_yy the y part of
     the Laplacian on strips (absent in 1D). ``time_derivative(ub, j)``
-    returns D_t of the boundary history ``ub`` at x node ``j``. On strips
-    the corner columns, which belong to the physical y boundary, are
-    reported as zero. Raises :class:`WrongBoundaryKind` at a Neumann
-    boundary, where the derivative was the input.
+    returns D_t of the boundary history ``ub`` at x node ``j``. The
+    field is read through its ``column`` accessor only: the boundary
+    column and its neighbour. On strips the corner columns, which belong
+    to the physical y boundary, are reported as zero. Raises
+    :class:`WrongBoundaryKind` at a Neumann boundary, where the
+    derivative was the input.
     """
     if field.boundary_kind(side) is TraceKind.NEUMANN:
         raise WrongBoundaryKind(f"{side} boundary carried Neumann data; flux is not recoverable")
-    u = field.values
     dx = field.xgrid.dx
     times = field.tgrid.times
+    j0 = field.boundary_index(side)
     if side == "left":
-        j0, j1, sgn = 0, 1, 1.0
-        x0 = field.xgrid.x_left
+        j1, sgn, x0 = 1, 1.0, field.xgrid.x_left
     else:
-        j0, j1, sgn = field.xgrid.n_cells, field.xgrid.n_cells - 1, -1.0
-        x0 = field.xgrid.x_right
+        j1, sgn, x0 = j0 - 1, -1.0, field.xgrid.x_right
 
-    ub = u[:, j0]
+    ub = field.column(j0)
     if source is None:
         fvals = 0.0
     elif field.is_2d:
@@ -122,7 +122,7 @@ def half_cell_flux(
     else:
         fvals = source(x0, times)
 
-    w = sgn * ((u[:, j1] - ub) / dx - (0.5 * dx / coef) * (time_derivative(ub, j0) - fvals))
+    w = sgn * ((field.column(j1) - ub) / dx - (0.5 * dx / coef) * (time_derivative(ub, j0) - fvals))
     if field.is_2d:
         lap_y = np.zeros_like(ub)
         lap_y[:, 1:-1] = (ub[:, :-2] - 2.0 * ub[:, 1:-1] + ub[:, 2:]) / field.ygrid.dx**2

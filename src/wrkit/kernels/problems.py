@@ -16,7 +16,7 @@ import numpy as np
 
 from ..grids import SpaceGrid1D, TimeGrid, TraceKind
 
-__all__ = ["HeatProblem", "WaveProblem", "Wave2DProblem", "SpaceTimeField", "sample"]
+__all__ = ["HeatProblem", "WaveProblem", "Wave2DProblem", "SpaceTimeField", "ColumnField", "sample"]
 
 
 def sample(fn: Callable, shape: tuple[int, ...], *args) -> np.ndarray:
@@ -83,8 +83,49 @@ class Wave2DProblem:
     y_interval: tuple[float, float] = (0.0, math.pi)
 
 
+class _Solve:
+    """What flux extraction and the drivers read off a subdomain solve.
+
+    Both results of a solve provide it: the marched :class:`SpaceTimeField`
+    and the :class:`ColumnField` of a response solve. Readers take x
+    columns through :meth:`column`, never through the full values.
+    """
+
+    xgrid: SpaceGrid1D
+    ygrid: SpaceGrid1D | None
+    left_kind: TraceKind
+    right_kind: TraceKind
+
+    def column(self, j: int) -> np.ndarray:
+        """Solution history at x node ``j``: ``(M+1,)``, or ``(M+1, ny+1)`` on strips."""
+        raise NotImplementedError
+
+    @property
+    def is_2d(self) -> bool:
+        return self.ygrid is not None
+
+    def boundary_index(self, side: str) -> int:
+        """x node index of the left or right boundary."""
+        if side == "left":
+            return 0
+        if side == "right":
+            return self.xgrid.n_cells
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+    def boundary_values(self, side: str) -> np.ndarray:
+        """Solution history on the left or right x boundary."""
+        return self.column(self.boundary_index(side))
+
+    def boundary_kind(self, side: str) -> TraceKind:
+        if side == "left":
+            return self.left_kind
+        if side == "right":
+            return self.right_kind
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
 @dataclass(frozen=True, eq=False)
-class SpaceTimeField:
+class SpaceTimeField(_Solve):
     """One subdomain solve: nodal values over the whole time window.
 
     ``values`` is ``(M+1, nx+1)`` in 1D and ``(M+1, nx+1, ny+1)`` in 2D,
@@ -119,21 +160,30 @@ class SpaceTimeField:
             rate.setflags(write=False)
             object.__setattr__(self, "initial_rate", rate)
 
-    @property
-    def is_2d(self) -> bool:
-        return self.ygrid is not None
+    def column(self, j: int) -> np.ndarray:
+        return self.values[:, j]
 
-    def boundary_values(self, side: str) -> np.ndarray:
-        """Solution history on the left or right x boundary."""
-        if side == "left":
-            return self.values[:, 0]
-        if side == "right":
-            return self.values[:, -1]
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
-    def boundary_kind(self, side: str) -> TraceKind:
-        if side == "left":
-            return self.left_kind
-        if side == "right":
-            return self.right_kind
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+@dataclass(frozen=True, eq=False)
+class ColumnField(_Solve):
+    """Some x columns of one subdomain solve, keyed by x node index.
+
+    A response solve returns only the columns its drivers read (see
+    ``wrkit.methods.workspace``); reading any other column raises
+    :class:`KeyError`. The other fields are those of
+    :class:`SpaceTimeField`.
+    """
+
+    xgrid: SpaceGrid1D
+    tgrid: TimeGrid
+    columns: dict[int, np.ndarray]
+    left_kind: TraceKind
+    right_kind: TraceKind
+    ygrid: SpaceGrid1D | None = None
+    initial_rate: np.ndarray | None = None
+
+    def column(self, j: int) -> np.ndarray:
+        try:
+            return self.columns[j]
+        except KeyError:
+            raise KeyError(f"x column {j} was not kept by this solve") from None

@@ -51,11 +51,11 @@ def dnwr_run(
                 space = spaces[s]
                 if side == "left":
                     if s == 1:
-                        return space.physical_trace("left")
+                        return None
                     iface, neighbor, their_side, role = s - 1, s - 1, "right", task.left
                 else:
                     if s == n:
-                        return space.physical_trace("right")
+                        return None
                     iface, neighbor, their_side, role = s, s + 1, "left", task.right
                 if role is Role.DIRICHLET:
                     return cache.project(g[iface - 1], space.tgrid)

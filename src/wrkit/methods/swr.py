@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..errors import IncompatibleGrids, ValidationError
 from ..grids import InterfaceTrace, Partition1D, TraceKind, grids_equal
-from ..kernels.problems import SpaceTimeField
+from ..kernels.problems import ColumnField, SpaceTimeField
 from .config import Method, WrConfig
 from .workspace import RunGrids, _adapter, _drive, _PlanCache, _solve_all, force_compatible
 
@@ -49,13 +49,14 @@ def _extended_bounds(partition: Partition1D, shift: float) -> dict[int, tuple[fl
     return bounds
 
 
-def _column(field: SpaceTimeField, x: float) -> InterfaceTrace:
+def _column(field: SpaceTimeField | ColumnField, x: float) -> InterfaceTrace:
     """The solution history of ``field`` at node ``x``, as a Dirichlet trace."""
-    j = field.xgrid.node_index(x)
-    return InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, field.values[:, j])
+    return InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, field.column(field.xgrid.node_index(x)))
 
 
-def _transmitted(field: SpaceTimeField, side: str, x: float, robin_p, flux) -> InterfaceTrace:
+def _transmitted(
+    field: SpaceTimeField | ColumnField, side: str, x: float, robin_p, flux
+) -> InterfaceTrace:
     """What the neighbor across the ``side`` boundary of a solve reads off it.
 
     Classical Schwarz (``robin_p`` None) reads u at ``x``, the neighbor's
@@ -124,6 +125,16 @@ def swr_run(
         # left subdomain at its right (possibly extended) boundary, and by
         # the right subdomain at its left one. Stored on the consumer grids.
         positions = [partition.interface_position(i) for i in range(1, partition.n_interfaces + 1)]
+        if robin_p is None:
+            # What the sweep reads of subdomain s: u at its left neighbor's
+            # extended boundary, at its right interface and at its right
+            # neighbor's extended boundary.
+            n = partition.n_subdomains
+            for s, space in spaces.items():
+                xs = [positions[s - 2] + shift] if s > 1 else []
+                if s < n:
+                    xs += [positions[s - 1], positions[s - 1] - shift]
+                space.read_columns(xs)
         if state is None:
             state = [
                 (seed(g, grids.tgrids[i], xi + shift), seed(g, grids.tgrids[i + 1], xi - shift))

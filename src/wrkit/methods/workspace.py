@@ -3,7 +3,8 @@
 This module owns everything the three drivers have in common: the
 per-run grid bundle, the lattice rules a run applies (partition span,
 snapped y grid), one solver adapter class per model (data sampling,
-physical boundary data, solve, flux extraction, impedance),
+physical boundary data, solve, flux extraction, impedance) with the
+impulse responses that replace the march on uniform time grids,
 projection-plan caching between per-subdomain time grids, reference
 resolution and the trace distance that is the error metric,
 normalization of initial guesses, the per-iteration monitor that
@@ -16,6 +17,7 @@ module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,8 +44,8 @@ from ..kernels import (
     solve_wave_subdomain,
     wave_interface_flux,
 )
-from ..kernels.common import dirichlet_history, strip_data
-from ..kernels.problems import SpaceTimeField
+from ..kernels.common import check_bc, dirichlet_history, strip_data
+from ..kernels.problems import ColumnField, SpaceTimeField
 from ..projection import build_plan, project_trace
 from .config import IterationHistory, Method, WrConfig
 from .schedule import arrangement_schedule, producer_map
@@ -189,17 +191,28 @@ class _Workspace:
     """Solver adapter for one subdomain, one subclass per model. Internal to the drivers.
 
     Subclasses sample their model's data on the subdomain grids and
-    supply ``solve(left_bc, right_bc, homogeneous=False)`` and
-    ``flux(field, side)``, the Schur-consistent +x derivative history at
-    one boundary of a solve. ``homogeneous=True`` zeroes initial data,
-    source and 2D lid data, as the Neumann-Neumann correction stage needs.
-    ``impedance`` weights the slope carried across an interface: the wave
-    speed, or 1 for heat, whose diffusivity is shared. The static methods
-    read the problem: x interval, speed per subdomain (None for heat),
-    initial value function, and shared y grid (None in 1D).
+    supply ``_march(left_bc, right_bc, homogeneous)``, one call of their
+    kernel, and ``flux(field, side)``, the Schur-consistent +x derivative
+    history at one boundary of a solve. ``homogeneous=True`` zeroes
+    initial data, source, physical boundary data and 2D lid data, as the
+    Neumann-Neumann correction stage needs. ``impedance`` weights the
+    slope carried across an interface: the wave speed, or 1 for heat,
+    whose diffusivity is shared. The static methods read the problem: x
+    interval, speed per subdomain (None for heat), initial value
+    function, and shared y grid (None in 1D).
+
+    :meth:`solve` marches the kernel on a clipped time grid. On a uniform
+    grid every model's scheme is linear and shift-invariant in time, so a
+    solve is its particular part (all data but the interface traces) plus
+    a causal convolution of each interface trace with an impulse
+    response; :class:`_Response` builds both from marches of the kernel
+    and returns only the x columns the drivers read. A clipped final step
+    breaks the shift invariance, so those grids keep marching.
     """
 
     impedance = 1.0
+    #: Boundary kinds whose data the kernel reads at row 0 as well.
+    _row0_kinds: frozenset = frozenset()
 
     def __init__(self, problem, xgrid: SpaceGrid1D, tgrid: TimeGrid, ygrid, speed):
         self.problem = problem
@@ -209,6 +222,8 @@ class _Workspace:
         if speed is not None:
             self.c = self.impedance = speed
         self.data = self._sample()
+        self.columns: tuple[int, ...] | None = None
+        self._responses: dict[tuple, _Response] = {}
 
     @staticmethod
     def interval(problem) -> tuple[float, float]:
@@ -234,9 +249,144 @@ class _Workspace:
         )
         return dirichlet_history(fn, self.tgrid, self.ygrid)
 
-    def dirichlet_trace(self, field: SpaceTimeField, side: str) -> InterfaceTrace:
+    def dirichlet_trace(self, field, side: str) -> InterfaceTrace:
         """Solution history on one boundary of a solve, as a trace."""
         return InterfaceTrace(TraceKind.DIRICHLET, self.tgrid, field.boundary_values(side))
+
+    def read_columns(self, xs) -> None:
+        """Name the x coordinates whose columns the driver reads off every solve.
+
+        Without this, a response solve keeps the boundary column and its
+        neighbour on each interface side, which is what ``flux`` and
+        ``dirichlet_trace`` read. Call it before the first solve.
+        """
+        self.columns = tuple(self.xgrid.node_index(x) for x in xs)
+
+    def solve(self, left_bc, right_bc, homogeneous=False):
+        """Solve the subdomain with interface data ``left_bc``/``right_bc``.
+
+        A side at the end of the chain takes None and gets the problem's
+        physical data (zero if homogeneous). Returns the marched
+        :class:`SpaceTimeField` on a clipped time grid, and on a uniform
+        one the :class:`ColumnField` of a response solve.
+        """
+        inputs = {side: bc for side, bc in (("left", left_bc), ("right", right_bc)) if bc is not None}
+        if not self.tgrid.uniform:
+            return self._march(*self._boundaries(inputs, homogeneous), homogeneous)
+        ny = None if self.ygrid is None else self.ygrid.n_cells
+        for side, bc in inputs.items():
+            check_bc(bc, self.tgrid, side, ny)
+        key = (tuple((side, bc.kind, bc.robin_p) for side, bc in inputs.items()), homogeneous)
+        response = self._responses.get(key)
+        if response is None:
+            response = self._responses[key] = _Response(self, inputs, homogeneous)
+        return response.apply(self, inputs)
+
+    def _boundaries(self, inputs: dict, homogeneous: bool) -> tuple[InterfaceTrace, InterfaceTrace]:
+        """Left and right data of one march: ``inputs``, physical data on the other sides."""
+        return tuple(
+            inputs[side] if side in inputs else self.physical_trace(side, homogeneous)
+            for side in ("left", "right")
+        )
+
+    # A 1D column is its own single mode; strips override these three.
+    def _profile(self) -> float | np.ndarray:
+        """The y profile of an impulse that excites every mode with unit weight."""
+        return 1.0
+
+    def _modes(self, samples: np.ndarray) -> np.ndarray:
+        """Column history ``(M+1, ...)`` to mode histories ``(M+1, modes)``."""
+        return samples[:, None]
+
+    def _from_modes(self, base: np.ndarray, modes: np.ndarray) -> np.ndarray:
+        """``base`` plus the column history that mode histories ``modes`` stand for."""
+        return base + modes[:, 0]
+
+
+class _Response:
+    """One subdomain's solve for fixed interface-side kinds, as convolutions in time.
+
+    Built from marches of the adapter's own kernel on its uniform grid:
+    one particular march with zero interface data (none when
+    homogeneous: it is exactly zero), and per interface side one march
+    with a unit impulse at row 1 and zero data elsewhere. The response
+    to an impulse at row m >= 1 is the row-1 response shifted by m - 1.
+    Row 0 of an input is never read by the heat kernel or at a Dirichlet
+    side, whose row 0 is the initial data. The wave kernels read it at a
+    Neumann side, in the Taylor start, where its response is half the
+    row-1 response shifted back one row; there the impulse goes in at
+    row 0 and a row m >= 1 weighs twice its shifted response.
+
+    On strips the interface data are expanded in the sine modes of the
+    interior y nodes, in which the scheme with zero lids decouples. An
+    impulse whose profile holds every mode with unit weight gives every
+    mode's response in one march. The corner rows of each column come
+    from the particular part only; no interface data reaches them.
+
+    Only the columns the drivers read are kept (``columns``). Time
+    convolutions are products of ``numpy.fft`` real FFTs whose length is
+    the power of two at or above 2M + 1, so nothing wraps into the first
+    M + 1 rows. (A length of 2(M + 1), which is 2 * 251 on
+    ``fig_wave_T5``, doubled how far that preset's error rows moved from
+    the march's.) ``scipy.fft`` is not used: importing it adds about
+    3 MB to the peak resident memory of an import of the package.
+    """
+
+    def __init__(self, space: _Workspace, inputs: dict, homogeneous: bool):
+        self.rows = space.tgrid.n_steps + 1
+        self.length = 1 << (2 * self.rows - 2).bit_length()
+        if space.columns is not None:
+            self.columns = space.columns
+        else:
+            nx = space.xgrid.n_cells
+            near = {"left": (0, 1), "right": (nx, nx - 1)}
+            self.columns = tuple(j for side in inputs for j in near[side])
+        zero = {side: bc.with_samples(np.zeros_like(bc.samples)) for side, bc in inputs.items()}
+
+        self.kernels = {}
+        for side, bc in inputs.items():
+            first = 0 if bc.kind in space._row0_kinds else 1
+            samples = np.zeros_like(bc.samples)
+            samples[first] = space._profile()
+            impulse = {**zero, side: bc.with_samples(samples)}
+            field = space._march(*space._boundaries(impulse, True), True)
+            responses = np.stack([space._modes(field.column(j))[first:] for j in self.columns])
+            if first:  # row 0 is never read
+                weights = np.ones(self.rows)
+                weights[0] = 0.0
+            else:  # row m >= 1 weighs twice the row-0 response shifted by m
+                weights = np.full(self.rows, 2.0)
+                weights[0] = 1.0
+            self.kernels[side] = (weights[:, None], np.fft.rfft(responses, n=self.length, axis=1))
+        if homogeneous:
+            self.particular = [np.zeros_like(field.column(j)) for j in self.columns]
+        else:
+            field = space._march(*space._boundaries(zero, False), False)
+            self.particular = [np.array(field.column(j)) for j in self.columns]
+        # Any march here has the solve's boundary kinds; a homogeneous one its zero rate.
+        self.kinds = (field.left_kind, field.right_kind)
+        self.initial_rate = field.initial_rate
+
+    def apply(self, space: _Workspace, inputs: dict) -> ColumnField:
+        """The kept columns of ``space``'s solve with interface data ``inputs``."""
+        total = 0.0
+        for side, (weights, kernel) in self.kernels.items():
+            data = np.fft.rfft(weights * space._modes(inputs[side].samples), n=self.length, axis=0)
+            total = total + kernel * data
+        modes = np.fft.irfft(total, n=self.length, axis=1)[:, : self.rows]
+        columns = {
+            j: space._from_modes(base, mode)
+            for j, base, mode in zip(self.columns, self.particular, modes)
+        }
+        return ColumnField(
+            xgrid=space.xgrid,
+            tgrid=space.tgrid,
+            columns=columns,
+            left_kind=self.kinds[0],
+            right_kind=self.kinds[1],
+            ygrid=space.ygrid,
+            initial_rate=self.initial_rate,
+        )
 
 
 class _Heat1D(_Workspace):
@@ -254,18 +404,21 @@ class _Heat1D(_Workspace):
         x = self.xgrid.nodes
         return [sample(self.problem.initial, x.shape, x)]
 
-    def solve(self, left_bc, right_bc, homogeneous=False) -> SpaceTimeField:
+    def _march(self, left_bc, right_bc, homogeneous) -> SpaceTimeField:
         (u0,), source = self._inputs(homogeneous)
         return solve_heat_subdomain(
             self.xgrid, self.problem.nu, self.tgrid, u0, left_bc, right_bc, source
         )
 
-    def flux(self, field: SpaceTimeField, side: str) -> InterfaceTrace:
+    def flux(self, field, side: str) -> InterfaceTrace:
         return heat_interface_flux(field, side, self.problem.nu, self.problem.source)
 
 
 class _Wave1D(_Workspace):
     """u_tt = c^2 u_xx + f on one subdomain, with that subdomain's speed."""
+
+    # The Taylor start reads Neumann data at t=0 through the ghost node.
+    _row0_kinds = frozenset({TraceKind.NEUMANN})
 
     @staticmethod
     def speeds(problem, n: int) -> list[float | None]:
@@ -284,18 +437,22 @@ class _Wave1D(_Workspace):
         problem, x = self.problem, self.xgrid.nodes
         return [sample(problem.initial_u, x.shape, x), sample(problem.initial_ut, x.shape, x)]
 
-    def solve(self, left_bc, right_bc, homogeneous=False) -> SpaceTimeField:
+    def _march(self, left_bc, right_bc, homogeneous) -> SpaceTimeField:
         (u0, v0), source = self._inputs(homogeneous)
         return solve_wave_subdomain(
             self.xgrid, self.c, self.tgrid, u0, v0, left_bc, right_bc, source
         )
 
-    def flux(self, field: SpaceTimeField, side: str) -> InterfaceTrace:
+    def flux(self, field, side: str) -> InterfaceTrace:
         return wave_interface_flux(field, side, self.c, self.problem.source)
 
 
 class _Strip2D(_Wave1D):
-    """u_tt = c^2 (u_xx + u_yy) + f on one strip, with pre-sampled lid data."""
+    """u_tt = c^2 (u_xx + u_yy) + f on one strip, with pre-sampled lid data.
+
+    Response solves work in the sine modes of the interior y nodes: the
+    orthonormal DST-I matrix, which is its own inverse.
+    """
 
     @staticmethod
     def interval(problem) -> tuple[float, float]:
@@ -310,11 +467,30 @@ class _Strip2D(_Wave1D):
     def _sample(self) -> list[np.ndarray]:
         return strip_data(self.problem, self.xgrid, self.ygrid, self.tgrid)
 
-    def solve(self, left_bc, right_bc, homogeneous=False) -> SpaceTimeField:
+    @cached_property
+    def _sine(self) -> np.ndarray:
+        ny = self.ygrid.n_cells
+        k = np.arange(1, ny)
+        return np.sqrt(2.0 / ny) * np.sin(np.pi * np.outer(k, k) / ny)
+
+    def _march(self, left_bc, right_bc, homogeneous) -> SpaceTimeField:
         (u0, v0, bottom, top), source = self._inputs(homogeneous)
         return solve_wave_strip_2d(
             self.xgrid, self.ygrid, self.c, self.tgrid, u0, v0, left_bc, right_bc, bottom, top, source
         )
+
+    def _profile(self) -> np.ndarray:
+        profile = np.zeros(self.ygrid.n_nodes)
+        profile[1:-1] = self._sine.sum(axis=1)
+        return profile
+
+    def _modes(self, samples: np.ndarray) -> np.ndarray:
+        return samples[:, 1:-1] @ self._sine
+
+    def _from_modes(self, base: np.ndarray, modes: np.ndarray) -> np.ndarray:
+        out = np.array(base)
+        out[:, 1:-1] += modes @ self._sine
+        return out
 
 
 _ADAPTERS = {HeatProblem: _Heat1D, WaveProblem: _Wave1D, Wave2DProblem: _Strip2D}
@@ -338,8 +514,8 @@ def _solve_all(spaces: dict[int, _Workspace], inner, homogeneous: bool = False) 
     n = len(spaces)
     fields = {}
     for s, space in spaces.items():
-        left = space.physical_trace("left", homogeneous) if s == 1 else inner(s, s - 1)
-        right = space.physical_trace("right", homogeneous) if s == n else inner(s, s)
+        left = None if s == 1 else inner(s, s - 1)
+        right = None if s == n else inner(s, s)
         fields[s] = space.solve(left, right, homogeneous)
     return fields
 

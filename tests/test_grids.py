@@ -16,6 +16,7 @@ from wrkit.errors import (
 from wrkit.grids import (
     InterfaceTrace,
     SpaceGrid1D,
+    TimeGrid,
     TraceKind,
     cfl_number,
     grids_equal,
@@ -121,6 +122,22 @@ def test_clipped_grid_exact_divisor_is_uniform():
     tg = make_time_grid_clipped(2.0, 0.004)
     assert tg.uniform
     assert len(tg.times) == 501
+
+
+@pytest.mark.parametrize(
+    "times, dt, uniform",
+    [
+        ([0.0, 0.1, 0.3], 0.1, True),  # unequal steps
+        ([0.0, 0.1, 0.2], None, True),  # uniform without its dt
+        ([0.0, 0.1, 0.2], 0.15, True),  # a dt that is not the step
+        ([0.0, 0.5, 1.0], 0.5, False),  # a dt on a non-uniform grid
+    ],
+)
+def test_time_grid_rejects_a_flag_its_times_contradict(times, dt, uniform):
+    # Uniform subdomain solves are convolutions that trust the flag.
+    with pytest.raises(ValueError):
+        TimeGrid(times=np.array(times), dt=dt, uniform=uniform)
+    assert TimeGrid(times=np.linspace(0.0, 2.0, 501), dt=0.004, uniform=True).uniform
 
 
 def test_cfl_1d_unit():

@@ -9,9 +9,10 @@ DIR. ``compare`` prints one line per file found in either directory:
 ``identical``, or for a CSV that differs in value, the largest |delta|
 per differing column divided by the run's ``initial_error`` (read from
 its manifest), and the largest |delta| / |old value| in that column.
-It exits 1 when a file is missing from one side, a manifest differs,
-or two CSVs disagree in header or row count; value differences alone
-exit 0, since judging them is the reader's job.
+A last line gives the largest |delta| / initial_error over all CSVs and
+names its preset. It exits 1 when a file is missing from one side, a
+manifest differs, or two CSVs disagree in header or row count; value
+differences alone exit 0, since judging them is the reader's job.
 """
 
 from __future__ import annotations
@@ -44,12 +45,16 @@ def _initial_error(manifest: Path) -> float | None:
     return None
 
 
-def _csv_delta(old: Path, new: Path, scale: float | None) -> tuple[bool, str]:
-    """(fatal, description) of how two preset CSVs differ."""
+def _csv_delta(old: Path, new: Path, scale: float | None) -> tuple[bool, str, float]:
+    """(fatal, description, largest |delta| / initial_error) of how two preset CSVs differ.
+
+    The last is 0 when there is no ``initial_error`` to scale by.
+    """
     a, b = _rows(old), _rows(new)
     if a[0] != b[0] or len(a) != len(b):
-        return True, f"header or row count differs ({len(a) - 1} vs {len(b) - 1} rows)"
+        return True, f"header or row count differs ({len(a) - 1} vs {len(b) - 1} rows)", 0.0
     parts = []
+    worst = 0.0
     for col, name in enumerate(a[0]):
         olds = [float(row[col]) for row in a[1:]]
         news = [float(row[col]) for row in b[1:]]
@@ -58,14 +63,17 @@ def _csv_delta(old: Path, new: Path, scale: float | None) -> tuple[bool, str]:
             continue
         rel = max(abs(x - y) / abs(x) if x else float("inf") for x, y in zip(olds, news) if x != y)
         rel_err0 = f"{delta / scale:.2e}" if scale else "n/a"
+        if scale:
+            worst = max(worst, delta / scale)
         parts.append(f"{name}: max|d|/initial_error {rel_err0}, max relative {rel:.2e}")
-    return False, "; ".join(parts) if parts else "same values, different text"
+    return False, "; ".join(parts) if parts else "same values, different text", worst
 
 
 def _compare(old_dir: str, new_dir: str) -> int:
     old, new = Path(old_dir), Path(new_dir)
     names = sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()})
     failed = False
+    worst, worst_name = 0.0, None
     for name in names:
         a, b = old / name, new / name
         if not a.is_file() or not b.is_file():
@@ -79,12 +87,16 @@ def _compare(old_dir: str, new_dir: str) -> int:
         elif name.endswith(".csv"):
             manifest = new / name.replace(".csv", "_manifest.txt")
             scale = _initial_error(manifest) if manifest.is_file() else None
-            fatal, text = _csv_delta(a, b, scale)
+            fatal, text, delta = _csv_delta(a, b, scale)
             print(f"{name}: {text}")
             failed = failed or fatal
+            if delta > worst:
+                worst, worst_name = delta, name.removesuffix(".csv")
         else:
             print(f"{name}: differs")
             failed = True
+    where = f" ({worst_name})" if worst_name else ""
+    print(f"largest max|d|/initial_error over all CSVs: {worst:.2e}{where}")
     return 1 if failed else 0
 
 
