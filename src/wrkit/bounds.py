@@ -89,7 +89,7 @@ def _envelope(multiplier: float, h_min: float, nu: float, T: float, k: int) -> f
         raise ValueError("nu and T must be positive")
     if k < 0 or k != int(k):
         raise ValueError("iteration index k must be a nonnegative integer")
-    return multiplier**k * erfc_eval(k * h_min / (2.0 * math.sqrt(nu * T)))
+    return float(multiplier**k * erfc_eval(k * h_min / (2.0 * math.sqrt(nu * T))))
 
 
 def heat_bound_unequal(m: int, widths: Sequence[float], nu: float, T: float, k: int) -> float:

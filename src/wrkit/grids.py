@@ -137,18 +137,16 @@ def make_partition(boundaries) -> Partition1D:
 class TimeGrid:
     """Time nodes of one window ``[0, T]``.
 
-    ``dt`` is only set when the grid is uniform; non-uniform grids (for
-    example a clipped final step) carry ``dt=None`` and ``uniform=False``.
-    A grid flagged ``uniform`` has equal steps to within roundoff
-    (:data:`UNIFORM_RTOL`), and its ``dt`` divides ``T`` into its step
-    count as :func:`make_time_grid` requires; the subdomain solves of
-    ``wrkit.methods`` rely on it. A flag that the times contradict
-    raises :class:`ValueError`.
+    ``uniform`` is read off the times: the steps agree to within
+    :data:`UNIFORM_RTOL` of ``T``. Every :func:`make_time_grid` grid is
+    uniform; a :func:`make_time_grid_clipped` grid whose final step is
+    shorter than the others is not. The subdomain solves of
+    ``wrkit.methods`` take responses on uniform grids and march on the
+    others.
     """
 
     times: np.ndarray
-    dt: float | None
-    uniform: bool
+    uniform: bool = field(init=False)
 
     def __post_init__(self):
         arr = _readonly(self.times)
@@ -159,16 +157,8 @@ class TimeGrid:
         steps = np.diff(arr)
         if not np.all(steps > 0):
             raise ValueError("time nodes must be strictly increasing")
-        if not self.uniform:
-            if self.dt is not None:
-                raise ValueError("a non-uniform time grid carries dt=None")
-        elif self.dt is None:
-            raise ValueError("a uniform time grid needs its dt")
-        elif np.ptp(steps) > UNIFORM_RTOL * arr[-1]:
-            raise ValueError("a uniform time grid needs equal steps")
-        elif abs(arr[-1] / self.dt - len(steps)) > DIVISIBILITY_ATOL:
-            raise ValueError(f"dt={self.dt!r} does not match the grid's steps of {steps[0]!r}")
         object.__setattr__(self, "times", arr)
+        object.__setattr__(self, "uniform", bool(np.ptp(steps) <= UNIFORM_RTOL * arr[-1]))
 
     @property
     def T(self) -> float:
@@ -200,7 +190,7 @@ def make_time_grid(T: float, dt: float) -> TimeGrid:
     if steps < 1 or abs(ratio - steps) > DIVISIBILITY_ATOL:
         raise NonDivisibleWindow(f"dt={dt!r} does not divide T={T!r} (T/dt={ratio!r})")
     times = np.linspace(0.0, T, steps + 1)
-    return TimeGrid(times=times, dt=float(dt), uniform=True)
+    return TimeGrid(times)
 
 
 def make_time_grid_clipped(T: float, dt: float) -> TimeGrid:
@@ -219,7 +209,7 @@ def make_time_grid_clipped(T: float, dt: float) -> TimeGrid:
     times = np.empty(full + 2)
     times[: full + 1] = np.arange(full + 1) * dt
     times[-1] = T
-    return TimeGrid(times=times, dt=None, uniform=False)
+    return TimeGrid(times)
 
 
 def cfl_number(c: float, dx: float, dt: float, dy: float | None = None) -> float:

@@ -32,8 +32,8 @@ _WAVE = ("wave1d", "wave2d")
 class ExperimentSpec:
     """Everything one benchmark run needs, fully resolved.
 
-    ``dt`` is a single step shared by all subdomains or one step per
-    subdomain; ``c`` likewise for the 1D wave model. Data slots hold
+    ``dt`` and ``c`` are a single value shared by all subdomains or, on
+    the 1D wave model, one value per subdomain. Data slots hold
     preset names (see :mod:`.presets`); ``config`` carries the method
     knobs. ``guess`` keeps its raw token so random seeds survive the
     round trip into manifests.
@@ -308,9 +308,10 @@ def load_config(text: str) -> ExperimentSpec:
     wrong: non-finite numbers, missing required keys, keys that do not
     apply to the model or method, bad preset names, theta out of (0, 1],
     partitions off the lattice, subdomains narrower than 2 cells,
-    explicit wave steps above the CFL limit, Robin Schwarz on a wave
-    model, or Schwarz runs across wave speed jumps or with an overlap
-    past a neighboring subdomain.
+    explicit wave steps above the CFL limit, per-subdomain steps off
+    the 1D wave model, Robin Schwarz on a wave model, or Schwarz runs
+    across wave speed jumps or with an overlap past a neighboring
+    subdomain.
     """
     values = {key: _KEYS[key].parse(raw, key) for key, raw in _parse_lines(text).items()}
     if "model" not in values:
@@ -324,6 +325,8 @@ def load_config(text: str) -> ExperimentSpec:
 
     if model == "wave2d" and isinstance(spec.c, tuple):
         raise ValidationError("wave2d takes a single wave speed")
+    if model != "wave1d" and isinstance(spec.dt, tuple):
+        raise ValidationError(f"{model} takes a single time step")
     if len(spec.dt_list()) != spec.n_subdomains:
         raise ValidationError(
             f"need one time step per subdomain ({spec.n_subdomains}), "

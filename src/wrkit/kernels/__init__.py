@@ -3,8 +3,7 @@
 from .heat import heat_interface_flux, solve_heat_subdomain
 from .monodomain import solve_monodomain
 from .problems import HeatProblem, SpaceTimeField, Wave2DProblem, WaveProblem, sample
-from .wave import solve_wave_subdomain, wave_interface_flux
-from .wave2d import solve_wave_strip_2d
+from .wave import solve_wave_strip_2d, solve_wave_subdomain, wave_interface_flux
 
 __all__ = [
     "HeatProblem",

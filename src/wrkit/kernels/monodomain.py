@@ -18,8 +18,7 @@ from ..grids import CFL_SLACK, InterfaceTrace, Partition1D, SpaceGrid1D, TimeGri
 from .common import dirichlet_history, leapfrog, strip_data
 from .heat import solve_heat_subdomain
 from .problems import HeatProblem, SpaceTimeField, Wave2DProblem, WaveProblem, sample
-from .wave import solve_wave_subdomain
-from .wave2d import solve_wave_strip_2d
+from .wave import solve_wave_strip_2d, solve_wave_subdomain
 
 __all__ = ["solve_monodomain"]
 

@@ -1,26 +1,37 @@
-"""Explicit second-order wave solver on one subdomain, plus flux extraction.
+"""Explicit second-order wave solver on one subdomain or strip, plus flux extraction.
 
 Discretization: the three-level central scheme
 
-    u^{n+1} = 2 u^n - u^{n-1} + (c dt/dx)^2 dxx u^n + dt^2 f^n,
+    u^{n+1} = 2 u^n - u^{n-1} + (c dt)^2 L u^n + dt^2 f^n,
 
 started with a Taylor step that uses the initial rate w0 = u_t(x, 0),
 
-    u^1 = u^0 + dt w0 + (dt^2/2) (c^2 dxx u^0 + f^0).
+    u^1 = u^0 + dt w0 + (dt^2/2) (c^2 L u^0 + f^0),
+
+where L is the second difference dxx on a 1D subdomain and the
+five-point dxx + dyy on a 2D strip (x_left, x_right) x (y0, y1). One
+march serves both: x is axis 0 of every nodal array and a strip's y
+axis rides along, so the checks, the Neumann ghosts, the Dirichlet pins
+and the field are stated once, and only the y part of L and the y lids
+are strip-only.
 
 Time grids may have unequal steps (a clipped final step, for example);
-the march in :func:`.common.leapfrog`, shared with the strip and the
-piecewise-speed monodomain solves, replaces the second time difference
-with its variable-step counterpart and reduces exactly to the above when
-the steps are uniform. Stability requires the Courant number c dt/dx <= 1
-(checked against the largest step); at exactly 1 the scheme transports
-along characteristics without dispersion.
+the march in :func:`.common.leapfrog`, shared with the piecewise-speed
+monodomain solve, replaces the second time difference with its
+variable-step counterpart and reduces exactly to the above when the
+steps are uniform. Stability requires the Courant number c dt/dx <= 1,
+or c dt sqrt(1/dx^2 + 1/dy^2) <= 1 on a strip (checked against the
+largest step); in 1D at exactly 1 the scheme transports along
+characteristics without dispersion.
 
-Boundary handling: Dirichlet nodes are pinned, and a Neumann boundary
-eliminates a mirror ghost node using the +x oriented derivative data
-(applied also inside the Taylor step, so the start is as accurate as the
-march). Robin data raises :class:`WrongBoundaryKind`: its only producer
-is Robin Schwarz, which diverges on waves and is rejected for them (see
+Boundary handling: Dirichlet x boundaries are pinned, and a Neumann x
+boundary eliminates a mirror ghost node using the +x oriented derivative
+data (applied also inside the Taylor step, so the start is as accurate
+as the march); on a strip the traces carry one sample column per y node.
+A strip's y boundaries always carry physical Dirichlet data, pinned last
+so that they own the corner nodes. Robin data raises
+:class:`WrongBoundaryKind`: its only producer is Robin Schwarz, which
+diverges on waves and is rejected for them (see
 :func:`wrkit.methods.swr.schwarz_shift`).
 
 Flux extraction mirrors the heat version with the PDE-based half-cell
@@ -45,22 +56,105 @@ from ..grids import CFL_SLACK, InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind,
 from .common import check_bc, half_cell_flux, leapfrog
 from .problems import SpaceTimeField
 
-__all__ = ["solve_wave_subdomain", "wave_interface_flux"]
+__all__ = ["solve_wave_subdomain", "solve_wave_strip_2d", "wave_interface_flux"]
 
 
-def _ghost_laplacian(v: np.ndarray, dx: float, left_bc, right_bc, n: int) -> np.ndarray:
-    """Second space difference (times dx^2 yet to divide) with Neumann ghosts at step n."""
-    lap = np.empty_like(v)
-    lap[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
-    if left_bc.kind is TraceKind.NEUMANN:
-        lap[0] = 2.0 * (v[1] - v[0]) - 2.0 * dx * left_bc.samples[n]
+def _march(
+    xgrid: SpaceGrid1D,
+    ygrid: SpaceGrid1D | None,
+    c: float,
+    tgrid: TimeGrid,
+    initial_u,
+    initial_ut,
+    left_bc: InterfaceTrace,
+    right_bc: InterfaceTrace,
+    lids,
+    source,
+) -> SpaceTimeField:
+    """The explicit wave march on a subdomain (``ygrid`` None) or a strip.
+
+    x is axis 0 of every nodal array; a strip's y axis rides along as
+    axis 1. Only the y Laplacian, the lid pins and the expected shapes
+    depend on which it is.
+    """
+    ny = None if ygrid is None else ygrid.n_cells
+    check_bc(left_bc, tgrid, "left", ny)
+    check_bc(right_bc, tgrid, "right", ny)
+    if TraceKind.ROBIN in (left_bc.kind, right_bc.kind):
+        raise WrongBoundaryKind("the wave kernel takes Dirichlet or Neumann data, not Robin")
+    if c <= 0:
+        raise ValueError("wave speed must be positive")
+    nx = xgrid.n_cells
+    if nx < 2 or (ny is not None and ny < 2):
+        raise ValueError("a subdomain needs at least 2 cells in each direction")
+    dx = xgrid.dx
+    dy = None if ygrid is None else ygrid.dx
+    times = tgrid.times
+    m = len(times)
+
+    courant = cfl_number(c, dx, tgrid.max_step, dy)
+    if courant > 1.0 + CFL_SLACK:
+        raise CflViolation(f"Courant number {courant!r} exceeds 1")
+
+    shape = (nx + 1,) if ygrid is None else (nx + 1, ny + 1)
+    u0 = np.asarray(initial_u, dtype=float)
+    v0 = np.asarray(initial_ut, dtype=float)
+    if u0.shape != shape or v0.shape != shape:
+        raise ValueError(f"initial data must be nodal {shape} arrays")
+    if ygrid is None:
+        coords = (xgrid.nodes,)
     else:
-        lap[0] = 0.0  # pinned; never used
-    if right_bc.kind is TraceKind.NEUMANN:
-        lap[-1] = 2.0 * (v[-2] - v[-1]) + 2.0 * dx * right_bc.samples[n]
-    else:
-        lap[-1] = 0.0
-    return lap
+        bottom, top = (np.asarray(lid, dtype=float) for lid in lids)
+        if bottom.shape != (m, nx + 1) or top.shape != (m, nx + 1):
+            raise ValueError("bottom/top data must be (M+1, nx+1) histories")
+        coords = (xgrid.nodes[:, None], ygrid.nodes[None, :])
+
+    left_neumann = left_bc.kind is TraceKind.NEUMANN
+    right_neumann = right_bc.kind is TraceKind.NEUMANN
+    c2 = c**2
+    c2_over_dx2 = c2 / dx**2
+
+    u = np.empty((m,) + shape)
+    u[0] = u0
+
+    def accel(n: int) -> np.ndarray:
+        """Right-hand side c^2 (dxx + dyy) u^n + f^n at all nodes."""
+        v = u[n]
+        # x part times dx^2, mirror ghosts next to Neumann ends; pinned rows are never read
+        lap = np.empty_like(v)
+        lap[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
+        lap[0] = 2.0 * (v[1] - v[0]) - 2.0 * dx * left_bc.samples[n] if left_neumann else 0.0
+        lap[-1] = 2.0 * (v[-2] - v[-1]) + 2.0 * dx * right_bc.samples[n] if right_neumann else 0.0
+        if ygrid is None:
+            a = c2_over_dx2 * lap
+        else:
+            lap /= dx**2
+            lap[:, 1:-1] += (v[:, :-2] - 2.0 * v[:, 1:-1] + v[:, 2:]) / dy**2
+            a = c2 * lap
+        if source is not None:
+            a = a + source(*coords, times[n])
+        return a
+
+    def pin(n: int) -> None:
+        if not left_neumann:
+            u[n, 0] = left_bc.samples[n]
+        if not right_neumann:
+            u[n, -1] = right_bc.samples[n]
+        if ygrid is not None:
+            u[n, :, 0] = bottom[n]
+            u[n, :, -1] = top[n]
+
+    leapfrog(u, times, v0, accel, pin)
+
+    return SpaceTimeField(
+        xgrid=xgrid,
+        tgrid=tgrid,
+        values=u,
+        left_kind=left_bc.kind,
+        right_kind=right_bc.kind,
+        ygrid=ygrid,
+        initial_rate=v0,
+    )
 
 
 def solve_wave_subdomain(
@@ -77,57 +171,32 @@ def solve_wave_subdomain(
 
     Raises :class:`WrongBoundaryKind` for Robin boundary data.
     """
-    check_bc(left_bc, tgrid, "left")
-    check_bc(right_bc, tgrid, "right")
-    if TraceKind.ROBIN in (left_bc.kind, right_bc.kind):
-        raise WrongBoundaryKind("the wave kernel takes Dirichlet or Neumann data, not Robin")
-    if c <= 0:
-        raise ValueError("wave speed must be positive")
-    nx = grid.n_cells
-    if nx < 2:
-        raise ValueError("a subdomain needs at least 2 cells")
-    dx = grid.dx
-    x = grid.nodes
-    times = tgrid.times
+    return _march(grid, None, c, tgrid, initial_u, initial_ut, left_bc, right_bc, None, source)
 
-    courant = cfl_number(c, dx, tgrid.max_step)
-    if courant > 1.0 + CFL_SLACK:
-        raise CflViolation(f"c*dt/dx = {courant!r} exceeds 1")
 
-    u0 = np.asarray(initial_u, dtype=float)
-    v0 = np.asarray(initial_ut, dtype=float)
-    if u0.shape != (nx + 1,) or v0.shape != (nx + 1,):
-        raise ValueError("initial data must have one value per node")
+def solve_wave_strip_2d(
+    xgrid: SpaceGrid1D,
+    ygrid: SpaceGrid1D,
+    c: float,
+    tgrid: TimeGrid,
+    initial_u: np.ndarray,
+    initial_ut: np.ndarray,
+    left_bc: InterfaceTrace,
+    right_bc: InterfaceTrace,
+    bottom: np.ndarray,
+    top: np.ndarray,
+    source=None,
+) -> SpaceTimeField:
+    """March the explicit wave scheme on one strip.
 
-    left_pinned = left_bc.kind is TraceKind.DIRICHLET
-    right_pinned = right_bc.kind is TraceKind.DIRICHLET
-    c2_over_dx2 = c**2 / dx**2
-
-    u = np.empty((len(times), nx + 1))
-    u[0] = u0
-
-    def accel(n: int) -> np.ndarray:
-        """Right-hand side c^2 dxx u^n + f^n at all nodes."""
-        a = c2_over_dx2 * _ghost_laplacian(u[n], dx, left_bc, right_bc, n)
-        if source is not None:
-            a = a + source(x, times[n])
-        return a
-
-    def pin(n: int) -> None:
-        if left_pinned:
-            u[n, 0] = left_bc.samples[n]
-        if right_pinned:
-            u[n, nx] = right_bc.samples[n]
-
-    leapfrog(u, times, v0, accel, pin)
-
-    return SpaceTimeField(
-        xgrid=grid,
-        tgrid=tgrid,
-        values=u,
-        left_kind=left_bc.kind,
-        right_kind=right_bc.kind,
-        initial_rate=v0,
+    ``initial_u``/``initial_ut`` are nodal arrays (nx+1, ny+1), the
+    traces have one column per y node, and ``bottom``/``top`` are
+    pre-sampled physical Dirichlet histories of shape (M+1, nx+1) on the
+    y boundaries. Raises :class:`WrongBoundaryKind` for Robin boundary
+    data.
+    """
+    return _march(
+        xgrid, ygrid, c, tgrid, initial_u, initial_ut, left_bc, right_bc, (bottom, top), source
     )
 
 

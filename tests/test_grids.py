@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from wrkit.grids import (
     make_time_grid_clipped,
     zero_trace,
 )
+from wrkit.harness import load_config, preset_names, preset_text
 
 
 def test_partition_five_equal():
@@ -85,7 +89,6 @@ def test_time_grid_node_count():
     tg = make_time_grid(2.0, 0.004)
     assert len(tg.times) == 501
     assert tg.uniform
-    assert tg.dt == 0.004
     assert tg.T == 2.0
     assert tg.n_steps == 500
     np.testing.assert_allclose(tg.steps, 0.004, rtol=1e-12)
@@ -111,7 +114,6 @@ def test_time_grid_rejects_nonpositive():
 def test_clipped_grid_short_final_step():
     tg = make_time_grid_clipped(2.0, 0.13)
     assert not tg.uniform
-    assert tg.dt is None
     assert tg.times[-1] == 2.0
     np.testing.assert_allclose(tg.times[:-1], 0.13 * np.arange(16), rtol=1e-12)
     assert tg.steps[-1] < 0.13
@@ -124,20 +126,29 @@ def test_clipped_grid_exact_divisor_is_uniform():
     assert len(tg.times) == 501
 
 
-@pytest.mark.parametrize(
-    "times, dt, uniform",
-    [
-        ([0.0, 0.1, 0.3], 0.1, True),  # unequal steps
-        ([0.0, 0.1, 0.2], None, True),  # uniform without its dt
-        ([0.0, 0.1, 0.2], 0.15, True),  # a dt that is not the step
-        ([0.0, 0.5, 1.0], 0.5, False),  # a dt on a non-uniform grid
-    ],
-)
-def test_time_grid_rejects_a_flag_its_times_contradict(times, dt, uniform):
+def test_time_grid_uniform_is_read_off_its_times():
     # Uniform subdomain solves are convolutions that trust the flag.
-    with pytest.raises(ValueError):
-        TimeGrid(times=np.array(times), dt=dt, uniform=uniform)
-    assert TimeGrid(times=np.linspace(0.0, 2.0, 501), dt=0.004, uniform=True).uniform
+    assert TimeGrid(np.linspace(0.0, 2.0, 501)).uniform
+    assert not TimeGrid(np.array([0.0, 0.1, 0.3])).uniform
+
+
+def test_window_grids_are_uniform_and_clipped_grids_are_not(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    steps = {dt for name in preset_names() for dt in load_config(preset_text(name)).dt_list()}
+    for part in (workloads.HEAT_CHAIN, workloads.WAVE_MISMATCH, workloads.STRIP_METHODS):
+        for values in (part.full, part.smoke):
+            steps.update(float(v) for v in values["dt"].split(","))
+    clipped = 0
+    for T in (0.4, 1.0, 2.0, 5.0, 8.0):
+        for dt in sorted(steps):
+            try:
+                assert make_time_grid(T, dt).uniform, (T, dt)
+            except NonDivisibleWindow:
+                grid = make_time_grid_clipped(T, dt)
+                assert grid.steps[-1] < dt and not grid.uniform, (T, dt)
+                clipped += 1
+    assert 0 < clipped < 5 * len(steps)
 
 
 def test_cfl_1d_unit():

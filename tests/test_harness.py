@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import wrkit.harness.spec as spec_module
 import wrkit.methods.workspace as workspace
 
+from wrkit.bounds import heat_bound_even, heat_bound_unequal
 from wrkit.errors import (
     IncompatibleGrids,
     InconsistentSpecs,
@@ -32,6 +34,7 @@ from wrkit.harness import (
     with_out_dir,
 )
 from wrkit.harness.cli import main
+from wrkit.harness.run import _execute
 from wrkit.methods import Arrangement, Method, WrConfig, dnwr_run, guess_grids, make_run_grids
 
 from conftest import heat_problem
@@ -157,6 +160,14 @@ def test_validation_failures():
         )
     with pytest.raises(ValidationError):  # reversed y interval
         load_config(preset_text("fig_wave2d_T0p24") + "y_interval = 1, 0\n")
+    for name, dt in (
+        ("cmp2d_3sub_dnwr", "0.04, 0.02, 0.04"),
+        ("fig_heat_5sub_T2", "0.004, 0.002, 0.004, 0.008, 0.004"),
+    ):
+        text = preset_text(name)
+        assert text.count("\ndt = ") == 1
+        with pytest.raises(ValidationError, match="single time step"):  # dt lists are wave1d's
+            load_config(re.sub(r"\ndt = .*\n", f"\ndt = {dt}\n", text))
     with pytest.raises(ValidationError):  # Robin Schwarz across wave speed jumps
         load_config(SPEED_JUMP_WAVE + "method = swr_robin\nrobin_p = 1\n")
     with pytest.raises(ValidationError):  # overlap as wide as the narrowest subdomain
@@ -363,6 +374,60 @@ def test_interface_error_builds_one_plan_per_pair_of_grids(monkeypatch):
     monkeypatch.setattr(workspace, "build_plan", lambda src, dst: calls.append(1) or real(src, dst))
     interface_error(hist, hist.reference)
     assert len(calls) == 2
+
+
+def test_update_drop_monitor_without_a_reference():
+    # Perfbench's fixed-point check runs on reference=None: each sweep's
+    # error is its update relative to the trace's own scale, clipped at 1.
+    spec = load_config(preset_text("fig_heat_5sub_T2"))
+    part = make_partition(spec.partition)
+    grids = make_run_grids(part, spec.dx, spec.T, spec.dt)
+    gg = guess_grids(part, grids, spec.config)
+    cfg = replace(spec.config, max_iters=15, tol=1e-300)
+    hist = dnwr_run(
+        build_problem(spec), part, grids, cfg, build_guesses(spec.guess, gg, None), reference=None
+    )
+    assert hist.metric == "update_drop"
+    assert hist.iterations == 15
+    scales = []
+    for k, (traces, errs) in enumerate(zip(hist.dirichlet, hist.errors)):
+        previous = hist.initial if k == 0 else hist.dirichlet[k - 1]
+        expect = []
+        for new, old in zip(traces, previous):
+            scale = max(1.0, float(np.max(np.abs(new.samples))))
+            scales.append(scale)
+            expect.append(float(np.max(np.abs(new.samples - old.samples))) / scale)
+        assert errs == pytest.approx(expect, rel=1e-12, abs=0.0)
+        assert hist.max_errors[k] == max(errs)
+    assert max(scales) > 2.0  # so a scale of 1 would show
+
+
+@pytest.mark.parametrize(
+    "partition, kind, bound_fn, m",
+    [
+        ("0, 1, 2.5, 3, 4, 5", "heat-unequal", heat_bound_unequal, 2),
+        ("0, 1, 2, 3, 5", "heat-even", heat_bound_even, 1),
+    ],
+)
+def test_unequal_and_even_envelope_overlays(capsys, partition, kind, bound_fn, m):
+    text = preset_text("fig_heat_5sub_T2").replace("0, 1, 2, 3, 4, 5", partition)
+    spec = load_config(text)
+    hist, report, info = _execute(spec)
+    assert info["bound_overlay"] and hist.iterations >= 5
+    widths = np.diff(spec.partition)
+    err0 = report.initial_error
+    expect = [bound_fn(m, widths, spec.nu, spec.T, k) * err0 for k in range(1, hist.iterations + 1)]
+    assert report.bound == pytest.approx(expect, rel=1e-14, abs=0.0)
+    assert report.csv_text.splitlines()[0].endswith(",bound")
+
+    params = [f"m={m}", "widths=" + ",".join(repr(float(w)) for w in widths)]
+    params += [f"nu={spec.nu!r}", f"T={spec.T!r}", f"kmax={hist.iterations}"]
+    assert main(["bound", "--kind", kind, "--params", *params]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "k,bound" and len(lines) == hist.iterations + 2
+    for k, line in enumerate(lines[2:], start=1):
+        assert line.startswith(f"{k},")
+        assert float(line.split(",")[1]) * err0 == report.bound[k - 1]
 
 
 def test_driver_rejects_wrong_count_of_reference_traces():

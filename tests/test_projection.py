@@ -23,7 +23,7 @@ def random_grid(rng, T=1.0, max_steps=12) -> TimeGrid:
     times = np.concatenate(([0.0], np.cumsum(inc)))
     times *= T / times[-1]
     times[-1] = T
-    return TimeGrid(times=times, dt=None, uniform=False)
+    return TimeGrid(times)
 
 
 def test_identity_plan():

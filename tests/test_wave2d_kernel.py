@@ -90,7 +90,7 @@ def test_single_mode_reduces_to_1d_with_zeroth_order_term():
     dy = ygrid.dx
     mu = 4.0 * np.sin(dy / 2.0) ** 2 / dy**2
     dx = xgrid.dx
-    dt = tgrid.dt
+    dt = tgrid.max_step
     x = xgrid.nodes
     n_nodes = xgrid.n_nodes
     U = np.zeros((len(tgrid.times), n_nodes))

@@ -9,10 +9,11 @@ DIR. ``compare`` prints one line per file found in either directory:
 ``identical``, or for a CSV that differs in value, the largest |delta|
 per differing column divided by the run's ``initial_error`` (read from
 its manifest), and the largest |delta| / |old value| in that column.
-A last line gives the largest |delta| / initial_error over all CSVs and
-names its preset. It exits 1 when a file is missing from one side, a
-manifest differs, or two CSVs disagree in header or row count; value
-differences alone exit 0, since judging them is the reader's job.
+A last line counts the identical manifests and CSVs, and gives the
+largest |delta| / initial_error over all CSVs and names its preset.
+It exits 1 when a file is missing from one side, a manifest differs,
+or two CSVs disagree in header or row count; value differences alone
+exit 0, since judging them is the reader's job.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ def _compare(old_dir: str, new_dir: str) -> int:
     names = sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()})
     failed = False
     worst, worst_name = 0.0, None
+    kinds = {"manifests": "_manifest.txt", "CSVs": ".csv"}
+    same = dict.fromkeys(kinds, 0)
     for name in names:
         a, b = old / name, new / name
         if not a.is_file() or not b.is_file():
@@ -81,6 +84,8 @@ def _compare(old_dir: str, new_dir: str) -> int:
             failed = True
         elif a.read_bytes() == b.read_bytes():
             print(f"{name}: identical")
+            for kind, end in kinds.items():
+                same[kind] += name.endswith(end)
         elif name.endswith("_manifest.txt"):
             print(f"{name}: manifest differs")
             failed = True
@@ -96,7 +101,11 @@ def _compare(old_dir: str, new_dir: str) -> int:
             print(f"{name}: differs")
             failed = True
     where = f" ({worst_name})" if worst_name else ""
-    print(f"largest max|d|/initial_error over all CSVs: {worst:.2e}{where}")
+    counts = ", ".join(
+        f"{kind} {same[kind]}/{sum(n.endswith(end) for n in names)} identical"
+        for kind, end in kinds.items()
+    )
+    print(f"{counts}; largest max|d|/initial_error over all CSVs: {worst:.2e}{where}")
     return 1 if failed else 0
 
 
