@@ -83,13 +83,44 @@ def reflection_series(h: float, nu: float, T: float) -> float:
     )
 
 
+def _log_erfc(x: float) -> float:
+    """log erfc(x); past x = 27.3, where erfc underflows to 0, its asymptotic series.
+
+    log erfc(x) = -x^2 - log(x sqrt(pi)) + log(1 - 1/(2x^2) + 3/(4x^4) - 15/(8x^6) + ...),
+    whose first omitted term is below 2e-11 of the sum there.
+    """
+    value = erfc_eval(x)
+    if value > 0.0:
+        return math.log(value)
+    z = 1.0 / (2.0 * x * x)
+    return -x * x - math.log(x * math.sqrt(math.pi)) + math.log1p(-z + 3.0 * z * z - 15.0 * z**3)
+
+
 def _envelope(multiplier: float, h_min: float, nu: float, T: float, k: int) -> float:
-    """multiplier^k * erfc(k h_min / (2 sqrt(nu T))), the shape of every heat envelope."""
+    """multiplier^k * erfc(k h_min / (2 sqrt(nu T))), the shape of every heat envelope.
+
+    The product is taken as written wherever it is finite. Where
+    multiplier^k overflows, or meets an erfc that underflowed to 0
+    (inf * 0), it is exp(k log(multiplier) + log erfc(.)) instead (see
+    :func:`_log_erfc`), inf only when that exceeds the float range. For
+    large k the -x^2 of log erfc wins and the value tends to 0.
+    """
     if nu <= 0 or T <= 0:
         raise ValueError("nu and T must be positive")
     if k < 0 or k != int(k):
         raise ValueError("iteration index k must be a nonnegative integer")
-    return float(multiplier**k * erfc_eval(k * h_min / (2.0 * math.sqrt(nu * T))))
+    x = k * h_min / (2.0 * math.sqrt(nu * T))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(multiplier**k * erfc_eval(x))
+    except OverflowError:  # an integer multiplier^k beyond the float range
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    try:
+        return math.exp(k * math.log(multiplier) + _log_erfc(x))
+    except OverflowError:
+        return math.inf
 
 
 def heat_bound_unequal(m: int, widths: Sequence[float], nu: float, T: float, k: int) -> float:

@@ -141,8 +141,9 @@ class TimeGrid:
     :data:`UNIFORM_RTOL` of ``T``. Every :func:`make_time_grid` grid is
     uniform; a :func:`make_time_grid_clipped` grid whose final step is
     shorter than the others is not. The subdomain solves of
-    ``wrkit.methods`` take responses on uniform grids and march on the
-    others.
+    ``wrkit.methods`` take responses on both kinds: a clipped grid's
+    uniform prefix is convolved and its last row is one more step.
+    ``wrkit.methods`` rejects grids of any other shape.
     """
 
     times: np.ndarray

@@ -54,28 +54,31 @@ def strip_data(problem, xgrid: SpaceGrid1D, ygrid: SpaceGrid1D, tgrid: TimeGrid)
     ]
 
 
+def _leapfrog_step(cur: np.ndarray, prev: np.ndarray, tau: float, tau_prev: float, a: np.ndarray):
+    """One variable-step leapfrog update: u^{n+1} from u^n, u^{n-1} and a^n.
+
+    ``tau`` is the step to n+1 and ``tau_prev`` the one before it; with
+    equal steps this is u^{n+1} = 2 u^n - u^{n-1} + dt^2 a^n exactly. The
+    arrays may carry any trailing axes, a batch of rows among them.
+    """
+    return ((tau + tau_prev) / tau_prev) * cur - (tau / tau_prev) * prev + 0.5 * tau * (tau + tau_prev) * a
+
+
 def leapfrog(u: np.ndarray, times: np.ndarray, rate0: np.ndarray, accel, pin) -> None:
     """March the explicit three-level wave scheme in place over the rows of ``u``.
 
     ``u[0]`` holds u(., 0) on entry and ``rate0`` u_t(., 0). ``accel(n)``
     returns the right-hand side a^n of u_tt = a from ``u[n]``, and
     ``pin(n)`` overwrites the entries of ``u[n]`` that boundary data
-    owns. After the Taylor start u^1 = u^0 + dt w0 + (dt^2/2) a^0 comes
-    the variable-step form of u^{n+1} = 2 u^n - u^{n-1} + dt^2 a^n, which
-    reduces to it exactly when the steps agree.
+    owns. After the Taylor start u^1 = u^0 + dt w0 + (dt^2/2) a^0 every
+    row is one :func:`_leapfrog_step`.
     """
     steps = np.diff(times)
     tau0 = steps[0]
     u[1] = u[0] + tau0 * rate0 + 0.5 * tau0**2 * accel(0)
     pin(1)
     for n in range(1, len(steps)):
-        tau = steps[n]
-        tau_prev = steps[n - 1]
-        u[n + 1] = (
-            ((tau + tau_prev) / tau_prev) * u[n]
-            - (tau / tau_prev) * u[n - 1]
-            + 0.5 * tau * (tau + tau_prev) * accel(n)
-        )
+        u[n + 1] = _leapfrog_step(u[n], u[n - 1], steps[n], steps[n - 1], accel(n))
         pin(n + 1)
 
 

@@ -79,6 +79,64 @@ def _build_matrix(r: float, dx: float, n_unk: int, left_bc, right_bc, left_open:
     return ab
 
 
+class _Steps:
+    """Backward-Euler steps on one subdomain for fixed boundary kinds.
+
+    One banded Cholesky factor per distinct step size, cached. Nodal
+    arrays have x on axis 0; a trailing axis holds a batch of rows,
+    which one multi-right-hand-side ``dpbtrs`` call solves together.
+    """
+
+    def __init__(self, grid: SpaceGrid1D, nu: float, left_bc: InterfaceTrace, right_bc: InterfaceTrace):
+        self.nu = nu
+        self.dx = grid.dx
+        self.left_bc, self.right_bc = left_bc, right_bc
+        self.left_open = left_bc.kind is not TraceKind.DIRICHLET
+        self.right_open = right_bc.kind is not TraceKind.DIRICHLET
+        self.lo = 0 if self.left_open else 1
+        self.hi = grid.n_cells if self.right_open else grid.n_cells - 1
+        self.x_unk = grid.nodes[self.lo : self.hi + 1]
+        self._factors: dict[float, tuple] = {}
+
+    def step(self, cur: np.ndarray, out: np.ndarray, dt: float, g_left, g_right, f=None) -> None:
+        """Write u^{n+1} into ``out`` from u^n in ``cur``, the boundary data at n+1 and f^{n+1}."""
+        lo, hi, dx = self.lo, self.hi, self.dx
+        if dt not in self._factors:
+            r = self.nu * dt / dx**2
+            ab = _build_matrix(
+                r, dx, hi - lo + 1, self.left_bc, self.right_bc, self.left_open, self.right_open
+            )
+            self._factors[dt] = (_factorize(ab), r)
+        cb, r = self._factors[dt]
+
+        b = cur[lo : hi + 1].copy()
+        if f is not None:
+            b += dt * f
+
+        if self.left_open:
+            if self.left_bc.kind is TraceKind.NEUMANN:
+                b[0] -= 2.0 * r * dx * g_left
+            else:
+                b[0] += 2.0 * r * dx * g_left
+            b[0] *= 0.5
+        else:
+            b[0] += r * g_left
+        if self.right_open:
+            # Neumann and Robin enter with the same sign at the right end.
+            b[-1] += 2.0 * r * dx * g_right
+            b[-1] *= 0.5
+        else:
+            b[-1] += r * g_right
+
+        out[lo : hi + 1], info = dpbtrs(cb, b, lower=0, overwrite_b=1)
+        if info != 0:
+            raise SingularSystem(f"dpbtrs failed with info = {info}")
+        if not self.left_open:
+            out[0] = g_left
+        if not self.right_open:
+            out[-1] = g_right
+
+
 def solve_heat_subdomain(
     grid: SpaceGrid1D,
     nu: float,
@@ -100,63 +158,20 @@ def solve_heat_subdomain(
     nx = grid.n_cells
     if nx < 2:
         raise ValueError("a subdomain needs at least 2 cells")
-    dx = grid.dx
-    x = grid.nodes
     times = tgrid.times
-    m_steps = len(times) - 1
 
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (nx + 1,):
         raise ValueError("initial data must have one value per node")
 
-    left_open = left_bc.kind is not TraceKind.DIRICHLET
-    right_open = right_bc.kind is not TraceKind.DIRICHLET
-    lo = 0 if left_open else 1
-    hi = nx if right_open else nx - 1
-    n_unk = hi - lo + 1
-
-    u = np.empty((m_steps + 1, nx + 1))
+    steps = _Steps(grid, nu, left_bc, right_bc)
+    u = np.empty((len(times), nx + 1))
     u[0] = initial
-
     g_left = left_bc.samples
     g_right = right_bc.samples
-    x_unk = x[lo : hi + 1]
-    factors: dict[float, tuple] = {}
-
     for n, dt in enumerate(np.diff(times)):
-        if dt not in factors:
-            r = nu * dt / dx**2
-            factors[dt] = (_factorize(_build_matrix(r, dx, n_unk, left_bc, right_bc, left_open, right_open)), r)
-        cb, r = factors[dt]
-
-        b = u[n, lo : hi + 1].copy()
-        if source is not None:
-            b += dt * source(x_unk, times[n + 1])
-
-        if left_open:
-            if left_bc.kind is TraceKind.NEUMANN:
-                b[0] -= 2.0 * r * dx * g_left[n + 1]
-            else:
-                b[0] += 2.0 * r * dx * g_left[n + 1]
-            b[0] *= 0.5
-        else:
-            b[0] += r * g_left[n + 1]
-        if right_open:
-            # Neumann and Robin enter with the same sign at the right end.
-            b[-1] += 2.0 * r * dx * g_right[n + 1]
-            b[-1] *= 0.5
-        else:
-            b[-1] += r * g_right[n + 1]
-
-        u[n + 1, lo : hi + 1], info = dpbtrs(cb, b, lower=0, overwrite_b=1)
-        if info != 0:
-            raise SingularSystem(f"dpbtrs failed with info = {info}")
-
-    # The march never reads a pinned node, so the Dirichlet columns go in once.
-    if not left_open:
-        u[1:, 0] = g_left[1:]
-    if not right_open:
-        u[1:, nx] = g_right[1:]
+        f = None if source is None else source(steps.x_unk, times[n + 1])
+        steps.step(u[n], u[n + 1], dt, g_left[n + 1], g_right[n + 1], f)
     if not np.isfinite(u).all():
         raise ValueError("array must not contain infs or NaNs")
 

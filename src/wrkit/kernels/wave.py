@@ -53,10 +53,75 @@ import numpy as np
 
 from ..errors import CflViolation, WrongBoundaryKind
 from ..grids import CFL_SLACK, InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, cfl_number
-from .common import check_bc, half_cell_flux, leapfrog
+from .common import _leapfrog_step, check_bc, half_cell_flux, leapfrog
 from .problems import SpaceTimeField
 
 __all__ = ["solve_wave_subdomain", "solve_wave_strip_2d", "wave_interface_flux"]
+
+
+class _Stencil:
+    """The explicit update on a subdomain (``ygrid`` None) or a strip, for fixed x boundary kinds.
+
+    ``accel`` is its space part, ``pin`` writes the boundary data, and
+    ``step`` is one whole leapfrog update. x is axis 0 of every nodal
+    array; a strip's y axis rides along as axis 1, and any further
+    trailing axis (a batch of rows) rides along too, the boundary data
+    then holding one value per batch entry. Only the y Laplacian and the
+    lid pins depend on whether it is a strip.
+    """
+
+    def __init__(
+        self, xgrid: SpaceGrid1D, ygrid: SpaceGrid1D | None, c: float, left_kind, right_kind, source=None
+    ):
+        self.dx = xgrid.dx
+        self.dy = None if ygrid is None else ygrid.dx
+        self.c2 = c**2
+        self.c2_over_dx2 = self.c2 / self.dx**2
+        self.left_neumann = left_kind is TraceKind.NEUMANN
+        self.right_neumann = right_kind is TraceKind.NEUMANN
+        self.source = source
+        if ygrid is None:
+            self.coords = (xgrid.nodes,)
+        else:
+            self.coords = (xgrid.nodes[:, None], ygrid.nodes[None, :])
+
+    def accel(self, v: np.ndarray, g_left, g_right, t=None) -> np.ndarray:
+        """Right-hand side c^2 (dxx + dyy) v + f(t) at all nodes; ``g_*`` feed Neumann ghosts."""
+        dx = self.dx
+        # x part times dx^2, mirror ghosts next to Neumann ends; pinned rows are never read
+        lap = np.empty_like(v)
+        lap[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
+        lap[0] = 2.0 * (v[1] - v[0]) - 2.0 * dx * g_left if self.left_neumann else 0.0
+        lap[-1] = 2.0 * (v[-2] - v[-1]) + 2.0 * dx * g_right if self.right_neumann else 0.0
+        if self.dy is None:
+            a = self.c2_over_dx2 * lap
+        else:
+            lap /= dx**2
+            lap[:, 1:-1] += (v[:, :-2] - 2.0 * v[:, 1:-1] + v[:, 2:]) / self.dy**2
+            a = self.c2 * lap
+        if self.source is not None:
+            a = a + self.source(*self.coords, t)
+        return a
+
+    def pin(self, v: np.ndarray, g_left, g_right, bottom=0.0, top=0.0) -> None:
+        """Overwrite the Dirichlet x ends with ``g_*``, then a strip's lids (they own the corners)."""
+        if not self.left_neumann:
+            v[0] = g_left
+        if not self.right_neumann:
+            v[-1] = g_right
+        if self.dy is not None:
+            v[:, 0] = bottom
+            v[:, -1] = top
+
+    def step(self, cur: np.ndarray, prev: np.ndarray, tau: float, tau_prev: float, g_left, g_right):
+        """One leapfrog update without source or lid data: u^{n+1} from u^n and u^{n-1}.
+
+        ``g_*`` is the data each x end reads in this step: row n at a
+        Neumann end (its ghost), row n+1 at a Dirichlet end (its pin).
+        """
+        new = _leapfrog_step(cur, prev, tau, tau_prev, self.accel(cur, g_left, g_right))
+        self.pin(new, g_left, g_right)
+        return new
 
 
 def _march(
@@ -73,9 +138,8 @@ def _march(
 ) -> SpaceTimeField:
     """The explicit wave march on a subdomain (``ygrid`` None) or a strip.
 
-    x is axis 0 of every nodal array; a strip's y axis rides along as
-    axis 1. Only the y Laplacian, the lid pins and the expected shapes
-    depend on which it is.
+    Checks the data, then marches :class:`_Stencil` with
+    :func:`.common.leapfrog`.
     """
     ny = None if ygrid is None else ygrid.n_cells
     check_bc(left_bc, tgrid, "left", ny)
@@ -87,12 +151,11 @@ def _march(
     nx = xgrid.n_cells
     if nx < 2 or (ny is not None and ny < 2):
         raise ValueError("a subdomain needs at least 2 cells in each direction")
-    dx = xgrid.dx
     dy = None if ygrid is None else ygrid.dx
     times = tgrid.times
     m = len(times)
 
-    courant = cfl_number(c, dx, tgrid.max_step, dy)
+    courant = cfl_number(c, xgrid.dx, tgrid.max_step, dy)
     if courant > 1.0 + CFL_SLACK:
         raise CflViolation(f"Courant number {courant!r} exceeds 1")
 
@@ -102,49 +165,23 @@ def _march(
     if u0.shape != shape or v0.shape != shape:
         raise ValueError(f"initial data must be nodal {shape} arrays")
     if ygrid is None:
-        coords = (xgrid.nodes,)
+        bottom = top = np.zeros(m)  # never read: 1D has no lids
     else:
         bottom, top = (np.asarray(lid, dtype=float) for lid in lids)
         if bottom.shape != (m, nx + 1) or top.shape != (m, nx + 1):
             raise ValueError("bottom/top data must be (M+1, nx+1) histories")
-        coords = (xgrid.nodes[:, None], ygrid.nodes[None, :])
 
-    left_neumann = left_bc.kind is TraceKind.NEUMANN
-    right_neumann = right_bc.kind is TraceKind.NEUMANN
-    c2 = c**2
-    c2_over_dx2 = c2 / dx**2
-
+    stencil = _Stencil(xgrid, ygrid, c, left_bc.kind, right_bc.kind, source)
+    g_left, g_right = left_bc.samples, right_bc.samples
     u = np.empty((m,) + shape)
     u[0] = u0
-
-    def accel(n: int) -> np.ndarray:
-        """Right-hand side c^2 (dxx + dyy) u^n + f^n at all nodes."""
-        v = u[n]
-        # x part times dx^2, mirror ghosts next to Neumann ends; pinned rows are never read
-        lap = np.empty_like(v)
-        lap[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
-        lap[0] = 2.0 * (v[1] - v[0]) - 2.0 * dx * left_bc.samples[n] if left_neumann else 0.0
-        lap[-1] = 2.0 * (v[-2] - v[-1]) + 2.0 * dx * right_bc.samples[n] if right_neumann else 0.0
-        if ygrid is None:
-            a = c2_over_dx2 * lap
-        else:
-            lap /= dx**2
-            lap[:, 1:-1] += (v[:, :-2] - 2.0 * v[:, 1:-1] + v[:, 2:]) / dy**2
-            a = c2 * lap
-        if source is not None:
-            a = a + source(*coords, times[n])
-        return a
-
-    def pin(n: int) -> None:
-        if not left_neumann:
-            u[n, 0] = left_bc.samples[n]
-        if not right_neumann:
-            u[n, -1] = right_bc.samples[n]
-        if ygrid is not None:
-            u[n, :, 0] = bottom[n]
-            u[n, :, -1] = top[n]
-
-    leapfrog(u, times, v0, accel, pin)
+    leapfrog(
+        u,
+        times,
+        v0,
+        lambda n: stencil.accel(u[n], g_left[n], g_right[n], times[n]),
+        lambda n: stencil.pin(u[n], g_left[n], g_right[n], bottom[n], top[n]),
+    )
 
     return SpaceTimeField(
         xgrid=xgrid,

@@ -4,7 +4,7 @@ This module owns everything the three drivers have in common: the
 per-run grid bundle, the lattice rules a run applies (partition span,
 snapped y grid), one solver adapter class per model (data sampling,
 physical boundary data, solve, flux extraction, impedance) with the
-impulse responses that replace the march on uniform time grids,
+impulse responses that replace the march on the iteration path,
 projection-plan caching between per-subdomain time grids, reference
 resolution and the trace distance that is the error metric,
 normalization of initial guesses, the per-iteration monitor that
@@ -45,6 +45,8 @@ from ..kernels import (
     wave_interface_flux,
 )
 from ..kernels.common import check_bc, dirichlet_history, strip_data
+from ..kernels.heat import _Steps as _HeatSteps
+from ..kernels.wave import _Stencil as _WaveStencil
 from ..kernels.problems import ColumnField, SpaceTimeField
 from ..projection import build_plan, project_trace
 from .config import IterationHistory, Method, WrConfig
@@ -201,13 +203,16 @@ class _Workspace:
     interval, speed per subdomain (None for heat), initial value
     function, and shared y grid (None in 1D).
 
-    :meth:`solve` marches the kernel on a clipped time grid. On a uniform
-    grid every model's scheme is linear and shift-invariant in time, so a
-    solve is its particular part (all data but the interface traces) plus
-    a causal convolution of each interface trace with an impulse
-    response; :class:`_Response` builds both from marches of the kernel
-    and returns only the x columns the drivers read. A clipped final step
-    breaks the shift invariance, so those grids keep marching.
+    Every model's scheme is linear, and on uniform steps shift-invariant
+    in time, so :meth:`solve` is its particular part (all data but the
+    interface traces) plus a causal convolution of each interface trace
+    with an impulse response. A clipped grid's shorter final step adds
+    one last row, a fixed linear map of the rows before it:
+    ``_last_step(left_bc, right_bc, cur, prev, g_left, g_right)`` is the
+    kernel's own step, applied to a batch of rows. :class:`_Response`
+    builds all of it from marches of the kernel and returns only the x
+    columns the drivers read; :func:`build_workspaces` rejects any other
+    time grid.
     """
 
     impedance = 1.0
@@ -262,17 +267,15 @@ class _Workspace:
         """
         self.columns = tuple(self.xgrid.node_index(x) for x in xs)
 
-    def solve(self, left_bc, right_bc, homogeneous=False):
+    def solve(self, left_bc, right_bc, homogeneous=False) -> ColumnField:
         """Solve the subdomain with interface data ``left_bc``/``right_bc``.
 
         A side at the end of the chain takes None and gets the problem's
-        physical data (zero if homogeneous). Returns the marched
-        :class:`SpaceTimeField` on a clipped time grid, and on a uniform
-        one the :class:`ColumnField` of a response solve.
+        physical data (zero if homogeneous). Returns the
+        :class:`ColumnField` of a response solve; the first solve for a
+        set of side kinds builds the response.
         """
         inputs = {side: bc for side, bc in (("left", left_bc), ("right", right_bc)) if bc is not None}
-        if not self.tgrid.uniform:
-            return self._march(*self._boundaries(inputs, homogeneous), homogeneous)
         ny = None if self.ygrid is None else self.ygrid.n_cells
         for side, bc in inputs.items():
             check_bc(bc, self.tgrid, side, ny)
@@ -306,7 +309,7 @@ class _Workspace:
 class _Response:
     """One subdomain's solve for fixed interface-side kinds, as convolutions in time.
 
-    Built from marches of the adapter's own kernel on its uniform grid:
+    Built from marches of the adapter's own kernel on its time grid:
     one particular march with zero interface data (none when
     homogeneous: it is exactly zero), and per interface side one march
     with a unit impulse at row 1 and zero data elsewhere. The response
@@ -317,6 +320,17 @@ class _Response:
     row-1 response shifted back one row; there the impulse goes in at
     row 0 and a row m >= 1 weighs twice its shifted response.
 
+    A clipped grid ``[0, dt, ..., M dt, T]`` is shift-invariant over its
+    uniform prefix only: rows 0..M of its march are the march on
+    ``times[:M + 1]`` (bit for bit), so they are convolved as above. Row
+    M + 1 is one more step of the kernel, linear in rows M - 1 and M and
+    in the data the step reads (row M at a wave Neumann side, its ghost;
+    row M + 1 elsewhere). At build time that step is applied to every
+    consecutive row pair of each impulse march at once, which gives the
+    weight of every input row in the last row (``last``); a solve then
+    takes one dot product per kept column and side. The particular march
+    runs over the whole grid, last row included.
+
     On strips the interface data are expanded in the sine modes of the
     interior y nodes, in which the scheme with zero lids decouples. An
     impulse whose profile holds every mode with unit weight gives every
@@ -325,15 +339,26 @@ class _Response:
 
     Only the columns the drivers read are kept (``columns``). Time
     convolutions are products of ``numpy.fft`` real FFTs whose length is
-    the power of two at or above 2M + 1, so nothing wraps into the first
-    M + 1 rows. (A length of 2(M + 1), which is 2 * 251 on
+    the power of two at or above 2 rows - 1, so nothing wraps into the
+    convolved rows. (A length of 2 rows, which is 2 * 251 on
     ``fig_wave_T5``, doubled how far that preset's error rows moved from
     the march's.) ``scipy.fft`` is not used: importing it adds about
     3 MB to the peak resident memory of an import of the package.
+
+    The convolutions set an error floor above the march's. Run past
+    convergence (sweeps 10-15), ``fig_wave_T5``'s monitored error stays
+    at 1.3e-12 to 4.4e-12, against 3.7e-14 to 5.5e-14 with every solve
+    marched, so a ``tol`` under about 5e-12 on that chain may take more
+    sweeps than the march did (3e-12 misses sweep 10, 1e-12 is never
+    met). ``fig_wave_nonmatching`` (clipped grids) floors at 5.3e-13 to
+    5.9e-13 marched or not, a floor the convolutions do not raise: its
+    converged row moved by 3.5e-15 of its initial error, and every
+    ``tol`` down to 1e-12 takes the march's sweep count.
     """
 
     def __init__(self, space: _Workspace, inputs: dict, homogeneous: bool):
-        self.rows = space.tgrid.n_steps + 1
+        clipped = not space.tgrid.uniform
+        self.rows = space.tgrid.n_steps + (0 if clipped else 1)
         self.length = 1 << (2 * self.rows - 2).bit_length()
         if space.columns is not None:
             self.columns = space.columns
@@ -348,16 +373,19 @@ class _Response:
             first = 0 if bc.kind in space._row0_kinds else 1
             samples = np.zeros_like(bc.samples)
             samples[first] = space._profile()
-            impulse = {**zero, side: bc.with_samples(samples)}
-            field = space._march(*space._boundaries(impulse, True), True)
-            responses = np.stack([space._modes(field.column(j))[first:] for j in self.columns])
+            bcs = space._boundaries({**zero, side: bc.with_samples(samples)}, True)
+            field = space._march(*bcs, True)
+            responses = np.stack(
+                [space._modes(field.column(j))[first : self.rows] for j in self.columns]
+            )
             if first:  # row 0 is never read
                 weights = np.ones(self.rows)
                 weights[0] = 0.0
             else:  # row m >= 1 weighs twice the row-0 response shifted by m
                 weights = np.full(self.rows, 2.0)
                 weights[0] = 1.0
-            self.kernels[side] = (weights[:, None], np.fft.rfft(responses, n=self.length, axis=1))
+            last = self._last(space, bcs, side, field.values, first, weights) if clipped else None
+            self.kernels[side] = (weights[:, None], np.fft.rfft(responses, n=self.length, axis=1), last)
         if homogeneous:
             self.particular = [np.zeros_like(field.column(j)) for j in self.columns]
         else:
@@ -367,13 +395,54 @@ class _Response:
         self.kinds = (field.left_kind, field.right_kind)
         self.initial_rate = field.initial_rate
 
+    def _last(self, space: _Workspace, bcs, side: str, values: np.ndarray, first: int, weights):
+        """Weights ``(columns, M + 2, modes)`` of each row of ``side``'s data in the last row.
+
+        ``values`` is ``side``'s impulse march. Its step from rows i - 1
+        and i with zero data is q[i]; an input row m reaches the last row
+        through rows M - 1 and M of its shifted response, so it weighs
+        ``weights[m] * q[M - m + first]``. A last batch entry steps zero
+        rows with the impulse profile as the data the step reads: the
+        weight of row M + first.
+        """
+        M = self.rows - 1
+        zero = np.zeros_like(values[:1])
+        cur = np.concatenate((values[: M + 1], zero))
+        prev = np.concatenate((zero, values[:M], zero))
+        data = np.zeros((M + 2,) + bcs[0].samples.shape[1:])
+        data[-1] = space._profile()
+        g = {s: data if s == side else np.zeros_like(data) for s in ("left", "right")}
+        # The rows ride along as the last axis, 64 at a time to keep the step's temporaries small.
+        batch = [np.moveaxis(a, 0, -1) for a in (cur, prev, g["left"], g["right"])]
+        cols = list(self.columns)
+        new = np.concatenate(
+            [
+                space._last_step(*bcs, *(a[..., s : s + 64] for a in batch))[cols]
+                for s in range(0, M + 2, 64)
+            ],
+            axis=-1,
+        )
+        m = np.arange(first, M + 1)
+        out = []
+        for column in new:
+            q = space._modes(np.moveaxis(column, -1, 0))
+            last = np.zeros_like(q)
+            last[m] = weights[m, None] * q[M + first - m]
+            last[M + first] += q[-1]
+            out.append(last)
+        return np.stack(out)
+
     def apply(self, space: _Workspace, inputs: dict) -> ColumnField:
         """The kept columns of ``space``'s solve with interface data ``inputs``."""
-        total = 0.0
-        for side, (weights, kernel) in self.kernels.items():
-            data = np.fft.rfft(weights * space._modes(inputs[side].samples), n=self.length, axis=0)
-            total = total + kernel * data
+        total = last_row = 0.0
+        for side, (weights, kernel, last) in self.kernels.items():
+            modes = space._modes(inputs[side].samples)
+            total = total + kernel * np.fft.rfft(weights * modes[: self.rows], n=self.length, axis=0)
+            if last is not None:
+                last_row = last_row + np.einsum("cmk,mk->ck", last, modes)
         modes = np.fft.irfft(total, n=self.length, axis=1)[:, : self.rows]
+        if not space.tgrid.uniform:
+            modes = np.concatenate((modes, last_row[:, None]), axis=1)
         columns = {
             j: space._from_modes(base, mode)
             for j, base, mode in zip(self.columns, self.particular, modes)
@@ -410,6 +479,12 @@ class _Heat1D(_Workspace):
             self.xgrid, self.problem.nu, self.tgrid, u0, left_bc, right_bc, source
         )
 
+    def _last_step(self, left_bc, right_bc, cur, prev, g_left, g_right) -> np.ndarray:
+        out = np.empty_like(cur)
+        steps = _HeatSteps(self.xgrid, self.problem.nu, left_bc, right_bc)
+        steps.step(cur, out, self.tgrid.steps[-1], g_left, g_right)
+        return out
+
     def flux(self, field, side: str) -> InterfaceTrace:
         return heat_interface_flux(field, side, self.problem.nu, self.problem.source)
 
@@ -442,6 +517,11 @@ class _Wave1D(_Workspace):
         return solve_wave_subdomain(
             self.xgrid, self.c, self.tgrid, u0, v0, left_bc, right_bc, source
         )
+
+    def _last_step(self, left_bc, right_bc, cur, prev, g_left, g_right) -> np.ndarray:
+        tau_prev, tau = self.tgrid.steps[-2:]
+        stencil = _WaveStencil(self.xgrid, self.ygrid, self.c, left_bc.kind, right_bc.kind)
+        return stencil.step(cur, prev, tau, tau_prev, g_left, g_right)
 
     def flux(self, field, side: str) -> InterfaceTrace:
         return wave_interface_flux(field, side, self.c, self.problem.source)
@@ -551,16 +631,25 @@ def build_workspaces(
     """One solver adapter per subdomain, plus the shared y grid (2D only).
 
     ``bounds`` optionally replaces every subdomain's interval; the
-    overlapping Schwarz driver extends its subdomains this way.
+    overlapping Schwarz driver extends its subdomains this way. Each time
+    grid must be uniform, or uniform steps followed by one shorter final
+    step (what :func:`make_run_grids` builds): a response serves no other
+    grid, so any other raises :class:`ValidationError`.
     """
     model = _adapter(problem)
     n = partition.n_subdomains
     if len(grids.tgrids) != n:
         raise ValidationError(f"need one time grid per subdomain ({n}), got {len(grids.tgrids)}")
     T0 = grids.tgrids[0].T
-    for tg in grids.tgrids[1:]:
+    for i, tg in enumerate(grids.tgrids, start=1):
         if abs(tg.T - T0) > 1e-12 * max(1.0, abs(T0)):
             raise ValidationError("all subdomains must cover the same time window")
+        steps = tg.steps
+        if not (tg.uniform or (TimeGrid(tg.times[:-1]).uniform and steps[-1] < steps[0])):
+            raise ValidationError(
+                f"time grid {i} is neither uniform nor uniform steps followed by one shorter "
+                "final step, so a subdomain solve cannot be a response"
+            )
 
     check_span(model.interval(problem), partition)
 

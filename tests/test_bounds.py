@@ -161,6 +161,19 @@ def test_heat_bound_superlinearity():
     assert b8[21] / b8[20] < b8[1] / b8[0]
 
 
+@pytest.mark.parametrize("widths, nu_T, k", [
+    ((1.0, 1.0, 1.5), 3150.0, 1100),  # 2^k overflows; erfc(9.8) is a float
+    ((1.0, 1.0, 1.5), 578.4, 1443),  # 2^k overflows; erfc(30) underflows to 0
+])
+def test_envelope_past_the_float_range(widths, nu_T, k):
+    # multiplier 2m - 3 + 2 h_max / h_2 = 2 with m = 1
+    x = mpmath.mpf(k) / (2 * mpmath.sqrt(mpmath.mpf(nu_T)))
+    ref = float(mpmath.mpf(2) ** k * mpmath.erfc(x))
+    assert 1e-300 < ref < 1e300
+    got = heat_bound_unequal(1, widths, 1.0, nu_T, k)
+    assert abs(got - ref) <= 1e-9 * ref
+
+
 def test_wave_steps_short_window():
     assert wave_steps_needed(0.5, (1.0, 0.5, 1.5, 1.0, 1.0), 1.0) == 2
 

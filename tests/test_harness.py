@@ -545,6 +545,21 @@ def test_cli_bound_heat_equal_when_q_diverges(capsys):
     # 2m - 1 = 3 binds: B(2) = 3^2 erfc(2 h / (2 sqrt(nu T)))
     assert lines[3] == f"2,{9 * math.erfc(2.0 / (2.0 * math.sqrt(2500.0)))!r}"
 
+@pytest.mark.parametrize("kind, params", [
+    ("heat-equal", ["count=5", "h=1"]),  # integer multiplier 3: 3**k overflows int -> float
+    ("heat-unequal", ["m=2", "widths=1,1,1,1,1"]),  # float 3**k overflows to inf, erfc to 0
+    ("heat-even", ["m=1", "widths=1,2,1,1"]),
+])
+def test_cli_bound_past_the_float_range(capsys, kind, params):
+    rc = main(["bound", "--kind", kind, "--params", *params, "nu=1", "T=2", "kmax=700"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 702
+    values = [float(line.split(",")[1]) for line in lines[1:]]
+    assert all(math.isfinite(v) and v >= 0.0 for v in values)
+    assert values[0] == 1.0 and values[-1] == 0.0
+
+
 def test_cli_error_paths(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "missing.cfg")])
     assert rc == 2

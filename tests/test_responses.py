@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import wrkit.methods.workspace as workspace
-from wrkit.grids import InterfaceTrace, TraceKind, make_partition
+from wrkit.errors import ValidationError
+from wrkit.grids import InterfaceTrace, TimeGrid, TraceKind, make_partition
 from wrkit.kernels import HeatProblem, Wave2DProblem, WaveProblem
-from wrkit.kernels.problems import ColumnField, SpaceTimeField
-from wrkit.methods import make_run_grids
+from wrkit.kernels.problems import ColumnField
+from wrkit.methods import RunGrids, make_run_grids
 from wrkit.methods.workspace import build_workspaces
 
 D, N, R = TraceKind.DIRICHLET, TraceKind.NEUMANN, TraceKind.ROBIN
@@ -60,10 +61,10 @@ SETUPS = {
 }
 
 
-def _spaces(model: str, dt=None):
-    problem, boundaries, dx, T, step, dy = SETUPS[model]
+def _spaces(model: str, dt=None, T=None):
+    problem, boundaries, dx, window, step, dy = SETUPS[model]
     part = make_partition(boundaries)
-    grids = make_run_grids(part, dx, T, step if dt is None else dt, dy)
+    grids = make_run_grids(part, dx, window if T is None else T, step if dt is None else dt, dy)
     spaces, _ = build_workspaces(problem, part, grids)
     return spaces
 
@@ -138,10 +139,13 @@ def test_response_solve_matches_the_march(model, s, left, right, homogeneous):
 
 
 def test_named_columns_match_the_march():
-    space = _spaces("strip")[2]
-    space.read_columns([0.6, 0.8, 0.9])
-    got = _assert_matches_march(space, _trace(space, D, 5), _trace(space, D, 6), boundaries=False)
-    assert sorted(got.columns) == [1, 3, 4]
+    for dt in (None, 0.07):  # uniform, then clipped
+        space = _spaces("strip", dt=dt)[2]
+        space.read_columns([0.6, 0.8, 0.9])
+        for seed in (5, 7):
+            lbc, rbc = _trace(space, D, seed), _trace(space, D, seed + 1)
+            got = _assert_matches_march(space, lbc, rbc, boundaries=False)
+        assert sorted(got.columns) == [1, 3, 4]
 
 
 def test_reading_a_column_not_kept_raises():
@@ -152,28 +156,78 @@ def test_reading_a_column_not_kept_raises():
         got.column(5)
 
 
+# On a clipped grid rows 0..M are a response on the uniform prefix and
+# row M + 1 is a last-row map; steps from the presets and perfbench.
+CLIPPED = [
+    ("heat", 0.13, None, 2, D, N, False),
+    ("heat", 0.039, None, 2, N, D, False),
+    ("heat", 0.039, None, 2, R, D, False),
+    ("heat", 0.13, None, 1, None, R, False),
+    ("heat", 0.6, None, 2, D, N, False),  # M = 1
+    ("heat", 0.13, None, 2, N, N, True),
+    ("wave", 0.013, None, 2, D, N, False),
+    ("wave", 0.0039, None, 2, N, D, False),
+    ("wave", 0.013, None, 1, None, N, False),
+    ("wave", 0.013, None, 3, N, None, False),
+    ("wave", 0.03, 0.05, 2, N, D, False),  # M = 1
+    ("wave", 0.0039, None, 2, N, N, True),
+    ("strip", 0.07, None, 2, D, N, False),
+    ("strip", 0.07, None, 2, N, D, False),
+    ("strip", 0.07, None, 3, N, None, False),
+    ("strip", 0.07, None, 2, N, N, True),
+]
+
+
+@pytest.mark.parametrize(
+    "model, dt, T, s, left, right, homogeneous",
+    CLIPPED,
+    ids=[
+        f"{m}-dt{dt}-{s}-{l and l.name}-{r and r.name}-{'hom' if h else 'data'}"
+        for m, dt, T, s, l, r, h in CLIPPED
+    ],
+)
+def test_clipped_response_solve_matches_the_march(model, dt, T, s, left, right, homogeneous):
+    space = _spaces(model, dt=dt, T=T)[s]
+    steps = space.tgrid.steps
+    assert not space.tgrid.uniform and steps[-1] < steps[0]
+    if T is not None:
+        assert space.tgrid.n_steps == 2
+    for seed in (1, 3):  # the second solve reuses the cached kernels
+        lbc = None if left is None else _trace(space, left, seed)
+        rbc = None if right is None else _trace(space, right, seed + 1)
+        _assert_matches_march(space, lbc, rbc, homogeneous)
+
+
 @pytest.mark.parametrize("model, kernel", [
     ("heat", "solve_heat_subdomain"),
     ("wave", "solve_wave_subdomain"),
     ("strip", "solve_wave_strip_2d"),
 ])
-def test_clipped_grids_march_and_uniform_grids_build_once(monkeypatch, model, kernel):
+def test_clipped_and_uniform_grids_build_once(monkeypatch, model, kernel):
     calls = []
     real = getattr(workspace, kernel)
     monkeypatch.setattr(workspace, kernel, lambda *a: calls.append(1) or real(*a))
 
-    clipped = _spaces(model, dt=SETUPS[model][4] * 1.1)[2]
-    assert not clipped.tgrid.uniform
-    for seed in (1, 2):
-        field = clipped.solve(_trace(clipped, D, seed), _trace(clipped, N, seed + 1))
-        assert isinstance(field, SpaceTimeField)
-    assert len(calls) == 2
+    for dt in (SETUPS[model][4] * 1.1, None):
+        calls.clear()
+        space = _spaces(model, dt=dt)[2]
+        assert space.tgrid.uniform is (dt is None)
+        for seed in (1, 2, 3):
+            field = space.solve(_trace(space, D, seed), _trace(space, N, seed + 1))
+            assert isinstance(field, ColumnField)
+        assert len(calls) == 3  # the particular part and one impulse per side
 
-    calls.clear()
-    space = _spaces(model)[2]
-    for seed in (1, 2, 3):
-        space.solve(_trace(space, D, seed), _trace(space, N, seed + 1))
-    assert len(calls) == 3  # the particular part and one impulse per side
+
+def test_a_grid_no_response_can_serve_is_rejected():
+    problem, boundaries, dx, T, step, dy = SETUPS["wave"]
+    part = make_partition(boundaries)
+    grids = make_run_grids(part, dx, T, step, dy)
+    longer = np.append(np.arange(39) * step, T)  # a final step twice the others
+    uneven = np.linspace(0.0, T, 41) ** 1.5
+    for times in (longer, uneven):
+        bad = RunGrids(grids.dx, grids.tgrids[:2] + (TimeGrid(times),), grids.dy)
+        with pytest.raises(ValidationError, match="time grid 3 is neither uniform nor uniform steps"):
+            build_workspaces(problem, part, bad)
 
 
 # The row-0 facts: which kernels read row 0 of their interface data.

@@ -16,7 +16,11 @@ The JSON file holds:
   0.004, T 2, sequential sweep), the unit-Courant wave chain of
   ``fig_wave_T5`` at dx 0.02, 0.01 and 0.005, and the three-strip
   ``cmp2d_3sub_dnwr`` run at dy 0.16, 0.08 and 0.04 (dt 0.02 throughout,
-  so every dy passes the Courant check); one run each;
+  so every dy passes the Courant check), and the clipped-grid chain of
+  ``fig_wave_nonmatching`` at dx 0.1, 0.05 and 0.025 with its steps
+  0.13, 0.039, 0.1 scaled with dx (so each subdomain keeps its Courant
+  number, and the first two steps divide T = 2 at no size: their grids
+  stay clipped); one run each;
 * ``perfbench``: per workload, the metrics of one traced
   ``perfbench/run.py --trace 1`` run at perfbench's default seed and
   length (the per-layer values are medians over its traced replays),
@@ -61,6 +65,11 @@ def _scaling() -> dict[str, str]:
         runs[f"wave_dx{dx}"] = _replace(preset_text("fig_wave_T5"), dx=dx, dt=dx, label=f"wave_dx{dx}")
     for dy in ("0.16", "0.08", "0.04"):
         runs[f"strip_dy{dy}"] = _replace(preset_text("cmp2d_3sub_dnwr"), dy=dy, dt="0.02", label=f"strip_dy{dy}")
+    for dx, scale in (("0.1", 1.0), ("0.05", 0.5), ("0.025", 0.25)):
+        dt = ", ".join(f"{step * scale:g}" for step in (0.13, 0.039, 0.1))
+        runs[f"nonmatching_dx{dx}"] = _replace(
+            preset_text("fig_wave_nonmatching"), dx=dx, dt=dt, label=f"nonmatching_dx{dx}"
+        )
     return runs
 
 
