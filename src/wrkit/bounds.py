@@ -27,6 +27,7 @@ error is 5.1e-16, and tests cross-check it against the same oracle.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -84,39 +85,43 @@ def reflection_series(h: float, nu: float, T: float) -> float:
 
 
 def _log_erfc(x: float) -> float:
-    """log erfc(x); past x = 27.3, where erfc underflows to 0, its asymptotic series.
+    """log erfc(x); its asymptotic series where erfc(x) is below the normal range (x > 26.72).
 
-    log erfc(x) = -x^2 - log(x sqrt(pi)) + log(1 - 1/(2x^2) + 3/(4x^4) - 15/(8x^6) + ...),
-    whose first omitted term is below 2e-11 of the sum there.
+    log erfc(x) = -x^2 - log(x sqrt(pi)) + log(1 - z + 3 z^2 - 15 z^3 + 105 z^4 - 945 z^5 + ...)
+    with z = 1/(2 x^2), whose first omitted term is below 2e-15 of the
+    sum there. A subnormal erfc(x) has lost digits, so its log is not used.
     """
     value = erfc_eval(x)
-    if value > 0.0:
+    if value >= sys.float_info.min:
         return math.log(value)
     z = 1.0 / (2.0 * x * x)
-    return -x * x - math.log(x * math.sqrt(math.pi)) + math.log1p(-z + 3.0 * z * z - 15.0 * z**3)
+    series = -z + 3.0 * z**2 - 15.0 * z**3 + 105.0 * z**4 - 945.0 * z**5
+    return -x * x - math.log(x * math.sqrt(math.pi)) + math.log1p(series)
 
 
 def _envelope(multiplier: float, h_min: float, nu: float, T: float, k: int) -> float:
     """multiplier^k * erfc(k h_min / (2 sqrt(nu T))), the shape of every heat envelope.
 
-    The product is taken as written wherever it is finite. Where
-    multiplier^k overflows, or meets an erfc that underflowed to 0
-    (inf * 0), it is exp(k log(multiplier) + log erfc(.)) instead (see
-    :func:`_log_erfc`), inf only when that exceeds the float range. For
-    large k the -x^2 of log erfc wins and the value tends to 0.
+    The product is taken as written wherever erfc(.) is a normal float
+    and the product is finite. Where erfc(.) is below the normal range
+    (subnormal, with lost digits, or 0), or multiplier^k overflows, it is
+    exp(k log(multiplier) + log erfc(.)) instead (see :func:`_log_erfc`),
+    inf only when that exceeds the float range. For large k the -x^2 of
+    log erfc wins and the value tends to 0.
     """
     if nu <= 0 or T <= 0:
         raise ValueError("nu and T must be positive")
     if k < 0 or k != int(k):
         raise ValueError("iteration index k must be a nonnegative integer")
     x = k * h_min / (2.0 * math.sqrt(nu * T))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = float(multiplier**k * erfc_eval(x))
-    except OverflowError:  # an integer multiplier^k beyond the float range
-        value = math.inf
-    if math.isfinite(value):
-        return value
+    if erfc_eval(x) >= sys.float_info.min:
+        try:
+            with np.errstate(over="ignore"):
+                value = float(multiplier**k * erfc_eval(x))
+        except OverflowError:  # an integer multiplier^k beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
     try:
         return math.exp(k * math.log(multiplier) + _log_erfc(x))
     except OverflowError:
@@ -134,6 +139,8 @@ def heat_bound_unequal(m: int, widths: Sequence[float], nu: float, T: float, k: 
         raise EvenCount("odd subdomain count required; use heat_bound_even")
     if len(w) != 2 * m + 1:
         raise ValueError(f"expected 2m+1={2*m+1} widths, got {len(w)}")
+    if m < 1:  # one subdomain: no interface, and a multiplier of -1
+        raise ValueError("the envelope needs m >= 1 (three subdomains or more)")
     return _envelope(2 * m - 3 + 2.0 * w.max() / w[m], w.min(), nu, T, k)
 
 

@@ -22,6 +22,17 @@ Cholesky factorization per distinct step size serves the whole window.
 Each step is one LAPACK ``dpbtrs`` call on the cached factor, and the
 finished field is checked for infs and NaNs once.
 
+The march may carry a trailing batch axis: several right-hand sides
+with the same boundary kinds step together, one ``dpbtrs`` column each,
+with the same arithmetic per column as a march of that column alone.
+Entry 0 alone takes the source. The response builds of
+``wrkit.methods.workspace`` march a particular part and one impulse per
+interface side as one batch; :func:`solve_heat_subdomain` marches the
+same loop without the axis. An axis of length one would turn each
+step's scalar boundary updates into array operations and about double
+the step's cost (11.8 against 5.7 us for 100 nodes on a 2-vCPU Xeon),
+which the monodomain reference solve would pay.
+
 Flux extraction recovers u_x at a boundary from the one-sided difference
 plus a half-cell correction that replaces the second space derivative
 through the PDE itself:
@@ -99,7 +110,11 @@ class _Steps:
         self._factors: dict[float, tuple] = {}
 
     def step(self, cur: np.ndarray, out: np.ndarray, dt: float, g_left, g_right, f=None) -> None:
-        """Write u^{n+1} into ``out`` from u^n in ``cur``, the boundary data at n+1 and f^{n+1}."""
+        """Write u^{n+1} into ``out`` from u^n in ``cur``, the boundary data at n+1 and f^{n+1}.
+
+        With a batch axis on ``cur`` and ``out``, ``g_*`` hold one value
+        per entry and ``f``, if given, goes to entry 0 only.
+        """
         lo, hi, dx = self.lo, self.hi, self.dx
         if dt not in self._factors:
             r = self.nu * dt / dx**2
@@ -111,7 +126,8 @@ class _Steps:
 
         b = cur[lo : hi + 1].copy()
         if f is not None:
-            b += dt * f
+            entry0 = b if b.ndim == 1 else b[:, 0]
+            entry0 += dt * f
 
         if self.left_open:
             if self.left_bc.kind is TraceKind.NEUMANN:
@@ -137,6 +153,44 @@ class _Steps:
             out[-1] = g_right
 
 
+def _march(
+    grid: SpaceGrid1D,
+    nu: float,
+    tgrid: TimeGrid,
+    initial: np.ndarray,
+    left_bc: InterfaceTrace,
+    right_bc: InterfaceTrace,
+    g_left: np.ndarray,
+    g_right: np.ndarray,
+    source=None,
+) -> np.ndarray:
+    """March the implicit scheme across the window: ``(M+1, nx+1)``, or ``(M+1, nx+1, batch)``.
+
+    ``left_bc``/``right_bc`` give the boundary kinds (and Robin p) of
+    every entry; their data are ``g_left``/``g_right``, ``(M+1,)`` or
+    ``(M+1, batch)``. ``initial`` is ``(nx+1,)`` or ``(nx+1, batch)``.
+    The source goes to entry 0 alone.
+    """
+    if nu <= 0:
+        raise ValueError("nu must be positive")
+    nx = grid.n_cells
+    if nx < 2:
+        raise ValueError("a subdomain needs at least 2 cells")
+    if initial.shape[:1] != (nx + 1,) or initial.ndim > 2:
+        raise ValueError("initial data must have one value per node")
+    times = tgrid.times
+
+    steps = _Steps(grid, nu, left_bc, right_bc)
+    u = np.empty((len(times),) + initial.shape)
+    u[0] = initial
+    for n, dt in enumerate(np.diff(times)):
+        f = None if source is None else source(steps.x_unk, times[n + 1])
+        steps.step(u[n], u[n + 1], dt, g_left[n + 1], g_right[n + 1], f)
+    if not np.isfinite(u).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return u
+
+
 def solve_heat_subdomain(
     grid: SpaceGrid1D,
     nu: float,
@@ -153,28 +207,8 @@ def solve_heat_subdomain(
     """
     check_bc(left_bc, tgrid, "left")
     check_bc(right_bc, tgrid, "right")
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    nx = grid.n_cells
-    if nx < 2:
-        raise ValueError("a subdomain needs at least 2 cells")
-    times = tgrid.times
-
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape != (nx + 1,):
-        raise ValueError("initial data must have one value per node")
-
-    steps = _Steps(grid, nu, left_bc, right_bc)
-    u = np.empty((len(times), nx + 1))
-    u[0] = initial
-    g_left = left_bc.samples
-    g_right = right_bc.samples
-    for n, dt in enumerate(np.diff(times)):
-        f = None if source is None else source(steps.x_unk, times[n + 1])
-        steps.step(u[n], u[n + 1], dt, g_left[n + 1], g_right[n + 1], f)
-    if not np.isfinite(u).all():
-        raise ValueError("array must not contain infs or NaNs")
-
+    u0 = np.asarray(initial, dtype=float)
+    u = _march(grid, nu, tgrid, u0, left_bc, right_bc, left_bc.samples, right_bc.samples, source)
     return SpaceTimeField(
         xgrid=grid,
         tgrid=tgrid,

@@ -15,6 +15,14 @@ axis rides along, so the checks, the Neumann ghosts, the Dirichlet pins
 and the field are stated once, and only the y part of L and the y lids
 are strip-only.
 
+The march may also carry a trailing batch axis: several solves with
+the same x boundary kinds step together, each entry with its own
+initial data, boundary data and lids, and with the same arithmetic as a
+march of that entry alone. Entry 0 alone takes the source. The response
+builds of ``wrkit.methods.workspace`` march a particular part and one
+impulse per interface side as one batch; the two public solvers march
+the same loop without the axis.
+
 Time grids may have unequal steps (a clipped final step, for example);
 the march in :func:`.common.leapfrog`, shared with the piecewise-speed
 monodomain solve, replaces the second time difference with its
@@ -64,10 +72,11 @@ class _Stencil:
 
     ``accel`` is its space part, ``pin`` writes the boundary data, and
     ``step`` is one whole leapfrog update. x is axis 0 of every nodal
-    array; a strip's y axis rides along as axis 1, and any further
-    trailing axis (a batch of rows) rides along too, the boundary data
-    then holding one value per batch entry. Only the y Laplacian and the
-    lid pins depend on whether it is a strip.
+    array; a strip's y axis rides along as axis 1, and a trailing batch
+    axis (solves, or rows) may ride along too, the boundary data and lids
+    then holding one value per batch entry and the source going to entry
+    0 alone. Only the y Laplacian and the lid pins depend on whether it
+    is a strip.
     """
 
     def __init__(
@@ -86,7 +95,7 @@ class _Stencil:
             self.coords = (xgrid.nodes[:, None], ygrid.nodes[None, :])
 
     def accel(self, v: np.ndarray, g_left, g_right, t=None) -> np.ndarray:
-        """Right-hand side c^2 (dxx + dyy) v + f(t) at all nodes; ``g_*`` feed Neumann ghosts."""
+        """c^2 (dxx + dyy) v, plus f(t) in entry 0, at all nodes; ``g_*`` feed Neumann ghosts."""
         dx = self.dx
         # x part times dx^2, mirror ghosts next to Neumann ends; pinned rows are never read
         lap = np.empty_like(v)
@@ -100,7 +109,8 @@ class _Stencil:
             lap[:, 1:-1] += (v[:, :-2] - 2.0 * v[:, 1:-1] + v[:, 2:]) / self.dy**2
             a = self.c2 * lap
         if self.source is not None:
-            a = a + self.source(*self.coords, t)
+            entry0 = a if a.ndim == len(self.coords) else a[..., 0]
+            entry0 += self.source(*self.coords, t)
         return a
 
     def pin(self, v: np.ndarray, g_left, g_right, bottom=0.0, top=0.0) -> None:
@@ -129,26 +139,33 @@ def _march(
     ygrid: SpaceGrid1D | None,
     c: float,
     tgrid: TimeGrid,
-    initial_u,
-    initial_ut,
+    initial_u: np.ndarray,
+    initial_ut: np.ndarray,
     left_bc: InterfaceTrace,
     right_bc: InterfaceTrace,
+    g_left: np.ndarray,
+    g_right: np.ndarray,
     lids,
     source,
-) -> SpaceTimeField:
+) -> np.ndarray:
     """The explicit wave march on a subdomain (``ygrid`` None) or a strip.
 
-    Checks the data, then marches :class:`_Stencil` with
-    :func:`.common.leapfrog`.
+    ``left_bc``/``right_bc`` give the x boundary kinds of every entry;
+    their data are ``g_left``/``g_right``, ``(M+1,)`` or ``(M+1, ny+1)``
+    plus the batch axis if there is one. ``initial_u``/``initial_ut``
+    are nodal arrays, with the batch axis last if there is one, and a
+    strip's ``lids`` are the bottom and top histories ``(M+1, nx+1)``
+    plus the batch axis (None in 1D). Checks the kinds, the speed, the
+    cell counts, the Courant number and the shapes, then marches
+    :class:`_Stencil` with :func:`.common.leapfrog`; returns the values,
+    ``(M+1,) + nodal shape + batch``.
     """
-    ny = None if ygrid is None else ygrid.n_cells
-    check_bc(left_bc, tgrid, "left", ny)
-    check_bc(right_bc, tgrid, "right", ny)
     if TraceKind.ROBIN in (left_bc.kind, right_bc.kind):
         raise WrongBoundaryKind("the wave kernel takes Dirichlet or Neumann data, not Robin")
     if c <= 0:
         raise ValueError("wave speed must be positive")
     nx = xgrid.n_cells
+    ny = None if ygrid is None else ygrid.n_cells
     if nx < 2 or (ny is not None and ny < 2):
         raise ValueError("a subdomain needs at least 2 cells in each direction")
     dy = None if ygrid is None else ygrid.dx
@@ -160,29 +177,37 @@ def _march(
         raise CflViolation(f"Courant number {courant!r} exceeds 1")
 
     shape = (nx + 1,) if ygrid is None else (nx + 1, ny + 1)
-    u0 = np.asarray(initial_u, dtype=float)
-    v0 = np.asarray(initial_ut, dtype=float)
-    if u0.shape != shape or v0.shape != shape:
+    batch = initial_u.shape[len(shape) :]  # () or (entries,)
+    if initial_u.shape != shape + batch or initial_ut.shape != shape + batch or len(batch) > 1:
         raise ValueError(f"initial data must be nodal {shape} arrays")
     if ygrid is None:
         bottom = top = np.zeros(m)  # never read: 1D has no lids
     else:
-        bottom, top = (np.asarray(lid, dtype=float) for lid in lids)
-        if bottom.shape != (m, nx + 1) or top.shape != (m, nx + 1):
+        bottom, top = lids
+        if bottom.shape != (m, nx + 1) + batch or top.shape != (m, nx + 1) + batch:
             raise ValueError("bottom/top data must be (M+1, nx+1) histories")
 
     stencil = _Stencil(xgrid, ygrid, c, left_bc.kind, right_bc.kind, source)
-    g_left, g_right = left_bc.samples, right_bc.samples
-    u = np.empty((m,) + shape)
-    u[0] = u0
+    u = np.empty((m,) + initial_u.shape)
+    u[0] = initial_u
     leapfrog(
         u,
         times,
-        v0,
+        initial_ut,
         lambda n: stencil.accel(u[n], g_left[n], g_right[n], times[n]),
         lambda n: stencil.pin(u[n], g_left[n], g_right[n], bottom[n], top[n]),
     )
+    return u
 
+
+def _solve(xgrid, ygrid, c, tgrid, initial_u, initial_ut, left_bc, right_bc, lids, source):
+    """One solve, without a batch axis: what both public solvers do."""
+    ny = None if ygrid is None else ygrid.n_cells
+    check_bc(left_bc, tgrid, "left", ny)
+    check_bc(right_bc, tgrid, "right", ny)
+    u0, v0, *lids = (np.asarray(a, dtype=float) for a in (initial_u, initial_ut, *(lids or ())))
+    g_left, g_right, lids = left_bc.samples, right_bc.samples, lids or None
+    u = _march(xgrid, ygrid, c, tgrid, u0, v0, left_bc, right_bc, g_left, g_right, lids, source)
     return SpaceTimeField(
         xgrid=xgrid,
         tgrid=tgrid,
@@ -208,7 +233,7 @@ def solve_wave_subdomain(
 
     Raises :class:`WrongBoundaryKind` for Robin boundary data.
     """
-    return _march(grid, None, c, tgrid, initial_u, initial_ut, left_bc, right_bc, None, source)
+    return _solve(grid, None, c, tgrid, initial_u, initial_ut, left_bc, right_bc, None, source)
 
 
 def solve_wave_strip_2d(
@@ -232,7 +257,7 @@ def solve_wave_strip_2d(
     y boundaries. Raises :class:`WrongBoundaryKind` for Robin boundary
     data.
     """
-    return _march(
+    return _solve(
         xgrid, ygrid, c, tgrid, initial_u, initial_ut, left_bc, right_bc, (bottom, top), source
     )
 

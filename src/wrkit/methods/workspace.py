@@ -32,7 +32,10 @@ from ..grids import (
     make_time_grid_clipped,
     zero_trace,
 )
-from ..kernels import (
+# The three public subdomain solvers are not called here (response builds
+# march the kernels' batched cores); perfbench/spans.py looks them up in
+# this module, so they stay importable from it.
+from ..kernels import (  # noqa: F401
     HeatProblem,
     Wave2DProblem,
     WaveProblem,
@@ -45,7 +48,9 @@ from ..kernels import (
     wave_interface_flux,
 )
 from ..kernels.common import check_bc, dirichlet_history, strip_data
+from ..kernels.heat import _march as _heat_march
 from ..kernels.heat import _Steps as _HeatSteps
+from ..kernels.wave import _march as _wave_march
 from ..kernels.wave import _Stencil as _WaveStencil
 from ..kernels.problems import ColumnField, SpaceTimeField
 from ..projection import build_plan, project_trace
@@ -193,13 +198,18 @@ class _Workspace:
     """Solver adapter for one subdomain, one subclass per model. Internal to the drivers.
 
     Subclasses sample their model's data on the subdomain grids and
-    supply ``_march(left_bc, right_bc, homogeneous)``, one call of their
-    kernel, and ``flux(field, side)``, the Schur-consistent +x derivative
-    history at one boundary of a solve. ``homogeneous=True`` zeroes
-    initial data, source, physical boundary data and 2D lid data, as the
-    Neumann-Neumann correction stage needs. ``impedance`` weights the
-    slope carried across an interface: the wave speed, or 1 for heat,
-    whose diffusivity is shared. The static methods read the problem: x
+    supply ``_march(left_bc, right_bc, g_left, g_right, particular)``,
+    one batched call of their kernel, and ``flux(field, side)``, the
+    Schur-consistent +x derivative history at one boundary of a solve.
+    The march's entries share the boundary kinds of ``left_bc`` and
+    ``right_bc`` and take their data from ``g_*``, whose last axis is
+    the batch; with ``particular`` entry 0 also takes the initial data,
+    the source and a strip's lids, and every other entry starts from
+    zero. A ``homogeneous`` solve has zero initial data, source,
+    physical boundary data and 2D lid data, as the Neumann-Neumann
+    correction stage needs. ``impedance`` weights the slope carried
+    across an interface: the wave speed, or 1 for heat, whose
+    diffusivity is shared. The static methods read the problem: x
     interval, speed per subdomain (None for heat), initial value
     function, and shared y grid (None in 1D).
 
@@ -210,9 +220,9 @@ class _Workspace:
     one last row, a fixed linear map of the rows before it:
     ``_last_step(left_bc, right_bc, cur, prev, g_left, g_right)`` is the
     kernel's own step, applied to a batch of rows. :class:`_Response`
-    builds all of it from marches of the kernel and returns only the x
-    columns the drivers read; :func:`build_workspaces` rejects any other
-    time grid.
+    builds all of it from one batched march of the kernel per set of
+    side kinds and returns only the x columns the drivers read;
+    :func:`build_workspaces` rejects any other time grid.
     """
 
     impedance = 1.0
@@ -238,11 +248,19 @@ class _Workspace:
     def make_ygrid(problem, grids: RunGrids) -> SpaceGrid1D | None:
         return None
 
-    def _inputs(self, homogeneous: bool):
-        """Sampled data arrays and the source, or zeros in their place."""
-        if homogeneous:
-            return [np.zeros_like(a) for a in self.data], None
-        return self.data, self.problem.source
+    def _batched(self, particular: bool, batch: int):
+        """The data arrays with a batch axis, set in entry 0 if ``particular``; the source then."""
+        out = []
+        for a in self.data:
+            b = np.zeros(a.shape + (batch,))
+            if particular:
+                b[..., 0] = a
+            out.append(b)
+        return out, self.problem.source if particular else None
+
+    def _initial_rate(self, homogeneous: bool):
+        """u_t(., 0) for the flux of a wave solve; heat has none."""
+        return None
 
     def physical_trace(self, side: str, homogeneous: bool = False) -> InterfaceTrace:
         """The problem's Dirichlet data at a physical x boundary (zero if homogeneous)."""
@@ -309,16 +327,19 @@ class _Workspace:
 class _Response:
     """One subdomain's solve for fixed interface-side kinds, as convolutions in time.
 
-    Built from marches of the adapter's own kernel on its time grid:
-    one particular march with zero interface data (none when
-    homogeneous: it is exactly zero), and per interface side one march
-    with a unit impulse at row 1 and zero data elsewhere. The response
-    to an impulse at row m >= 1 is the row-1 response shifted by m - 1.
-    Row 0 of an input is never read by the heat kernel or at a Dirichlet
-    side, whose row 0 is the initial data. The wave kernels read it at a
-    Neumann side, in the Taylor start, where its response is half the
-    row-1 response shifted back one row; there the impulse goes in at
-    row 0 and a row m >= 1 weighs twice its shifted response.
+    Built from one batched march of the adapter's own kernel on its time
+    grid. Entry 0 is the particular part: all data but the interface
+    traces, which are zero (a homogeneous solve has no entry 0: its
+    particular part is exactly zero). Each further entry is one
+    interface side's unit impulse at row 1, with zero data elsewhere.
+    The response to an impulse at row m >= 1 is the row-1 response
+    shifted by m - 1. Row 0 of an input is never read by the heat kernel
+    or at a Dirichlet side, whose row 0 is the initial data. The wave
+    kernels read it at a Neumann side, in the Taylor start, where its
+    response is half the row-1 response shifted back one row; there the
+    impulse goes in at row 0 and a row m >= 1 weighs twice its shifted
+    response. Every entry does the arithmetic of a march of its data
+    alone, so the batch changes no bit of any column.
 
     A clipped grid ``[0, dt, ..., M dt, T]`` is shift-invariant over its
     uniform prefix only: rows 0..M of its march are the march on
@@ -326,15 +347,15 @@ class _Response:
     M + 1 is one more step of the kernel, linear in rows M - 1 and M and
     in the data the step reads (row M at a wave Neumann side, its ghost;
     row M + 1 elsewhere). At build time that step is applied to every
-    consecutive row pair of each impulse march at once, which gives the
+    consecutive row pair of each impulse entry at once, which gives the
     weight of every input row in the last row (``last``); a solve then
-    takes one dot product per kept column and side. The particular march
+    takes one dot product per kept column and side. The particular entry
     runs over the whole grid, last row included.
 
     On strips the interface data are expanded in the sine modes of the
     interior y nodes, in which the scheme with zero lids decouples. An
     impulse whose profile holds every mode with unit weight gives every
-    mode's response in one march. The corner rows of each column come
+    mode's response in one entry. The corner rows of each column come
     from the particular part only; no interface data reaches them.
 
     Only the columns the drivers read are kept (``columns``). Time
@@ -367,38 +388,45 @@ class _Response:
             near = {"left": (0, 1), "right": (nx, nx - 1)}
             self.columns = tuple(j for side in inputs for j in near[side])
         zero = {side: bc.with_samples(np.zeros_like(bc.samples)) for side, bc in inputs.items()}
+        bcs = space._boundaries(zero, homogeneous)
+        lead = 0 if homogeneous else 1
+        first = {side: 0 if bc.kind in space._row0_kinds else 1 for side, bc in inputs.items()}
+
+        data = []
+        for side, bc in zip(("left", "right"), bcs):
+            g = np.zeros(bc.samples.shape + (lead + len(inputs),))
+            if side in inputs:
+                g[first[side], ..., lead + list(inputs).index(side)] = space._profile()
+            elif lead:
+                g[..., 0] = bc.samples  # the physical data
+            data.append(g)
+        values = space._march(*bcs, *data, not homogeneous)
 
         self.kernels = {}
-        for side, bc in inputs.items():
-            first = 0 if bc.kind in space._row0_kinds else 1
-            samples = np.zeros_like(bc.samples)
-            samples[first] = space._profile()
-            bcs = space._boundaries({**zero, side: bc.with_samples(samples)}, True)
-            field = space._march(*bcs, True)
+        for entry, side in enumerate(inputs, start=lead):
+            march = values[..., entry]
             responses = np.stack(
-                [space._modes(field.column(j))[first : self.rows] for j in self.columns]
+                [space._modes(march[:, j])[first[side] : self.rows] for j in self.columns]
             )
-            if first:  # row 0 is never read
+            if first[side]:  # row 0 is never read
                 weights = np.ones(self.rows)
                 weights[0] = 0.0
             else:  # row m >= 1 weighs twice the row-0 response shifted by m
                 weights = np.full(self.rows, 2.0)
                 weights[0] = 1.0
-            last = self._last(space, bcs, side, field.values, first, weights) if clipped else None
+            last = self._last(space, bcs, side, march, first[side], weights) if clipped else None
             self.kernels[side] = (weights[:, None], np.fft.rfft(responses, n=self.length, axis=1), last)
-        if homogeneous:
-            self.particular = [np.zeros_like(field.column(j)) for j in self.columns]
-        else:
-            field = space._march(*space._boundaries(zero, False), False)
-            self.particular = [np.array(field.column(j)) for j in self.columns]
-        # Any march here has the solve's boundary kinds; a homogeneous one its zero rate.
-        self.kinds = (field.left_kind, field.right_kind)
-        self.initial_rate = field.initial_rate
+        self.particular = [
+            np.zeros_like(values[:, j, ..., 0]) if homogeneous else np.array(values[:, j, ..., 0])
+            for j in self.columns
+        ]
+        self.kinds = (bcs[0].kind, bcs[1].kind)
+        self.initial_rate = space._initial_rate(homogeneous)
 
     def _last(self, space: _Workspace, bcs, side: str, values: np.ndarray, first: int, weights):
         """Weights ``(columns, M + 2, modes)`` of each row of ``side``'s data in the last row.
 
-        ``values`` is ``side``'s impulse march. Its step from rows i - 1
+        ``values`` is ``side``'s impulse entry. Its step from rows i - 1
         and i with zero data is q[i]; an input row m reaches the last row
         through rows M - 1 and M of its shifted response, so it weighs
         ``weights[m] * q[M - m + first]``. A last batch entry steps zero
@@ -473,10 +501,10 @@ class _Heat1D(_Workspace):
         x = self.xgrid.nodes
         return [sample(self.problem.initial, x.shape, x)]
 
-    def _march(self, left_bc, right_bc, homogeneous) -> SpaceTimeField:
-        (u0,), source = self._inputs(homogeneous)
-        return solve_heat_subdomain(
-            self.xgrid, self.problem.nu, self.tgrid, u0, left_bc, right_bc, source
+    def _march(self, left_bc, right_bc, g_left, g_right, particular) -> np.ndarray:
+        (u0,), source = self._batched(particular, g_left.shape[-1])
+        return _heat_march(
+            self.xgrid, self.problem.nu, self.tgrid, u0, left_bc, right_bc, g_left, g_right, source
         )
 
     def _last_step(self, left_bc, right_bc, cur, prev, g_left, g_right) -> np.ndarray:
@@ -512,11 +540,17 @@ class _Wave1D(_Workspace):
         problem, x = self.problem, self.xgrid.nodes
         return [sample(problem.initial_u, x.shape, x), sample(problem.initial_ut, x.shape, x)]
 
-    def _march(self, left_bc, right_bc, homogeneous) -> SpaceTimeField:
-        (u0, v0), source = self._inputs(homogeneous)
-        return solve_wave_subdomain(
-            self.xgrid, self.c, self.tgrid, u0, v0, left_bc, right_bc, source
+    def _march(self, left_bc, right_bc, g_left, g_right, particular) -> np.ndarray:
+        # a strip's data ends in its lids
+        (u0, v0, *lids), source = self._batched(particular, g_left.shape[-1])
+        return _wave_march(
+            self.xgrid, self.ygrid, self.c, self.tgrid, u0, v0, left_bc, right_bc, g_left, g_right,
+            lids or None, source,
         )
+
+    def _initial_rate(self, homogeneous: bool):
+        v0 = self.data[1]
+        return np.zeros_like(v0) if homogeneous else v0
 
     def _last_step(self, left_bc, right_bc, cur, prev, g_left, g_right) -> np.ndarray:
         tau_prev, tau = self.tgrid.steps[-2:]
@@ -552,12 +586,6 @@ class _Strip2D(_Wave1D):
         ny = self.ygrid.n_cells
         k = np.arange(1, ny)
         return np.sqrt(2.0 / ny) * np.sin(np.pi * np.outer(k, k) / ny)
-
-    def _march(self, left_bc, right_bc, homogeneous) -> SpaceTimeField:
-        (u0, v0, bottom, top), source = self._inputs(homogeneous)
-        return solve_wave_strip_2d(
-            self.xgrid, self.ygrid, self.c, self.tgrid, u0, v0, left_bc, right_bc, bottom, top, source
-        )
 
     def _profile(self) -> np.ndarray:
         profile = np.zeros(self.ygrid.n_nodes)

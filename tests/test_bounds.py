@@ -95,6 +95,8 @@ def test_unequal_bound_parity_and_shape_errors():
         heat_bound_unequal(3, (1.0,) * 5, 1.0, 2.0, 1)
     with pytest.raises(ValueError):
         heat_bound_unequal(2, (1.0,) * 5, 1.0, 2.0, -1)
+    with pytest.raises(ValueError, match="m >= 1"):
+        heat_bound_unequal(0, (1.0,), 1.0, 2.0, 1)
 
 
 def test_even_bound_reference_values():
@@ -172,6 +174,18 @@ def test_envelope_past_the_float_range(widths, nu_T, k):
     assert 1e-300 < ref < 1e300
     got = heat_bound_unequal(1, widths, 1.0, nu_T, k)
     assert abs(got - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("k", [272, 273, 300])
+def test_envelope_where_erfc_is_subnormal(k):
+    # x = k / 10 is past 26.72, where erfc(x) leaves the normal float range
+    # while 3^k erfc(x) is still a normal float
+    x = mpmath.mpf(k) / 10
+    assert mpmath.erfc(x) < 2.2250738585072014e-308
+    ref = float(3 ** k * mpmath.erfc(x))
+    assert ref > 1e-300
+    got = heat_bound_equal(5, 1.0, 1.0, 25.0, k)
+    assert abs(got - ref) <= 1e-12 * ref
 
 
 def test_wave_steps_short_window():

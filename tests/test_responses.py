@@ -15,7 +15,14 @@ import pytest
 import wrkit.methods.workspace as workspace
 from wrkit.errors import ValidationError
 from wrkit.grids import InterfaceTrace, TimeGrid, TraceKind, make_partition
-from wrkit.kernels import HeatProblem, Wave2DProblem, WaveProblem
+from wrkit.kernels import (
+    HeatProblem,
+    Wave2DProblem,
+    WaveProblem,
+    solve_heat_subdomain,
+    solve_wave_strip_2d,
+    solve_wave_subdomain,
+)
 from wrkit.kernels.problems import ColumnField
 from wrkit.methods import RunGrids, make_run_grids
 from wrkit.methods.workspace import build_workspaces
@@ -76,8 +83,27 @@ def _trace(space, kind, seed=None):
     return InterfaceTrace(kind, space.tgrid, samples, robin_p=2.5 if kind is R else None)
 
 
+def _single(space, left_bc, right_bc, homogeneous=False):
+    """One march of the public kernel: the subdomain's data (zero if homogeneous), these traces."""
+    data = [np.zeros_like(a) for a in space.data] if homogeneous else space.data
+    source = None if homogeneous else space.problem.source
+    if isinstance(space, workspace._Heat1D):
+        return solve_heat_subdomain(
+            space.xgrid, space.problem.nu, space.tgrid, *data, left_bc, right_bc, source
+        )
+    if space.ygrid is None:
+        return solve_wave_subdomain(
+            space.xgrid, space.c, space.tgrid, *data, left_bc, right_bc, source
+        )
+    u0, v0, bottom, top = data
+    return solve_wave_strip_2d(
+        space.xgrid, space.ygrid, space.c, space.tgrid, u0, v0, left_bc, right_bc, bottom, top,
+        source,
+    )
+
+
 def _march(space, left, right, homogeneous=False):
-    return space._march(*space._boundaries(
+    return _single(space, *space._boundaries(
         {s: bc for s, bc in (("left", left), ("right", right)) if bc is not None}, homogeneous
     ), homogeneous)
 
@@ -199,14 +225,14 @@ def test_clipped_response_solve_matches_the_march(model, dt, T, s, left, right, 
 
 
 @pytest.mark.parametrize("model, kernel", [
-    ("heat", "solve_heat_subdomain"),
-    ("wave", "solve_wave_subdomain"),
-    ("strip", "solve_wave_strip_2d"),
+    ("heat", "_heat_march"),
+    ("wave", "_wave_march"),
+    ("strip", "_wave_march"),
 ])
 def test_clipped_and_uniform_grids_build_once(monkeypatch, model, kernel):
     calls = []
     real = getattr(workspace, kernel)
-    monkeypatch.setattr(workspace, kernel, lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(workspace, kernel, lambda *a, **k: calls.append(1) or real(*a, **k))
 
     for dt in (SETUPS[model][4] * 1.1, None):
         calls.clear()
@@ -215,7 +241,61 @@ def test_clipped_and_uniform_grids_build_once(monkeypatch, model, kernel):
         for seed in (1, 2, 3):
             field = space.solve(_trace(space, D, seed), _trace(space, N, seed + 1))
             assert isinstance(field, ColumnField)
-        assert len(calls) == 3  # the particular part and one impulse per side
+        assert len(calls) == 1  # one batched march: the particular part and one impulse per side
+
+
+# (model, dt or None for the uniform grid, subdomain, left, right, homogeneous)
+BATCHES = [
+    ("heat", None, 2, D, N, False),
+    ("heat", None, 2, R, N, False),
+    ("heat", 0.13, 2, N, R, False),
+    ("heat", 0.13, 1, None, R, False),
+    ("heat", None, 2, N, N, True),
+    ("wave", None, 2, N, D, False),
+    ("wave", 0.013, 2, D, N, False),
+    ("wave", 0.013, 3, N, None, False),
+    ("wave", None, 2, N, N, True),
+    ("strip", None, 2, D, N, False),
+    ("strip", 0.07, 2, N, D, False),
+    ("strip", None, 3, N, None, False),
+    ("strip", 0.07, 2, N, N, True),
+]
+
+
+@pytest.mark.parametrize(
+    "model, dt, s, left, right, homogeneous",
+    BATCHES,
+    ids=[
+        f"{m}-dt{dt}-{s}-{l and l.name}-{r and r.name}-{'hom' if h else 'data'}"
+        for m, dt, s, l, r, h in BATCHES
+    ],
+)
+def test_each_entry_of_a_build_march_is_the_single_march(model, dt, s, left, right, homogeneous):
+    space = _spaces(model, dt=dt)[s]
+    marches = []
+    real = space._march
+
+    def batched(left_bc, right_bc, g_left, g_right, particular):
+        values = real(left_bc, right_bc, g_left, g_right, particular)
+        marches.append((left_bc, right_bc, g_left, g_right, particular, values))
+        return values
+
+    space._march = batched
+    lbc = None if left is None else _trace(space, left, 1)
+    rbc = None if right is None else _trace(space, right, 2)
+    space.solve(lbc, rbc, homogeneous)
+    ((left_bc, right_bc, g_left, g_right, particular, values),) = marches
+    sides = sum(bc is not None for bc in (lbc, rbc))
+    assert particular is not homogeneous
+    assert values.shape[-1] == g_left.shape[-1] == sides + particular
+    for entry in range(values.shape[-1]):
+        want = _single(
+            space,
+            left_bc.with_samples(g_left[..., entry]),
+            right_bc.with_samples(g_right[..., entry]),
+            homogeneous=entry > 0 or homogeneous,
+        )
+        assert np.array_equal(values[..., entry], want.values), entry
 
 
 def test_a_grid_no_response_can_serve_is_rejected():
