@@ -104,16 +104,19 @@ def _cmd_bound(kind: str, params: dict[str, str]) -> int:
             raise WrkitError(f"bound --kind {kind} needs {key}=VALUE")
         return parse(value, key)
 
-    kmax = take("kmax", _int, "20")
     if kind == "wave-steps":
         fn = wave_steps_needed
         args = (take("T", _number), take("widths", _numbers), take("c", _number_or_list, "1"))
-    elif kind == "heat-equal":
-        fn = heat_bound_equal
-        args = (take("count", _int), take("h", _number), take("nu", _number), take("T", _number))
     else:
-        fn = heat_bound_unequal if kind == "heat-unequal" else heat_bound_even
-        args = (take("m", _int), take("widths", _numbers), take("nu", _number), take("T", _number))
+        if kind == "heat-equal":
+            fn = heat_bound_equal
+            args = (take("count", _int), take("h", _number), take("nu", _number), take("T", _number))
+        else:
+            fn = heat_bound_unequal if kind == "heat-unequal" else heat_bound_even
+            args = (take("m", _int), take("widths", _numbers), take("nu", _number), take("T", _number))
+        kmax = take("kmax", _int, "20")
+        if kmax < 0:
+            raise WrkitError(f"bound --kind {kind} needs kmax >= 0, got {kmax}")
     if params:
         raise WrkitError(f"unused bound params: {sorted(params)}")
     try:

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import IncompatibleGrids, WrongBoundaryKind
 from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, grids_equal
-from .problems import ColumnField, SpaceTimeField, sample
+from .problems import SpaceTimeField, sample
 
 __all__ = ["check_bc", "dirichlet_history", "strip_data", "leapfrog", "half_cell_flux"]
 
@@ -83,13 +83,13 @@ def leapfrog(u: np.ndarray, times: np.ndarray, rate0: np.ndarray, accel, pin) ->
 
 
 def half_cell_flux(
-    field: SpaceTimeField | ColumnField,
+    field: SpaceTimeField,
     side: str,
     time_derivative,
     coef: float,
     source=None,
-) -> InterfaceTrace:
-    """Recover the +x-oriented derivative history at one x boundary of a solve.
+) -> np.ndarray:
+    """The +x-oriented derivative history at one x boundary of a solve.
 
     The one-sided difference gets a half-cell correction whose second
     space derivative comes from the PDE itself,
@@ -100,15 +100,17 @@ def half_cell_flux(
     with coef = nu and D_t the first time difference for heat, coef = c^2
     and D_t the second one for the wave models, and u_yy the y part of
     the Laplacian on strips (absent in 1D). ``time_derivative(ub, j)``
-    returns D_t of the boundary history ``ub`` at x node ``j``. The
-    field is read through its ``column`` accessor only: the boundary
-    column and its neighbour. On strips the corner columns, which belong
-    to the physical y boundary, are reported as zero. Raises
-    :class:`WrongBoundaryKind` at a Neumann boundary, where the
-    derivative was the input.
+    returns D_t of the boundary history ``ub`` at x node ``j``. Only the
+    boundary column and its neighbour are read. On strips the corner
+    columns, which belong to the physical y boundary, are reported as
+    zero. A field with a batch axis gives one history per entry and
+    takes no source. Raises :class:`WrongBoundaryKind` at a Neumann
+    boundary, where the derivative was the input.
     """
     if field.boundary_kind(side) is TraceKind.NEUMANN:
         raise WrongBoundaryKind(f"{side} boundary carried Neumann data; flux is not recoverable")
+    if source is not None and field.values.ndim > 2 + field.is_2d:
+        raise ValueError("a batched field takes no source")
     dx = field.xgrid.dx
     times = field.tgrid.times
     j0 = field.boundary_index(side)
@@ -117,7 +119,7 @@ def half_cell_flux(
     else:
         j1, sgn, x0 = j0 - 1, -1.0, field.xgrid.x_right
 
-    ub = field.column(j0)
+    ub = field.values[:, j0]
     if source is None:
         fvals = 0.0
     elif field.is_2d:
@@ -125,11 +127,11 @@ def half_cell_flux(
     else:
         fvals = source(x0, times)
 
-    w = sgn * ((field.column(j1) - ub) / dx - (0.5 * dx / coef) * (time_derivative(ub, j0) - fvals))
+    w = sgn * ((field.values[:, j1] - ub) / dx - (0.5 * dx / coef) * (time_derivative(ub, j0) - fvals))
     if field.is_2d:
         lap_y = np.zeros_like(ub)
         lap_y[:, 1:-1] = (ub[:, :-2] - 2.0 * ub[:, 1:-1] + ub[:, 2:]) / field.ygrid.dx**2
         w += sgn * 0.5 * dx * lap_y
         w[:, 0] = 0.0
         w[:, -1] = 0.0
-    return InterfaceTrace(TraceKind.NEUMANN, field.tgrid, w)
+    return w

@@ -223,18 +223,19 @@ def heat_interface_flux(
     side: str,
     nu: float,
     source=None,
-) -> InterfaceTrace:
-    """Recover the +x-oriented boundary derivative history of a heat solve.
+) -> np.ndarray:
+    """The +x-oriented boundary derivative history of a heat solve, ``(M+1,)``.
 
     Requires a boundary where the solution value was imposed (Dirichlet;
     Robin also works since the extraction only uses the PDE at the node).
     Raises :class:`WrongBoundaryKind` at a Neumann boundary, where the
     derivative was the input. The t=0 sample uses a forward time
-    difference; no implicit step ever consumes it.
+    difference; no implicit step ever consumes it. A batched field gives
+    ``(M+1, batch)`` and takes no source.
     """
     if field.is_2d:
         raise ValueError("heat_interface_flux expects a 1D field")
-    steps = np.diff(field.tgrid.times)
+    steps = np.diff(field.tgrid.times).reshape((-1,) + (1,) * (field.values.ndim - 2))
 
     def dudt(ub: np.ndarray, j: int) -> np.ndarray:
         backward = (ub[1:] - ub[:-1]) / steps

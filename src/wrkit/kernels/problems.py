@@ -1,5 +1,9 @@
 """Problem statements and the space-time fields the solvers produce.
 
+A :class:`SpaceTimeField` is one marched solve, or a batch of them along
+a trailing axis: the flux functions read either, and the response builds
+of ``wrkit.methods.workspace`` read their outputs off batched fields.
+
 Data functions are plain elementwise callables so they vectorize over
 numpy arrays: 1D boundary data takes ``t``, initial data takes ``x`` (and
 ``y`` in 2D, meshgrid-broadcast), sources take ``(x, t)`` or ``(x, y, t)``.
@@ -16,7 +20,7 @@ import numpy as np
 
 from ..grids import SpaceGrid1D, TimeGrid, TraceKind
 
-__all__ = ["HeatProblem", "WaveProblem", "Wave2DProblem", "SpaceTimeField", "ColumnField", "sample"]
+__all__ = ["HeatProblem", "WaveProblem", "Wave2DProblem", "SpaceTimeField", "sample"]
 
 
 def sample(fn: Callable, shape: tuple[int, ...], *args) -> np.ndarray:
@@ -83,57 +87,19 @@ class Wave2DProblem:
     y_interval: tuple[float, float] = (0.0, math.pi)
 
 
-class _Solve:
-    """What flux extraction and the drivers read off a subdomain solve.
-
-    Both results of a solve provide it: the marched :class:`SpaceTimeField`
-    and the :class:`ColumnField` of a response solve. Readers take x
-    columns through :meth:`column`, never through the full values.
-    """
-
-    xgrid: SpaceGrid1D
-    ygrid: SpaceGrid1D | None
-    left_kind: TraceKind
-    right_kind: TraceKind
-
-    def column(self, j: int) -> np.ndarray:
-        """Solution history at x node ``j``: ``(M+1,)``, or ``(M+1, ny+1)`` on strips."""
-        raise NotImplementedError
-
-    @property
-    def is_2d(self) -> bool:
-        return self.ygrid is not None
-
-    def boundary_index(self, side: str) -> int:
-        """x node index of the left or right boundary."""
-        if side == "left":
-            return 0
-        if side == "right":
-            return self.xgrid.n_cells
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-    def boundary_values(self, side: str) -> np.ndarray:
-        """Solution history on the left or right x boundary."""
-        return self.column(self.boundary_index(side))
-
-    def boundary_kind(self, side: str) -> TraceKind:
-        if side == "left":
-            return self.left_kind
-        if side == "right":
-            return self.right_kind
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
 @dataclass(frozen=True, eq=False)
-class SpaceTimeField(_Solve):
+class SpaceTimeField:
     """One subdomain solve: nodal values over the whole time window.
 
     ``values`` is ``(M+1, nx+1)`` in 1D and ``(M+1, nx+1, ny+1)`` in 2D,
-    row 0 being the initial condition exactly. ``left_kind``/``right_kind``
-    record how the x boundaries were imposed, which gates flux extraction
-    (one cannot recover a derivative at a boundary where the derivative
+    row 0 being the initial condition exactly, plus an optional trailing
+    batch axis of solves with the same boundary kinds (as the kernels'
+    batched marches return them). ``left_kind``/``right_kind`` record
+    how the x boundaries were imposed, which gates flux extraction (one
+    cannot recover a derivative at a boundary where the derivative
     itself was the imposed data). ``initial_rate`` keeps the sampled u_t
-    at t=0 for wave fields; the flux extraction's t=0 stencil needs it.
+    at t=0 for wave fields, with the batch axis if there is one; the
+    flux extraction's t=0 stencil needs it.
     """
 
     xgrid: SpaceGrid1D
@@ -147,8 +113,8 @@ class SpaceTimeField(_Solve):
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         expect_dims = 2 if self.ygrid is None else 3
-        if vals.ndim != expect_dims:
-            raise ValueError(f"field values must be {expect_dims}-dimensional")
+        if vals.ndim not in (expect_dims, expect_dims + 1):
+            raise ValueError(f"field values must be {expect_dims}-dimensional, plus a batch axis")
         if vals.shape[0] != len(self.tgrid.times) or vals.shape[1] != self.xgrid.n_nodes:
             raise ValueError("field shape does not match its grids")
         if self.ygrid is not None and vals.shape[2] != self.ygrid.n_nodes:
@@ -160,30 +126,17 @@ class SpaceTimeField(_Solve):
             rate.setflags(write=False)
             object.__setattr__(self, "initial_rate", rate)
 
-    def column(self, j: int) -> np.ndarray:
-        return self.values[:, j]
+    @property
+    def is_2d(self) -> bool:
+        return self.ygrid is not None
 
+    def boundary_index(self, side: str) -> int:
+        """x node index of the left or right boundary."""
+        if side == "left":
+            return 0
+        if side == "right":
+            return self.xgrid.n_cells
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
-@dataclass(frozen=True, eq=False)
-class ColumnField(_Solve):
-    """Some x columns of one subdomain solve, keyed by x node index.
-
-    A response solve returns only the columns its drivers read (see
-    ``wrkit.methods.workspace``); reading any other column raises
-    :class:`KeyError`. The other fields are those of
-    :class:`SpaceTimeField`.
-    """
-
-    xgrid: SpaceGrid1D
-    tgrid: TimeGrid
-    columns: dict[int, np.ndarray]
-    left_kind: TraceKind
-    right_kind: TraceKind
-    ygrid: SpaceGrid1D | None = None
-    initial_rate: np.ndarray | None = None
-
-    def column(self, j: int) -> np.ndarray:
-        try:
-            return self.columns[j]
-        except KeyError:
-            raise KeyError(f"x column {j} was not kept by this solve") from None
+    def boundary_kind(self, side: str) -> TraceKind:
+        return self.left_kind if self.boundary_index(side) == 0 else self.right_kind

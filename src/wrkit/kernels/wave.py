@@ -294,14 +294,15 @@ def wave_interface_flux(
     side: str,
     c: float,
     source=None,
-) -> InterfaceTrace:
-    """Recover the +x-oriented boundary derivative history of a wave solve.
+) -> np.ndarray:
+    """The +x-oriented boundary derivative history of a wave solve.
 
-    Works for 1D fields and 2D strip fields (where the trace has one
-    column per y node and the half-cell correction includes the y part of
-    the Laplacian; strip corner rows, which belong to the physical
-    boundary, are reported as zero). Raises :class:`WrongBoundaryKind`
-    at a Neumann boundary.
+    Works for 1D fields, ``(M+1,)``, and 2D strip fields, ``(M+1, ny+1)``
+    (the half-cell correction then includes the y part of the Laplacian;
+    strip corner columns, which belong to the physical boundary, are
+    reported as zero). A batched field gives the batch axis last and
+    takes no source. Raises :class:`WrongBoundaryKind` at a Neumann
+    boundary.
     """
     times = field.tgrid.times
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from ..grids import Partition1D
+from ..grids import Partition1D, TraceKind
 from .config import Method, WrConfig, relax_update
 from .schedule import Role, arrangement_schedule, producer_map
-from .workspace import RunGrids, _drive, exchange_scale
+from .workspace import Output, RunGrids, _drive, exchange_scale
 
 __all__ = ["dnwr_run"]
 
@@ -22,11 +22,11 @@ def dnwr_run(
 
     Each iteration walks the configured arrangement's schedule: a task
     with a Dirichlet role at an interface consumes the trace from the
-    previous iteration, while a Neumann role consumes the flux extracted
-    from the neighbor solved earlier in the same iteration. After the
-    sweep, the trace at each interface is refreshed from the field of
-    the subdomain that solved with a Neumann condition there, relaxed
-    against the old trace with weight theta.
+    previous iteration, while a Neumann role consumes the flux that the
+    neighbor solved earlier in the same iteration returned. After the
+    sweep, the trace at each interface is refreshed from the Dirichlet
+    trace that the subdomain which solved with a Neumann condition there
+    returned, relaxed against the old trace with weight theta.
 
     ``init_guesses`` supplies one Dirichlet trace per interface on the
     grids of :func:`~wrkit.methods.guess_grids`; ``reference`` selects
@@ -42,9 +42,19 @@ def dnwr_run(
         theta = config.theta_resolved
         g = guesses
 
+        # What each subdomain's solve returns, by interface: the producer's
+        # Dirichlet trace, and the flux its neighbour there takes as data.
+        reads = {s: {} for s in spaces}
+        for i in range(1, n):
+            x = partition.interface_position(i)
+            p = producer[i]
+            reads[p][i] = Output(TraceKind.DIRICHLET, x)
+            other, side = (i, "right") if p == i + 1 else (i + 1, "left")
+            reads[other][i] = Output(TraceKind.NEUMANN, side)
+
         def sweep():
             nonlocal g
-            fields: dict[int, object] = {}
+            read: dict[int, dict] = {}
 
             def boundary(task, side):
                 s = task.subdomain
@@ -52,35 +62,28 @@ def dnwr_run(
                 if side == "left":
                     if s == 1:
                         return None
-                    iface, neighbor, their_side, role = s - 1, s - 1, "right", task.left
+                    iface, neighbor, role = s - 1, s - 1, task.left
                 else:
                     if s == n:
                         return None
-                    iface, neighbor, their_side, role = s, s + 1, "left", task.right
+                    iface, neighbor, role = s, s + 1, task.right
                 if role is Role.DIRICHLET:
                     return cache.project(g[iface - 1], space.tgrid)
-                raw = spaces[neighbor].flux(fields[neighbor], their_side)
+                raw = read[neighbor][iface]
                 scale = exchange_scale(spaces[neighbor], space)
                 if scale != 1.0:
                     raw = raw.with_samples(raw.samples * scale)
                 return cache.project(raw, space.tgrid)
 
             for stage in schedule.stages:
-                solved = {
-                    task.subdomain: spaces[task.subdomain].solve(
-                        boundary(task, "left"), boundary(task, "right")
+                for task in stage:
+                    s = task.subdomain
+                    traces = spaces[s].solve(
+                        boundary(task, "left"), boundary(task, "right"), reads[s].values()
                     )
-                    for task in stage
-                }
-                fields.update(solved)
+                    read[s] = dict(zip(reads[s], traces))
 
-            new_g = []
-            for i in range(1, partition.n_interfaces + 1):
-                p = producer[i]
-                side = "left" if p == i + 1 else "right"
-                fresh = spaces[p].dirichlet_trace(fields[p], side)
-                new_g.append(relax_update(theta, fresh, g[i - 1]))
-            g = new_g
+            g = [relax_update(theta, read[producer[i]][i], g[i - 1]) for i in range(1, n)]
             return g
 
         return sweep, trace_grids, g

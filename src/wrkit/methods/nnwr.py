@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..grids import InterfaceTrace, Partition1D, TraceKind
 from .config import Method, WrConfig
-from .workspace import RunGrids, _drive, _solve_all
+from .workspace import Output, RunGrids, _drive, _solve_all
 
 __all__ = ["nnwr_run"]
 
@@ -47,18 +47,28 @@ def nnwr_run(
                 return projected
             return InterfaceTrace(TraceKind.NEUMANN, projected.grid, scale * projected.samples)
 
+        n = partition.n_subdomains
+        x = [None] + [partition.interface_position(i) for i in range(1, n)]
+        fluxes = {s: {} for s in spaces}
+        traces = {s: {} for s in spaces}
+        for s in spaces:
+            if s > 1:
+                fluxes[s]["left"] = Output(TraceKind.NEUMANN, "left")
+                traces[s]["left"] = Output(TraceKind.DIRICHLET, x[s - 1])
+            if s < n:
+                fluxes[s]["right"] = Output(TraceKind.NEUMANN, "right")
+                traces[s]["right"] = Output(TraceKind.DIRICHLET, x[s])
+
         def sweep():
             nonlocal g
-            fields = _solve_all(spaces, lambda s, i: cache.project(g[i - 1], spaces[s].tgrid))
+            flux = _solve_all(spaces, lambda s, i: cache.project(g[i - 1], spaces[s].tgrid), fluxes)
 
             jumps = []
-            for i in range(1, partition.n_interfaces + 1):
+            for i in range(1, n):
                 zl = spaces[i].impedance
                 zr = spaces[i + 1].impedance
-                from_left = cache.project(spaces[i].flux(fields[i], "right"), trace_grids[i - 1])
-                from_right = cache.project(
-                    spaces[i + 1].flux(fields[i + 1], "left"), trace_grids[i - 1]
-                )
+                from_left = cache.project(flux[i]["right"], trace_grids[i - 1])
+                from_right = cache.project(flux[i + 1]["left"], trace_grids[i - 1])
                 jumps.append(
                     InterfaceTrace(
                         TraceKind.NEUMANN,
@@ -67,20 +77,17 @@ def nnwr_run(
                     )
                 )
 
-            corrections = _solve_all(
+            psi = _solve_all(
                 spaces,
                 lambda s, i: neumann(jumps[i - 1], flip=i < s, space=spaces[s]),
+                traces,
                 homogeneous=True,
             )
 
             new_g = []
-            for i in range(1, partition.n_interfaces + 1):
-                psi_left = cache.project(
-                    spaces[i].dirichlet_trace(corrections[i], "right"), trace_grids[i - 1]
-                )
-                psi_right = cache.project(
-                    spaces[i + 1].dirichlet_trace(corrections[i + 1], "left"), trace_grids[i - 1]
-                )
+            for i in range(1, n):
+                psi_left = cache.project(psi[i]["right"], trace_grids[i - 1])
+                psi_right = cache.project(psi[i + 1]["left"], trace_grids[i - 1])
                 updated = g[i - 1].samples - theta * (psi_left.samples + psi_right.samples)
                 new_g.append(g[i - 1].with_samples(updated))
             g = new_g

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from ..errors import IncompatibleGrids, ValidationError
 from ..grids import InterfaceTrace, Partition1D, TraceKind, grids_equal
-from ..kernels.problems import ColumnField, SpaceTimeField
+from ..kernels.problems import SpaceTimeField
 from .config import Method, WrConfig
-from .workspace import RunGrids, _adapter, _drive, _PlanCache, _solve_all, force_compatible
+from .workspace import Output, RunGrids, _adapter, _drive, _PlanCache, _solve_all, force_compatible
 
 __all__ = ["swr_run", "swr_state_from_field"]
 
@@ -49,27 +49,9 @@ def _extended_bounds(partition: Partition1D, shift: float) -> dict[int, tuple[fl
     return bounds
 
 
-def _column(field: SpaceTimeField | ColumnField, x: float) -> InterfaceTrace:
+def _column(field: SpaceTimeField, x: float) -> InterfaceTrace:
     """The solution history of ``field`` at node ``x``, as a Dirichlet trace."""
-    return InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, field.column(field.xgrid.node_index(x)))
-
-
-def _transmitted(
-    field: SpaceTimeField | ColumnField, side: str, x: float, robin_p, flux
-) -> InterfaceTrace:
-    """What the neighbor across the ``side`` boundary of a solve reads off it.
-
-    Classical Schwarz (``robin_p`` None) reads u at ``x``, the neighbor's
-    extended boundary inside this subdomain. Robin Schwarz reads the
-    neighbor's outward combination +/- w + p u at the ``side`` boundary,
-    with w = ``flux(field, side)`` the +x-oriented derivative.
-    """
-    if robin_p is None:
-        return _column(field, x)
-    sgn = 1.0 if side == "left" else -1.0
-    w = flux(field, side).samples
-    samples = sgn * w + robin_p * field.boundary_values(side)
-    return InterfaceTrace(TraceKind.ROBIN, field.tgrid, samples, robin_p=robin_p)
+    return InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, field.values[:, field.xgrid.node_index(x)])
 
 
 def swr_run(
@@ -125,16 +107,21 @@ def swr_run(
         # left subdomain at its right (possibly extended) boundary, and by
         # the right subdomain at its left one. Stored on the consumer grids.
         positions = [partition.interface_position(i) for i in range(1, partition.n_interfaces + 1)]
-        if robin_p is None:
-            # What the sweep reads of subdomain s: u at its left neighbor's
-            # extended boundary, at its right interface and at its right
-            # neighbor's extended boundary.
-            n = partition.n_subdomains
-            for s, space in spaces.items():
-                xs = [positions[s - 2] + shift] if s > 1 else []
-                if s < n:
-                    xs += [positions[s - 1], positions[s - 1] - shift]
-                space.read_columns(xs)
+        # What the sweep reads of subdomain s: the data its left neighbour
+        # takes, the data its right neighbour takes and its own history at
+        # its right interface, the monitored trace. Classical Schwarz
+        # reads u at the neighbours' extended boundaries, Robin Schwarz
+        # the outward combination at the interfaces.
+        n = partition.n_subdomains
+        reads = {s: {} for s in spaces}
+        for s in spaces:
+            if s > 1:
+                at = positions[s - 2] + shift if robin_p is None else "left"
+                reads[s]["for_left"] = Output(kind, at, robin_p)
+            if s < n:
+                at = positions[s - 1] - shift if robin_p is None else "right"
+                reads[s]["for_right"] = Output(kind, at, robin_p)
+                reads[s]["monitored"] = Output(TraceKind.DIRICHLET, positions[s - 1])
         if state is None:
             state = [
                 (seed(g, grids.tgrids[i], xi + shift), seed(g, grids.tgrids[i + 1], xi - shift))
@@ -161,19 +148,15 @@ def swr_run(
 
         def sweep():
             nonlocal state
-            fields = _solve_all(spaces, lambda s, i: state[i - 1][1 if i < s else 0])
-            new_state = []
-            monitored = []
-            for i, xi in enumerate(positions, start=1):
-                left, right = spaces[i], spaces[i + 1]
-                for_right = _transmitted(fields[i], "right", xi - shift, robin_p, left.flux)
-                for_left = _transmitted(fields[i + 1], "left", xi + shift, robin_p, right.flux)
-                new_state.append(
-                    (cache.project(for_left, left.tgrid), cache.project(for_right, right.tgrid))
+            read = _solve_all(spaces, lambda s, i: state[i - 1][1 if i < s else 0], reads)
+            state = [
+                (
+                    cache.project(read[i + 1]["for_left"], spaces[i].tgrid),
+                    cache.project(read[i]["for_right"], spaces[i + 1].tgrid),
                 )
-                monitored.append(_column(fields[i], xi))
-            state = new_state
-            return monitored
+                for i in range(1, n)
+            ]
+            return [read[i]["monitored"] for i in range(1, n)]
 
         return sweep, grids.tgrids[:-1], prev
 

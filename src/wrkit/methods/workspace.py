@@ -3,8 +3,8 @@
 This module owns everything the three drivers have in common: the
 per-run grid bundle, the lattice rules a run applies (partition span,
 snapped y grid), one solver adapter class per model (data sampling,
-physical boundary data, solve, flux extraction, impedance) with the
-impulse responses that replace the march on the iteration path,
+physical boundary data, the traces a solve returns, impedance) with
+the impulse responses that replace the march on the iteration path,
 projection-plan caching between per-subdomain time grids, reference
 resolution and the trace distance that is the error metric,
 normalization of initial guesses, the per-iteration monitor that
@@ -52,7 +52,7 @@ from ..kernels.heat import _march as _heat_march
 from ..kernels.heat import _Steps as _HeatSteps
 from ..kernels.wave import _march as _wave_march
 from ..kernels.wave import _Stencil as _WaveStencil
-from ..kernels.problems import ColumnField, SpaceTimeField
+from ..kernels.problems import SpaceTimeField
 from ..projection import build_plan, project_trace
 from .config import IterationHistory, Method, WrConfig
 from .schedule import arrangement_schedule, producer_map
@@ -194,42 +194,59 @@ def snap_ygrid(y_interval: tuple[float, float], dy: float) -> SpaceGrid1D:
     return SpaceGrid1D.with_cells(y0, y1, max(2, round((y1 - y0) / dy)))
 
 
+@dataclass(frozen=True)
+class Output:
+    """One interface trace that a subdomain solve returns: ``kind`` at ``at``.
+
+    DIRICHLET is the solution history at x = ``at``. NEUMANN is the
+    +x-oriented flux at side ``at`` (``"left"`` or ``"right"``), which
+    must not carry Neumann data. ROBIN is what the neighbour across side
+    ``at`` reads, (d/dn + ``robin_p``) u with that neighbour's outward
+    normal: + flux + p u at the left side, - flux + p u at the right.
+    """
+
+    kind: TraceKind
+    at: float | str
+    robin_p: float | None = None
+
+
 class _Workspace:
     """Solver adapter for one subdomain, one subclass per model. Internal to the drivers.
 
     Subclasses sample their model's data on the subdomain grids and
     supply ``_march(left_bc, right_bc, g_left, g_right, particular)``,
-    one batched call of their kernel, and ``flux(field, side)``, the
-    Schur-consistent +x derivative history at one boundary of a solve.
-    The march's entries share the boundary kinds of ``left_bc`` and
-    ``right_bc`` and take their data from ``g_*``, whose last axis is
-    the batch; with ``particular`` entry 0 also takes the initial data,
-    the source and a strip's lids, and every other entry starts from
-    zero. A ``homogeneous`` solve has zero initial data, source,
-    physical boundary data and 2D lid data, as the Neumann-Neumann
-    correction stage needs. ``impedance`` weights the slope carried
-    across an interface: the wave speed, or 1 for heat, whose
-    diffusivity is shared. The static methods read the problem: x
-    interval, speed per subdomain (None for heat), initial value
-    function, and shared y grid (None in 1D).
+    one batched call of their kernel, and ``_flux(field, side, source)``,
+    the Schur-consistent +x derivative history at one boundary of a
+    marched field (with or without a batch axis). The march's entries
+    share the boundary kinds of ``left_bc`` and ``right_bc`` and take
+    their data from ``g_*``, whose last axis is the batch; with
+    ``particular`` entry 0 also takes the initial data, the source and a
+    strip's lids, and every other entry starts from zero. A
+    ``homogeneous`` solve has zero initial data, source, physical
+    boundary data and 2D lid data, as the Neumann-Neumann correction
+    stage needs. ``impedance`` weights the slope carried across an
+    interface: the wave speed, or 1 for heat, whose diffusivity is
+    shared. The static methods read the problem: x interval, speed per
+    subdomain (None for heat), initial value function, and shared y grid
+    (None in 1D).
 
-    Every model's scheme is linear, and on uniform steps shift-invariant
-    in time, so :meth:`solve` is its particular part (all data but the
-    interface traces) plus a causal convolution of each interface trace
-    with an impulse response. A clipped grid's shorter final step adds
-    one last row, a fixed linear map of the rows before it:
-    ``_last_step(left_bc, right_bc, cur, prev, g_left, g_right)`` is the
-    kernel's own step, applied to a batch of rows. :class:`_Response`
-    builds all of it from one batched march of the kernel per set of
-    side kinds and returns only the x columns the drivers read;
-    :func:`build_workspaces` rejects any other time grid.
+    A sweep reads a few traces off each solve, its outputs
+    (:class:`Output`), which :meth:`read` takes off a marched field.
+    :meth:`solve` returns them from a :class:`_Response`, built from one
+    batched march of the kernel per set of side kinds and outputs;
+    ``_last_step(left_bc, right_bc, cur, prev, g_left, g_right)``, the
+    kernel's own step on a batch of rows, gives a clipped grid's last
+    row. :func:`build_workspaces` rejects any other time grid. The
+    subdomains of one run share their responses' impulse parts: a
+    subdomain equal to one already built (same grids, speed, side kinds
+    and columns read) marches only its particular part, without a batch.
     """
 
     impedance = 1.0
     #: Boundary kinds whose data the kernel reads at row 0 as well.
     _row0_kinds: frozenset = frozenset()
 
-    def __init__(self, problem, xgrid: SpaceGrid1D, tgrid: TimeGrid, ygrid, speed):
+    def __init__(self, problem, xgrid: SpaceGrid1D, tgrid: TimeGrid, ygrid, speed, shared=None):
         self.problem = problem
         self.xgrid = xgrid
         self.tgrid = tgrid
@@ -237,8 +254,10 @@ class _Workspace:
         if speed is not None:
             self.c = self.impedance = speed
         self.data = self._sample()
-        self.columns: tuple[int, ...] | None = None
         self._responses: dict[tuple, _Response] = {}
+        # Responses of the run's subdomains by what their impulse part
+        # depends on (see _shape), so equal subdomains march it once.
+        self._shared: dict[tuple, _Response] = {} if shared is None else shared
 
     @staticmethod
     def interval(problem) -> tuple[float, float]:
@@ -248,8 +267,13 @@ class _Workspace:
     def make_ygrid(problem, grids: RunGrids) -> SpaceGrid1D | None:
         return None
 
-    def _batched(self, particular: bool, batch: int):
-        """The data arrays with a batch axis, set in entry 0 if ``particular``; the source then."""
+    def _batched(self, particular: bool, batch: int | None):
+        """The data arrays with a batch axis, set in entry 0 if ``particular``; the source then.
+
+        Without a batch (``batch`` None) the march is the particular part alone.
+        """
+        if batch is None:
+            return list(self.data), self.problem.source
         out = []
         for a in self.data:
             b = np.zeros(a.shape + (batch,))
@@ -258,7 +282,7 @@ class _Workspace:
             out.append(b)
         return out, self.problem.source if particular else None
 
-    def _initial_rate(self, homogeneous: bool):
+    def _initial_rate(self):
         """u_t(., 0) for the flux of a wave solve; heat has none."""
         return None
 
@@ -272,36 +296,62 @@ class _Workspace:
         )
         return dirichlet_history(fn, self.tgrid, self.ygrid)
 
-    def dirichlet_trace(self, field, side: str) -> InterfaceTrace:
-        """Solution history on one boundary of a solve, as a trace."""
-        return InterfaceTrace(TraceKind.DIRICHLET, self.tgrid, field.boundary_values(side))
+    def read(self, field: SpaceTimeField, output: Output, source=None) -> np.ndarray:
+        """The samples of ``output`` on a marched field, batched or not.
 
-    def read_columns(self, xs) -> None:
-        """Name the x coordinates whose columns the driver reads off every solve.
-
-        Without this, a response solve keeps the boundary column and its
-        neighbour on each interface side, which is what ``flux`` and
-        ``dirichlet_trace`` read. Call it before the first solve.
+        The field lies on this subdomain's x grid, or on the part of it
+        that holds the columns ``output`` reads (:meth:`_narrow`).
+        ``source`` goes to the flux, for a field that carries the source.
         """
-        self.columns = tuple(self.xgrid.node_index(x) for x in xs)
+        if output.kind is TraceKind.DIRICHLET:
+            return field.values[:, field.xgrid.node_index(output.at)]
+        flux = self._flux(field, output.at, source)
+        if output.kind is TraceKind.NEUMANN:
+            return flux
+        sgn = 1.0 if output.at == "left" else -1.0
+        return sgn * flux + output.robin_p * field.values[:, field.boundary_index(output.at)]
 
-    def solve(self, left_bc, right_bc, homogeneous=False) -> ColumnField:
-        """Solve the subdomain with interface data ``left_bc``/``right_bc``.
+    def _narrow(self, output: Output) -> tuple[SpaceGrid1D, list[int]]:
+        """A one-cell x grid holding the columns :meth:`read` reads for ``output``; their indices."""
+        nx = self.xgrid.n_cells
+        if output.kind is TraceKind.DIRICHLET:
+            j = min(self.xgrid.node_index(output.at), nx - 1)
+        else:
+            j = 0 if output.at == "left" else nx - 1
+        return SpaceGrid1D.with_cells(*self.xgrid.nodes[j : j + 2], 1), [j, j + 1]
+
+    def solve(self, left_bc, right_bc, outputs, homogeneous=False) -> tuple[InterfaceTrace, ...]:
+        """Solve the subdomain with interface data ``left_bc``/``right_bc``; return ``outputs``.
 
         A side at the end of the chain takes None and gets the problem's
-        physical data (zero if homogeneous). Returns the
-        :class:`ColumnField` of a response solve; the first solve for a
-        set of side kinds builds the response.
+        physical data (zero if homogeneous). ``outputs`` is a sequence of
+        :class:`Output`; their traces come back in its order, on this
+        subdomain's time grid. The first solve for a set of side kinds
+        and outputs builds the response.
         """
         inputs = {side: bc for side, bc in (("left", left_bc), ("right", right_bc)) if bc is not None}
         ny = None if self.ygrid is None else self.ygrid.n_cells
         for side, bc in inputs.items():
             check_bc(bc, self.tgrid, side, ny)
-        key = (tuple((side, bc.kind, bc.robin_p) for side, bc in inputs.items()), homogeneous)
+        outputs = tuple(outputs)
+        kinds = tuple((side, bc.kind, bc.robin_p) for side, bc in inputs.items())
+        key = (kinds, outputs, homogeneous)
         response = self._responses.get(key)
         if response is None:
-            response = self._responses[key] = _Response(self, inputs, homogeneous)
+            shape = self._shape(kinds, outputs, homogeneous)
+            response = _Response(self, inputs, outputs, homogeneous, self._shared.get(shape))
+            self._responses[key] = self._shared[shape] = response
         return response.apply(self, inputs)
+
+    def _shape(self, kinds: tuple, outputs: tuple, homogeneous: bool) -> tuple:
+        """What a response's impulse part depends on: grids, speed, side kinds, columns read."""
+        reads = tuple(
+            (out.kind, self.xgrid.node_index(out.at) if out.kind is TraceKind.DIRICHLET else out.at,
+             out.robin_p)
+            for out in outputs
+        )
+        x = self.xgrid
+        return (type(self), x.n_cells, x.dx, self.tgrid, self.ygrid, self.impedance, kinds, reads, homogeneous)
 
     def _boundaries(self, inputs: dict, homogeneous: bool) -> tuple[InterfaceTrace, InterfaceTrace]:
         """Left and right data of one march: ``inputs``, physical data on the other sides."""
@@ -310,22 +360,22 @@ class _Workspace:
             for side in ("left", "right")
         )
 
-    # A 1D column is its own single mode; strips override these three.
+    # A 1D trace is its own single mode; strips override these three.
     def _profile(self) -> float | np.ndarray:
         """The y profile of an impulse that excites every mode with unit weight."""
         return 1.0
 
     def _modes(self, samples: np.ndarray) -> np.ndarray:
-        """Column history ``(M+1, ...)`` to mode histories ``(M+1, modes)``."""
-        return samples[:, None]
+        """Trace samples ``(..., [ny+1])`` to mode amplitudes ``(..., modes)``."""
+        return samples[..., None]
 
     def _from_modes(self, base: np.ndarray, modes: np.ndarray) -> np.ndarray:
-        """``base`` plus the column history that mode histories ``modes`` stand for."""
-        return base + modes[:, 0]
+        """``base`` plus the trace that mode amplitudes ``modes`` stand for."""
+        return base + modes[..., 0]
 
 
 class _Response:
-    """One subdomain's solve for fixed interface-side kinds, as convolutions in time.
+    """One subdomain's outputs for fixed interface-side kinds, as convolutions in time.
 
     Built from one batched march of the adapter's own kernel on its time
     grid. Entry 0 is the particular part: all data but the interface
@@ -338,100 +388,208 @@ class _Response:
     kernels read it at a Neumann side, in the Taylor start, where its
     response is half the row-1 response shifted back one row; there the
     impulse goes in at row 0 and a row m >= 1 weighs twice its shifted
-    response. Every entry does the arithmetic of a march of its data
-    alone, so the batch changes no bit of any column.
+    response. The batch changes no bit of any entry.
+
+    Each output is a fixed linear map of the field (:meth:`_Workspace.read`),
+    applied here to the entries and never on a solve: the particular
+    entry gives the output's particular part, and a solve adds causal
+    convolutions of the interface traces with the output's impulse
+    kernels. An output reads two x columns and, through its time
+    difference, three rows at most; its own formula on unit fields of
+    that size gives the weight of each value it reads, per mode. Away
+    from the ends the formula is shift-invariant, so the kernel is those
+    weights applied to the impulse march, from one row before the
+    impulse on (the wave's central difference reads the next row).
+    Row 0 (heat's forward difference, the wave's ghost form from the
+    initial rate) and the last two rows (the wave's backward-shifted
+    final row, a clipped grid's shorter step) have formulas of their
+    own: a flux or Robin output takes them from weights on every input
+    row (:meth:`_end_weights`); a Dirichlet trace, which has no time
+    difference, only a clipped grid's last row.
 
     A clipped grid ``[0, dt, ..., M dt, T]`` is shift-invariant over its
     uniform prefix only: rows 0..M of its march are the march on
     ``times[:M + 1]`` (bit for bit), so they are convolved as above. Row
-    M + 1 is one more step of the kernel, linear in rows M - 1 and M and
-    in the data the step reads (row M at a wave Neumann side, its ghost;
-    row M + 1 elsewhere). At build time that step is applied to every
-    consecutive row pair of each impulse entry at once, which gives the
-    weight of every input row in the last row (``last``); a solve then
-    takes one dot product per kept column and side. The particular entry
-    runs over the whole grid, last row included.
+    M + 1 is one more kernel step, whose weights on every input row
+    :meth:`_last` builds from the impulse entries.
 
     On strips the interface data are expanded in the sine modes of the
-    interior y nodes, in which the scheme with zero lids decouples. An
-    impulse whose profile holds every mode with unit weight gives every
-    mode's response in one entry. The corner rows of each column come
-    from the particular part only; no interface data reaches them.
-
-    Only the columns the drivers read are kept (``columns``). Time
-    convolutions are products of ``numpy.fft`` real FFTs whose length is
-    the power of two at or above 2 rows - 1, so nothing wraps into the
-    convolved rows. (A length of 2 rows, which is 2 * 251 on
-    ``fig_wave_T5``, doubled how far that preset's error rows moved from
-    the march's.) ``scipy.fft`` is not used: importing it adds about
-    3 MB to the peak resident memory of an import of the package.
+    interior y nodes, in which the scheme with zero lids decouples, and
+    so does every output; an impulse whose profile holds every mode with
+    unit weight gives every mode's response in one entry. Convolutions
+    are ``numpy.fft`` real FFTs of a power-of-two length above 2 rows -
+    1, so nothing wraps into the convolved rows (``scipy.fft`` would add
+    about 3 MB to the peak resident memory of an import of the package).
 
     The convolutions set an error floor above the march's. Run past
     convergence (sweeps 10-15), ``fig_wave_T5``'s monitored error stays
-    at 1.3e-12 to 4.4e-12, against 3.7e-14 to 5.5e-14 with every solve
-    marched, so a ``tol`` under about 5e-12 on that chain may take more
-    sweeps than the march did (3e-12 misses sweep 10, 1e-12 is never
-    met). ``fig_wave_nonmatching`` (clipped grids) floors at 5.3e-13 to
-    5.9e-13 marched or not, a floor the convolutions do not raise: its
-    converged row moved by 3.5e-15 of its initial error, and every
-    ``tol`` down to 1e-12 takes the march's sweep count.
+    at 1.6e-12 to 5.2e-12, against 3.7e-14 to 5.5e-14 with every solve
+    marched; a ``tol`` of 3e-12 is met at the march's sweep 10 and 1e-12
+    is never met. ``fig_wave_nonmatching`` (clipped grids) floors at
+    5.3e-13 to 5.8e-13 marched or not, and ``tol`` 1e-10, 1e-11 and
+    1e-12 take the march's sweeps 34, 37 and 40. A kernel that
+    differences the data imposed at its own side applies its first three
+    taps directly (``heads``); through the FFT they doubled that floor.
     """
 
-    def __init__(self, space: _Workspace, inputs: dict, homogeneous: bool):
-        clipped = not space.tgrid.uniform
-        self.rows = space.tgrid.n_steps + (0 if clipped else 1)
-        self.length = 1 << (2 * self.rows - 2).bit_length()
-        if space.columns is not None:
-            self.columns = space.columns
-        else:
-            nx = space.xgrid.n_cells
-            near = {"left": (0, 1), "right": (nx, nx - 1)}
-            self.columns = tuple(j for side in inputs for j in near[side])
+    def __init__(self, space: _Workspace, inputs: dict, outputs: tuple, homogeneous: bool, like=None):
+        grid, times = space.tgrid, space.tgrid.times
+        n_rows = len(times)
+        self.outputs = outputs
         zero = {side: bc.with_samples(np.zeros_like(bc.samples)) for side, bc in inputs.items()}
         bcs = space._boundaries(zero, homogeneous)
-        lead = 0 if homogeneous else 1
-        first = {side: 0 if bc.kind in space._row0_kinds else 1 for side, bc in inputs.items()}
+        kinds = (bcs[0].kind, bcs[1].kind)
 
+        def particular(values: np.ndarray) -> np.ndarray:
+            """The outputs of the particular march ``values``."""
+            rate = space._initial_rate()
+            field = SpaceTimeField(space.xgrid, grid, values, *kinds, space.ygrid, rate)
+            return np.stack([space.read(field, out, space.problem.source) for out in outputs])
+
+        self.base = np.zeros((len(outputs),) + bcs[0].samples.shape)
+        if like is not None:
+            # An equal subdomain's response (see _Workspace._shape) has this
+            # impulse part, so only the particular part is marched.
+            for name in ("rows", "length", "sides", "weights", "kernels", "heads", "ends", "special"):
+                setattr(self, name, getattr(like, name))
+            if not homogeneous:
+                self.base = particular(space._march(*bcs, bcs[0].samples, bcs[1].samples, True))
+            return
+
+        self.rows = rows = n_rows - (0 if grid.uniform else 1)  # the uniform prefix
+        self.length = 1 << (2 * rows - 1).bit_length()
+        self.sides = list(inputs)
+        lead = 0 if homogeneous else 1
+        first = [0 if inputs[side].kind in space._row0_kinds else 1 for side in self.sides]
         data = []
         for side, bc in zip(("left", "right"), bcs):
             g = np.zeros(bc.samples.shape + (lead + len(inputs),))
             if side in inputs:
-                g[first[side], ..., lead + list(inputs).index(side)] = space._profile()
+                e = self.sides.index(side)
+                g[first[e], ..., lead + e] = space._profile()
             elif lead:
                 g[..., 0] = bc.samples  # the physical data
             data.append(g)
         values = space._march(*bcs, *data, not homogeneous)
+        if not homogeneous:
+            self.base = particular(values[..., 0])
 
-        self.kernels = {}
-        for entry, side in enumerate(inputs, start=lead):
-            march = values[..., entry]
-            responses = np.stack(
-                [space._modes(march[:, j])[first[side] : self.rows] for j in self.columns]
-            )
-            if first[side]:  # row 0 is never read
-                weights = np.ones(self.rows)
-                weights[0] = 0.0
-            else:  # row m >= 1 weighs twice the row-0 response shifted by m
-                weights = np.full(self.rows, 2.0)
-                weights[0] = 1.0
-            last = self._last(space, bcs, side, march, first[side], weights) if clipped else None
-            self.kernels[side] = (weights[:, None], np.fft.rfft(responses, n=self.length, axis=1), last)
-        self.particular = [
-            np.zeros_like(values[:, j, ..., 0]) if homogeneous else np.array(values[:, j, ..., 0])
-            for j in self.columns
+        # Each input row's weight in the field: 1 past row 0, or at a side
+        # read at row 0, 1 at row 0 and 2 past it.
+        weights = np.array([[1.0 - f] + [2.0 - f] * (n_rows - 1) for f in first])
+        self.weights = weights[:, :rows, None]
+        # The impulse marches at the columns the outputs read, in modes
+        # (rows, columns, sides, modes); on a clipped grid, the weights of
+        # the input rows in their last row.
+        narrow = [space._narrow(out) for out in outputs]
+        cols = sorted({j for _, pair in narrow for j in pair})
+        impulses = values[..., lead:]
+        march = space._modes(np.moveaxis(impulses[:rows, cols], -1, 2))
+        last = [
+            space._modes(self._last(space, bcs, side, impulses[..., e], first[e], weights[e], cols))
+            for e, side in enumerate(self.sides)
+            if not grid.uniform
         ]
-        self.kinds = (bcs[0].kind, bcs[1].kind)
-        self.initial_rate = space._initial_rate(homogeneous)
 
-    def _last(self, space: _Workspace, bcs, side: str, values: np.ndarray, first: int, weights):
-        """Weights ``(columns, M + 2, modes)`` of each row of ``side``'s data in the last row.
+        # Unit fields on three uniform steps give row 0, an interior row
+        # and, on a uniform grid, the last two rows; other grids take
+        # their own last three rows.
+        start = TimeGrid(np.arange(3) * times[1])
+        lo = max(0, n_rows - 3)
+        at_end = start if grid.uniform and n_rows >= 3 else TimeGrid(times[lo:] - times[lo])
+        end_rows = [0] + list(range(max(1, n_rows - 2), n_rows))
 
-        ``values`` is ``side``'s impulse entry. Its step from rows i - 1
-        and i with zero data is q[i]; an input row m reaches the last row
-        through rows M - 1 and M of its shifted response, so it weighs
-        ``weights[m] * q[M - m + first]``. A last batch entry steps zero
-        rows with the impulse profile as the data the step reads: the
-        weight of row M + first.
+        def probe(out: Output, xgrid: SpaceGrid1D, tgrid: TimeGrid) -> np.ndarray:
+            """The weight ``(rows, rows, 2, modes)`` of each field row and column in each output row."""
+            n = len(tgrid.times)
+            unit = np.einsum("icb,...->ic...b", np.eye(2 * n).reshape(n, 2, 2 * n), space._profile())
+            rate = np.broadcast_to(0.0, unit.shape[1:])
+            got = space.read(SpaceTimeField(xgrid, tgrid, unit, *kinds, space.ygrid, rate), out)
+            return space._modes(np.moveaxis(got, -1, 1)).reshape(n, n, 2, -1)
+
+        k = march.shape[-1]
+
+        def own(formula: np.ndarray, interior: np.ndarray, at: int) -> bool:
+            """Whether a row's weights on its window rows differ from the interior ones at ``at``."""
+            placed = np.zeros((len(formula) + 2, 2, k))  # window rows -1 .. n
+            placed[at : at + 3] = interior
+            return (placed[[0, -1]] != 0).any() or not np.array_equal(placed[1:-1], formula)
+
+        # The (output, row) pairs taken from weights: the rows whose formula
+        # is not the interior one, and a clipped grid's last row.
+        phis, self.special = [], []
+        for o, (out, (xgrid, _)) in enumerate(zip(outputs, narrow)):
+            phi = probe(out, xgrid, start)
+            phi_end = phi if at_end is start else probe(out, xgrid, at_end)
+            phis.append((phi, phi_end[end_rows[1] - lo :]))
+            if own(phi[0], phi[1], 0):
+                self.special.append((o, 0))
+            for r in end_rows[1:]:
+                if (r == n_rows - 1 and not grid.uniform) or own(phi_end[r - lo], phi[1], r - lo):
+                    self.special.append((o, r))
+        self.kernels = np.empty((len(inputs), len(outputs), self.length // 2 + 1, k), complex)
+        self.heads = []  # (output, side, first taps) applied directly on a solve
+        ends = np.zeros((k, len(self.special), len(inputs), n_rows))
+        for o, (out, (_, pair), (phi, phi_end)) in enumerate(zip(outputs, narrow, phis)):
+            wanted = [(i, end_rows.index(r)) for i, (oo, r) in enumerate(self.special) if oo == o]
+            at = [cols.index(j) for j in pair]
+            for e, f in enumerate(first):
+                m = march[:, at, e]
+                # The interior formula at impulse rows f - 1 .. rows - 1, the
+                # march zero outside its rows.
+                z = np.concatenate((np.zeros_like(m[:2]), m, np.zeros_like(m[:2])))
+                taps = np.stack([z[f + d : f + d + rows + 1] for d in range(3)])
+                kernel = np.einsum("dck,dick->ik", phi[1], taps)
+                if out.kind is not TraceKind.DIRICHLET and out.at == self.sides[e]:
+                    # A time difference of the data imposed at this side: its
+                    # large stencil sits in the first taps, applied directly,
+                    # since the FFT would spread their rounding over all rows.
+                    self.heads.append((o, e, kernel[:3].copy()))
+                    kernel[:3] = 0.0
+                self.kernels[e, o] = np.fft.rfft(kernel, n=self.length, axis=0)
+                if wanted:
+                    end = last[e][:, at] if last else None
+                    w = np.concatenate((
+                        self._end_weights(phi[:1, :2], range(2), m, end, f, weights[e]),
+                        self._end_weights(phi_end, range(lo, n_rows), m, end, f, weights[e]),
+                    ))
+                    index, rows_w = (list(x) for x in zip(*wanted))
+                    ends[:, index, e] = np.moveaxis(w[rows_w], -1, 0)
+        # (modes, special rows, sides * input rows): one product per mode on a solve
+        self.ends = ends.reshape(k, len(self.special), len(inputs) * n_rows)
+        self.special = tuple(np.array(index, dtype=int) for index in zip(*self.special))
+
+    def _end_weights(self, phi, ns, march: np.ndarray, last, first: int, weights) -> np.ndarray:
+        """Weights ``(output rows, input rows, modes)`` of one side's input rows in some output rows.
+
+        ``phi[t, i, c]`` is the weight of field row ``ns[i]``, column c
+        in output row t; ``march`` holds the two columns of that side's
+        impulse march in modes, ``(rows, 2, modes)``. Input row m reaches
+        field row n through impulse row n + first - m; row M + 1 of a
+        clipped grid is ``last``, the same columns of :meth:`_last`.
+        """
+        rows = self.rows
+        out = np.zeros((len(phi), len(weights), march.shape[-1]))
+        reached = np.einsum("tick,jck->tijk", phi, march[: ns[-1] + first + 1])
+        for i, n in enumerate(ns):
+            if n == rows:  # a clipped grid's last row
+                out += np.einsum("tck,mck->tmk", phi[:, i], last)
+                continue
+            lo, hi = max(0, n + first - rows + 1), min(n + first, len(weights) - 1)
+            if lo <= hi:
+                shifted = reached[:, i, first + n - hi : first + n - lo + 1][:, ::-1]
+                out[:, lo : hi + 1] += shifted * weights[lo : hi + 1, None]
+        return out
+
+    def _last(self, space: _Workspace, bcs, side: str, values: np.ndarray, first: int, weights, cols):
+        """Weights ``(M + 2, columns[, ny+1])`` of each row of ``side``'s data in the last field row.
+
+        ``values`` is ``side``'s impulse entry, of which columns ``cols``
+        are kept. Its step from rows i - 1 and i with zero data is q[i];
+        an input row m reaches the last row through rows M - 1 and M of
+        its shifted response, so it weighs ``weights[m] * q[M - m + first]``.
+        A last batch entry steps zero rows with the impulse profile as the
+        data the step reads: the weight of row M + first.
         """
         M = self.rows - 1
         zero = np.zeros_like(values[:1])
@@ -439,51 +597,48 @@ class _Response:
         prev = np.concatenate((zero, values[:M], zero))
         data = np.zeros((M + 2,) + bcs[0].samples.shape[1:])
         data[-1] = space._profile()
-        g = {s: data if s == side else np.zeros_like(data) for s in ("left", "right")}
+        g = [data if s == side else np.zeros_like(data) for s in ("left", "right")]
         # The rows ride along as the last axis, 64 at a time to keep the step's temporaries small.
-        batch = [np.moveaxis(a, 0, -1) for a in (cur, prev, g["left"], g["right"])]
-        cols = list(self.columns)
-        new = np.concatenate(
-            [
-                space._last_step(*bcs, *(a[..., s : s + 64] for a in batch))[cols]
-                for s in range(0, M + 2, 64)
-            ],
-            axis=-1,
-        )
-        m = np.arange(first, M + 1)
-        out = []
-        for column in new:
-            q = space._modes(np.moveaxis(column, -1, 0))
-            last = np.zeros_like(q)
-            last[m] = weights[m, None] * q[M + first - m]
-            last[M + first] += q[-1]
-            out.append(last)
-        return np.stack(out)
+        batch = [np.moveaxis(a, 0, -1) for a in (cur, prev, *g)]
+        steps = [
+            space._last_step(*bcs, *(a[..., s : s + 64] for a in batch))[cols]
+            for s in range(0, M + 2, 64)
+        ]
+        q = np.moveaxis(np.concatenate(steps, axis=-1), -1, 0)
+        last = np.zeros_like(q)
+        shape = (-1,) + (1,) * (q.ndim - 1)
+        last[first : M + 1] = weights[first : M + 1].reshape(shape) * q[first : M + 1][::-1]
+        last[M + first] += q[-1]
+        return last
 
-    def apply(self, space: _Workspace, inputs: dict) -> ColumnField:
-        """The kept columns of ``space``'s solve with interface data ``inputs``."""
-        total = last_row = 0.0
-        for side, (weights, kernel, last) in self.kernels.items():
-            modes = space._modes(inputs[side].samples)
-            total = total + kernel * np.fft.rfft(weights * modes[: self.rows], n=self.length, axis=0)
-            if last is not None:
-                last_row = last_row + np.einsum("cmk,mk->ck", last, modes)
-        modes = np.fft.irfft(total, n=self.length, axis=1)[:, : self.rows]
+    def apply(self, space: _Workspace, inputs: dict) -> tuple[InterfaceTrace, ...]:
+        """The outputs of ``space``'s solve with interface data ``inputs``."""
+        modes = [space._modes(inputs[side].samples) for side in self.sides]
+        weighted = [w * m[: self.rows] for w, m in zip(self.weights, modes)]
+        total = 0.0
+        for kernels, w in zip(self.kernels, weighted):
+            total = total + kernels * np.fft.rfft(w, n=self.length, axis=0)
+        convolved = np.fft.irfft(total, n=self.length, axis=1)[:, 1 : self.rows + 1]
+        for o, e, taps in self.heads:  # output row r reads input rows r + 1, r and r - 1
+            w, out = weighted[e], convolved[o]
+            out[:-1] += taps[0] * w[1:]
+            out += taps[1] * w
+            out[1:] += taps[2] * w[:-1]
         if not space.tgrid.uniform:
-            modes = np.concatenate((modes, last_row[:, None]), axis=1)
-        columns = {
-            j: space._from_modes(base, mode)
-            for j, base, mode in zip(self.columns, self.particular, modes)
-        }
-        return ColumnField(
-            xgrid=space.xgrid,
-            tgrid=space.tgrid,
-            columns=columns,
-            left_kind=self.kinds[0],
-            right_kind=self.kinds[1],
-            ygrid=space.ygrid,
-            initial_rate=self.initial_rate,
+            convolved = np.concatenate((convolved, convolved[:, :1]), axis=1)
+        if self.special:
+            stacked = np.concatenate(modes)
+            convolved[self.special] = (self.ends @ stacked.T[:, :, None])[..., 0].T
+        samples = space._from_modes(self.base, convolved)
+        return tuple(
+            InterfaceTrace(out.kind, space.tgrid, trace, robin_p=out.robin_p)
+            for out, trace in zip(self.outputs, samples)
         )
+
+
+def _batch(bc: InterfaceTrace, g: np.ndarray) -> int | None:
+    """The batch size of march data ``g`` for boundary ``bc``, None without a batch axis."""
+    return g.shape[-1] if g.ndim > bc.samples.ndim else None
 
 
 class _Heat1D(_Workspace):
@@ -502,7 +657,7 @@ class _Heat1D(_Workspace):
         return [sample(self.problem.initial, x.shape, x)]
 
     def _march(self, left_bc, right_bc, g_left, g_right, particular) -> np.ndarray:
-        (u0,), source = self._batched(particular, g_left.shape[-1])
+        (u0,), source = self._batched(particular, _batch(left_bc, g_left))
         return _heat_march(
             self.xgrid, self.problem.nu, self.tgrid, u0, left_bc, right_bc, g_left, g_right, source
         )
@@ -513,8 +668,8 @@ class _Heat1D(_Workspace):
         steps.step(cur, out, self.tgrid.steps[-1], g_left, g_right)
         return out
 
-    def flux(self, field, side: str) -> InterfaceTrace:
-        return heat_interface_flux(field, side, self.problem.nu, self.problem.source)
+    def _flux(self, field, side: str, source) -> np.ndarray:
+        return heat_interface_flux(field, side, self.problem.nu, source)
 
 
 class _Wave1D(_Workspace):
@@ -542,23 +697,22 @@ class _Wave1D(_Workspace):
 
     def _march(self, left_bc, right_bc, g_left, g_right, particular) -> np.ndarray:
         # a strip's data ends in its lids
-        (u0, v0, *lids), source = self._batched(particular, g_left.shape[-1])
+        (u0, v0, *lids), source = self._batched(particular, _batch(left_bc, g_left))
         return _wave_march(
             self.xgrid, self.ygrid, self.c, self.tgrid, u0, v0, left_bc, right_bc, g_left, g_right,
             lids or None, source,
         )
 
-    def _initial_rate(self, homogeneous: bool):
-        v0 = self.data[1]
-        return np.zeros_like(v0) if homogeneous else v0
+    def _initial_rate(self):
+        return self.data[1]
 
     def _last_step(self, left_bc, right_bc, cur, prev, g_left, g_right) -> np.ndarray:
         tau_prev, tau = self.tgrid.steps[-2:]
         stencil = _WaveStencil(self.xgrid, self.ygrid, self.c, left_bc.kind, right_bc.kind)
         return stencil.step(cur, prev, tau, tau_prev, g_left, g_right)
 
-    def flux(self, field, side: str) -> InterfaceTrace:
-        return wave_interface_flux(field, side, self.c, self.problem.source)
+    def _flux(self, field, side: str, source) -> np.ndarray:
+        return wave_interface_flux(field, side, self.c, source)
 
 
 class _Strip2D(_Wave1D):
@@ -593,11 +747,12 @@ class _Strip2D(_Wave1D):
         return profile
 
     def _modes(self, samples: np.ndarray) -> np.ndarray:
-        return samples[:, 1:-1] @ self._sine
+        # matmul takes its BLAS path only with y the contiguous axis
+        return np.ascontiguousarray(samples[..., 1:-1]) @ self._sine
 
     def _from_modes(self, base: np.ndarray, modes: np.ndarray) -> np.ndarray:
         out = np.array(base)
-        out[:, 1:-1] += modes @ self._sine
+        out[..., 1:-1] += modes @ self._sine
         return out
 
 
@@ -612,20 +767,23 @@ def _adapter(problem) -> type[_Workspace]:
     return model
 
 
-def _solve_all(spaces: dict[int, _Workspace], inner, homogeneous: bool = False) -> dict:
+def _solve_all(spaces: dict[int, _Workspace], inner, reads: dict, homogeneous: bool = False) -> dict:
     """Solve every subdomain once, independently of the others.
 
     ``inner(s, i)`` is the data subdomain ``s`` takes at interface ``i``;
     the two ends of the chain take the physical data (zero data in a
-    homogeneous solve).
+    homogeneous solve). ``reads[s]`` maps names to the outputs
+    (:class:`Output`) of subdomain ``s``; the result maps each ``s`` to
+    the same names, with their traces.
     """
     n = len(spaces)
-    fields = {}
+    traces = {}
     for s, space in spaces.items():
         left = None if s == 1 else inner(s, s - 1)
         right = None if s == n else inner(s, s)
-        fields[s] = space.solve(left, right, homogeneous)
-    return fields
+        names = reads[s]
+        traces[s] = dict(zip(names, space.solve(left, right, names.values(), homogeneous)))
+    return traces
 
 
 def exchange_scale(producer: _Workspace, consumer: _Workspace) -> float:
@@ -684,10 +842,11 @@ def build_workspaces(
     ygrid = model.make_ygrid(problem, grids)
     speeds = model.speeds(problem, n)
     spaces: dict[int, _Workspace] = {}
+    shared: dict[tuple, _Response] = {}
     for i in range(1, n + 1):
         lo, hi = partition.bounds(i) if bounds is None else bounds[i]
         xgrid = SpaceGrid1D.with_spacing(lo, hi, grids.dx)
-        spaces[i] = model(problem, xgrid, grids.tgrids[i - 1], ygrid, speeds[i - 1])
+        spaces[i] = model(problem, xgrid, grids.tgrids[i - 1], ygrid, speeds[i - 1], shared)
     return spaces, ygrid
 
 

@@ -590,6 +590,8 @@ def test_cli_error_paths(tmp_path, capsys):
         ("wave-steps", ["T=5", "widths=1,1", "c=x"]),
         ("wave-steps", ["T=inf", "widths=1,1", "c=1"]),
         ("wave-steps", ["T=2", "widths=1,1", "c=inf"]),
+        ("heat-equal", ["count=3", "h=1", "nu=1", "T=2", "kmax=-1"]),
+        ("wave-steps", ["T=5", "widths=1,1", "c=1", "kmax=3"]),  # kmax is for the heat kinds
     ):
         rc = main(["bound", "--kind", kind, "--params", *params])
         captured = capsys.readouterr()

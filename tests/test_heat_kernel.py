@@ -96,9 +96,9 @@ def test_one_step_left_flux():
     # Boundary value stays 0, so the half-cell time correction vanishes
     # and the flux is the plain difference quotient u_1/dx.
     expect = one_step_oracle(u0)[0] / 0.25
-    assert w.samples[1] == pytest.approx(expect, rel=1e-13)
-    assert w.samples[1] == pytest.approx(1.78360, abs=5e-5)
-    assert w.kind is TraceKind.NEUMANN
+    assert w[1] == pytest.approx(expect, rel=1e-13)
+    assert w[1] == pytest.approx(1.78360, abs=5e-5)
+    assert w.shape == tgrid.times.shape
 
 
 def test_zero_data_stays_zero():
@@ -108,8 +108,8 @@ def test_zero_data_stays_zero():
         grid, 1.0, tgrid, np.zeros(grid.n_nodes), zero_trace(tgrid), zero_trace(tgrid)
     )
     assert np.all(field.values == 0.0)
-    assert np.all(heat_interface_flux(field, "left", 1.0).samples == 0.0)
-    assert np.all(heat_interface_flux(field, "right", 1.0).samples == 0.0)
+    assert np.all(heat_interface_flux(field, "left", 1.0) == 0.0)
+    assert np.all(heat_interface_flux(field, "right", 1.0) == 0.0)
 
 
 def test_steady_linear_profile_and_unit_flux():
@@ -123,7 +123,7 @@ def test_steady_linear_profile_and_unit_flux():
     )
     for side in ("left", "right"):
         w = heat_interface_flux(field, side, 1.0)
-        np.testing.assert_allclose(w.samples, 1.0, atol=1e-12)
+        np.testing.assert_allclose(w, 1.0, atol=1e-12)
 
 
 def test_neumann_boundary_steady_state():
@@ -234,7 +234,7 @@ def test_two_subdomain_split_reproduces_monodomain():
     left_field = solve_heat_subdomain(
         left_grid, 1.0, tgrid, u0(left_grid.nodes), gl, trace
     )
-    flux = heat_interface_flux(left_field, "right", 1.0)
+    flux = InterfaceTrace(TraceKind.NEUMANN, tgrid, heat_interface_flux(left_field, "right", 1.0))
     right_field = solve_heat_subdomain(
         right_grid, 1.0, tgrid, u0(right_grid.nodes), flux, gr
     )

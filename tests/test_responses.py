@@ -1,8 +1,9 @@
 """Response solves: on a uniform grid a subdomain solve is a convolution in time.
 
-Every column a response solve keeps, its Dirichlet traces and its fluxes
-must match the march of the same kernel, and the row-0 facts the
-responses rest on are checked against the kernels directly.
+Every output a response solve returns (a Dirichlet trace at an x, a
+flux, a Robin combination) must match the same quantity read off the
+march of the same kernel, and the row-0 facts the responses rest on are
+checked against the kernels directly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import wrkit.methods.workspace as workspace
-from wrkit.errors import ValidationError
+from wrkit.errors import IncompatibleGrids, ValidationError, WrongBoundaryKind
 from wrkit.grids import InterfaceTrace, TimeGrid, TraceKind, make_partition
 from wrkit.kernels import (
     HeatProblem,
@@ -23,9 +24,8 @@ from wrkit.kernels import (
     solve_wave_strip_2d,
     solve_wave_subdomain,
 )
-from wrkit.kernels.problems import ColumnField
 from wrkit.methods import RunGrids, make_run_grids
-from wrkit.methods.workspace import build_workspaces
+from wrkit.methods.workspace import Output, build_workspaces
 
 D, N, R = TraceKind.DIRICHLET, TraceKind.NEUMANN, TraceKind.ROBIN
 
@@ -108,23 +108,37 @@ def _march(space, left, right, homogeneous=False):
     ), homogeneous)
 
 
-def _assert_matches_march(space, left, right, homogeneous=False, boundaries=True):
-    """Compare every kept column and, if ``boundaries``, the traces and fluxes the drivers read."""
-    got = space.solve(left, right, homogeneous)
-    assert isinstance(got, ColumnField)
-    want = _march(space, left, right, homogeneous)
-    tol = 1e-12 * float(np.max(np.abs(want.values)))
-    assert got.columns
-    for j in got.columns:
-        assert np.max(np.abs(got.column(j) - want.column(j))) <= tol, j
+def _outputs(space, left, right):
+    """Every output a sweep could read: u at both ends and inside, flux and Robin where allowed.
+
+    A flux, and so a Robin combination, needs a side without Neumann
+    data; the physical ends carry Dirichlet data.
+    """
+    x = space.xgrid
+    outputs = [Output(D, x.x_left), Output(D, x.nodes[x.n_cells // 2]), Output(D, x.x_right)]
     for side, bc in (("left", left), ("right", right)):
-        if bc is None or not boundaries:
-            continue
-        a, b = space.dirichlet_trace(got, side), space.dirichlet_trace(want, side)
-        assert np.max(np.abs(a.samples - b.samples)) <= tol
-        if bc.kind is not N:
-            a, b = space.flux(got, side), space.flux(want, side)
-            assert np.max(np.abs(a.samples - b.samples)) <= tol
+        if bc is None or bc.kind is not N:
+            outputs += [Output(N, side), Output(R, side, 1.5)]
+    return outputs
+
+
+def _assert_matches_march(space, left, right, homogeneous=False, outputs=None):
+    """Compare each output with the same quantity read off the marched field, rows 0 and M too."""
+    outputs = _outputs(space, left, right) if outputs is None else outputs
+    got = space.solve(left, right, outputs, homogeneous)
+    field = _march(space, left, right, homogeneous)
+    source = None if homogeneous else space.problem.source
+    assert len(got) == len(outputs)
+    for out, trace in zip(outputs, got):
+        want = space.read(field, out, source)
+        assert trace.kind is out.kind and trace.robin_p == out.robin_p
+        assert trace.grid is space.tgrid and trace.samples.shape == want.shape
+        tol = 1e-12 * float(np.max(np.abs(want)))
+        err = np.abs(trace.samples - want)
+        assert np.max(err[0]) <= tol and np.max(err[-1]) <= tol, out
+        assert np.max(err) <= tol, out
+        if space.ygrid is not None and out.kind is N:
+            assert np.all(trace.samples[:, [0, -1]] == 0.0)  # a flux reports the corners as zero
     return got
 
 
@@ -167,19 +181,25 @@ def test_response_solve_matches_the_march(model, s, left, right, homogeneous):
 def test_named_columns_match_the_march():
     for dt in (None, 0.07):  # uniform, then clipped
         space = _spaces("strip", dt=dt)[2]
-        space.read_columns([0.6, 0.8, 0.9])
+        outputs = [Output(D, x) for x in (0.6, 0.8, 0.9)]
         for seed in (5, 7):
             lbc, rbc = _trace(space, D, seed), _trace(space, D, seed + 1)
-            got = _assert_matches_march(space, lbc, rbc, boundaries=False)
-        assert sorted(got.columns) == [1, 3, 4]
+            _assert_matches_march(space, lbc, rbc, outputs=outputs)
+        assert len(space._responses) == 1
 
 
 def test_reading_a_column_not_kept_raises():
     space = _spaces("heat")[2]
-    got = space.solve(_trace(space, D, 1), _trace(space, N, 2))
-    assert sorted(got.columns) == [0, 1, 9, 10]
-    with pytest.raises(KeyError, match="not kept"):
-        got.column(5)
+    left, right = _trace(space, D, 1), _trace(space, N, 2)
+    with pytest.raises(IncompatibleGrids, match="not a node"):
+        space.solve(left, right, [Output(D, 1.05)])  # between two nodes
+    with pytest.raises(IncompatibleGrids, match="not a node"):
+        space.solve(left, right, [Output(D, 2.5)])  # outside the subdomain
+    with pytest.raises(WrongBoundaryKind):
+        space.solve(left, right, [Output(N, "right")])  # the flux there is the input
+    with pytest.raises(WrongBoundaryKind):
+        space.solve(left, right, [Output(R, "right", 1.5)])
+    assert not space._responses
 
 
 # On a clipped grid rows 0..M are a response on the uniform prefix and
@@ -239,9 +259,67 @@ def test_clipped_and_uniform_grids_build_once(monkeypatch, model, kernel):
         space = _spaces(model, dt=dt)[2]
         assert space.tgrid.uniform is (dt is None)
         for seed in (1, 2, 3):
-            field = space.solve(_trace(space, D, seed), _trace(space, N, seed + 1))
-            assert isinstance(field, ColumnField)
+            left, right = _trace(space, D, seed), _trace(space, N, seed + 1)
+            traces = space.solve(left, right, _outputs(space, left, right))
+            assert all(isinstance(trace, InterfaceTrace) for trace in traces)
         assert len(calls) == 1  # one batched march: the particular part and one impulse per side
+
+
+@pytest.mark.parametrize("model, name", [
+    ("heat", "heat_interface_flux"),
+    ("wave", "wave_interface_flux"),
+    ("strip", "wave_interface_flux"),
+])
+def test_fluxes_are_extracted_at_build_time_only(monkeypatch, model, name):
+    calls = []
+    real = getattr(workspace, name)
+    monkeypatch.setattr(workspace, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    for dt in (None, SETUPS[model][4] * 1.1):  # uniform, then clipped
+        space = _spaces(model, dt=dt)[2]
+        left, right = _trace(space, D, 1), _trace(space, N, 2)
+        outputs = _outputs(space, left, right)
+        space.solve(left, right, outputs)
+        built = len(calls)
+        assert built > 0
+        for seed in (3, 5):
+            space.solve(_trace(space, D, seed), _trace(space, N, seed + 1), outputs)
+        assert len(calls) == built
+
+
+# Subdomains 2 and 3 have equal widths, exact in binary, so their grids
+# are equal; subdomain 4 is twice as wide.
+@pytest.mark.parametrize("model, boundaries", [
+    ("heat", (0.0, 0.5, 1.0, 1.5, 2.5, 3.0)),
+    ("wave", (0.0, 0.5, 1.0, 1.5, 2.5, 3.0)),
+    ("strip", (0.0, 0.25, 0.5, 0.75, 1.25, 1.5)),
+])
+def test_equal_subdomains_share_the_impulse_part(model, boundaries):
+    problem, _, dx, T, dt, dy = SETUPS[model]
+    dx = 0.125 if model == "strip" else dx
+    part = make_partition(boundaries)
+    spaces, _ = build_workspaces(problem, part, make_run_grids(part, dx, T, dt, dy))
+    batches = []
+    for space in spaces.values():
+        real = space._march
+
+        def counted(left_bc, right_bc, g_left, g_right, particular, real=real):
+            batches.append(g_left.shape[-1] if g_left.ndim > left_bc.samples.ndim else None)
+            return real(left_bc, right_bc, g_left, g_right, particular)
+
+        space._march = counted
+    for homogeneous in (False, True):
+        batches.clear()
+        for s, seed in ((2, 1), (3, 3)):  # equal widths, the same side kinds and outputs
+            space = spaces[s]
+            _assert_matches_march(space, _trace(space, D, seed), _trace(space, N, seed + 1), homogeneous)
+        # subdomain 3 marches its particular part alone, unbatched, or nothing if homogeneous
+        assert batches == ([2] if homogeneous else [3, None])
+    batches.clear()
+    for s in (2, 4):  # the same side kinds and outputs, but 4 is wider: its own build
+        space = spaces[s]
+        outputs = [Output(N, "left"), Output(D, space.xgrid.x_left)]
+        _assert_matches_march(space, _trace(space, D, 5), _trace(space, N, 6), outputs=outputs)
+    assert batches == [3, 3]
 
 
 # (model, dt or None for the uniform grid, subdomain, left, right, homogeneous)
@@ -283,7 +361,7 @@ def test_each_entry_of_a_build_march_is_the_single_march(model, dt, s, left, rig
     space._march = batched
     lbc = None if left is None else _trace(space, left, 1)
     rbc = None if right is None else _trace(space, right, 2)
-    space.solve(lbc, rbc, homogeneous)
+    space.solve(lbc, rbc, _outputs(space, lbc, rbc), homogeneous)
     ((left_bc, right_bc, g_left, g_right, particular, values),) = marches
     sides = sum(bc is not None for bc in (lbc, rbc))
     assert particular is not homogeneous

@@ -137,14 +137,14 @@ def test_strip_flux_shape_and_corner_rows():
     xgrid, ygrid, tgrid = strip_grids()
     field = solve_mode(1, xgrid, ygrid, tgrid)
     w = wave_interface_flux(field, "right", 1.0)
-    assert w.samples.shape == (len(tgrid.times), ygrid.n_nodes)
-    np.testing.assert_array_equal(w.samples[:, 0], 0.0)
-    np.testing.assert_array_equal(w.samples[:, -1], 0.0)
+    assert w.shape == (len(tgrid.times), ygrid.n_nodes)
+    np.testing.assert_array_equal(w[:, 0], 0.0)
+    np.testing.assert_array_equal(w[:, -1], 0.0)
     # At t=0 the boundary column is pinned at zero, so the half-cell
     # corrections vanish and the sample is exactly the one-sided
     # quotient of x(1-x) sin(y) at x=1: -(0.95*0.05)/0.05 sin(y).
     np.testing.assert_allclose(
-        w.samples[0, 1:-1], -0.95 * np.sin(ygrid.nodes[1:-1]), atol=1e-12
+        w[0, 1:-1], -0.95 * np.sin(ygrid.nodes[1:-1]), atol=1e-12
     )
 
 
