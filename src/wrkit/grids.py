@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -314,7 +314,7 @@ class InterfaceTrace:
                 f"trace has {arr.shape[0]} samples for a grid of "
                 f"{len(self.grid.times)} time nodes"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("trace samples must be finite")
         if (self.kind is TraceKind.ROBIN) != (self.robin_p is not None):
             raise ValueError("robin_p is set exactly for Robin traces")
@@ -325,7 +325,8 @@ class InterfaceTrace:
         return self.samples.ndim == 2
 
     def with_samples(self, samples) -> "InterfaceTrace":
-        return replace(self, samples=np.asarray(samples, dtype=float))
+        """The same kind, grid and Robin p with other samples, checked as any trace is."""
+        return InterfaceTrace(self.kind, self.grid, samples, self.robin_p)
 
 
 def zero_trace(

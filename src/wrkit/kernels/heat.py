@@ -17,21 +17,24 @@ diagonal pattern (-r, 1+2r, -r). Boundary conditions:
   adding 2 dx r p to the boundary diagonal and 2 r dx rho to the rhs.
 
 Neumann/Robin rows are scaled by 1/2, which symmetrizes the matrix; it
-is then positive definite for every r > 0 (and p > 0), so one banded
-Cholesky factorization per distinct step size serves the whole window.
-Each step is one LAPACK ``dpbtrs`` call on the cached factor, and the
-finished field is checked for infs and NaNs once.
+is then a positive-definite tridiagonal for every r > 0 (and p > 0).
+LAPACK's ``dpttrf`` factors it as L D L^T once per step size of the
+grid, and each step is one ``dpttrs`` call on the cached factor. The row
+scale and the boundary terms of every step are computed before the
+loop, and the pinned Dirichlet columns, which no step reads, are written
+after it. The finished field is checked for infs and NaNs once.
 
 The march may carry a trailing batch axis: several right-hand sides
-with the same boundary kinds step together, one ``dpbtrs`` column each,
+with the same boundary kinds step together, one ``dpttrs`` column each,
 with the same arithmetic per column as a march of that column alone.
 Entry 0 alone takes the source. The response builds of
 ``wrkit.methods.workspace`` march a particular part and one impulse per
 interface side as one batch; :func:`solve_heat_subdomain` marches the
-same loop without the axis. An axis of length one would turn each
-step's scalar boundary updates into array operations and about double
-the step's cost (11.8 against 5.7 us for 100 nodes on a 2-vCPU Xeon),
-which the monodomain reference solve would pay.
+same loop without the axis. An axis turns the two end-row adds into
+array operations and the solve into one on a Fortran-ordered copy: for
+100 nodes on a 2-vCPU Xeon a step costs 2.9 us without the axis, 5.1 us
+with one entry and 8.6 us with three (least of 15 marches of 500 steps),
+so the monodomain reference solve marches without it.
 
 Flux extraction recovers u_x at a boundary from the one-sided difference
 plus a half-cell correction that replaces the second space derivative
@@ -50,52 +53,45 @@ is the monodomain scheme.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from ..errors import SingularSystem
-from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind
+from ..grids import UNIFORM_RTOL, InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind
 from .common import check_bc, half_cell_flux
 from .problems import SpaceTimeField
 
 __all__ = ["solve_heat_subdomain", "heat_interface_flux"]
 
 
-def _factorize(ab: np.ndarray):
-    try:
-        return cholesky_banded(ab, lower=False)
-    except LinAlgError as exc:  # defensive: the scaled system is SPD
-        raise SingularSystem(str(exc)) from exc
-
-
 def _build_matrix(r: float, dx: float, n_unk: int, left_bc, right_bc, left_open: bool, right_open: bool):
-    """Upper banded (2, n) matrix for one step size.
+    """Diagonal and off-diagonal of the symmetric tridiagonal matrix for one step size.
 
     ``left_open``/``right_open`` say whether the boundary node is an
     unknown (Neumann/Robin) rather than pinned (Dirichlet).
     """
-    ab = np.zeros((2, n_unk))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
+    d = np.full(n_unk, 1.0 + 2.0 * r)
+    e = np.full(n_unk - 1, -r)
     if left_open:
         diag = 1.0 + 2.0 * r
         if left_bc.kind is TraceKind.ROBIN:
             diag += 2.0 * dx * r * left_bc.robin_p
-        ab[1, 0] = 0.5 * diag
+        d[0] = 0.5 * diag
     if right_open:
         diag = 1.0 + 2.0 * r
         if right_bc.kind is TraceKind.ROBIN:
             diag += 2.0 * dx * r * right_bc.robin_p
-        ab[1, -1] = 0.5 * diag
-    return ab
+        d[-1] = 0.5 * diag
+    return d, e
 
 
 class _Steps:
     """Backward-Euler steps on one subdomain for fixed boundary kinds.
 
-    One banded Cholesky factor per distinct step size, cached. Nodal
-    arrays have x on axis 0; a trailing axis holds a batch of rows,
-    which one multi-right-hand-side ``dpbtrs`` call solves together.
+    Nodal arrays have x on axis 0; a trailing axis holds a batch of
+    entries, which one multi-right-hand-side ``dpttrs`` call solves
+    together. A march keys the cached factors on the grid's step sizes
+    (a uniform grid factorizes once, a clipped one twice); :meth:`step`
+    is a march of one step.
     """
 
     def __init__(self, grid: SpaceGrid1D, nu: float, left_bc: InterfaceTrace, right_bc: InterfaceTrace):
@@ -107,50 +103,85 @@ class _Steps:
         self.lo = 0 if self.left_open else 1
         self.hi = grid.n_cells if self.right_open else grid.n_cells - 1
         self.x_unk = grid.nodes[self.lo : self.hi + 1]
+        # Neumann and Robin rows are halved, which keeps the matrix symmetric.
+        self.scale = np.ones(self.hi - self.lo + 1)
+        self.scale[0] = 0.5 if self.left_open else 1.0
+        self.scale[-1] = 0.5 if self.right_open else 1.0
         self._factors: dict[float, tuple] = {}
 
-    def step(self, cur: np.ndarray, out: np.ndarray, dt: float, g_left, g_right, f=None) -> None:
-        """Write u^{n+1} into ``out`` from u^n in ``cur``, the boundary data at n+1 and f^{n+1}.
-
-        With a batch axis on ``cur`` and ``out``, ``g_*`` hold one value
-        per entry and ``f``, if given, goes to entry 0 only.
-        """
-        lo, hi, dx = self.lo, self.hi, self.dx
+    def _factor(self, dt: float) -> tuple:
+        """The ``dpttrf`` factor (d, e) of the step-``dt`` matrix."""
         if dt not in self._factors:
-            r = self.nu * dt / dx**2
-            ab = _build_matrix(
-                r, dx, hi - lo + 1, self.left_bc, self.right_bc, self.left_open, self.right_open
+            r = self.nu * dt / self.dx**2
+            d, e = _build_matrix(
+                r, self.dx, len(self.scale), self.left_bc, self.right_bc, self.left_open, self.right_open
             )
-            self._factors[dt] = (_factorize(ab), r)
-        cb, r = self._factors[dt]
+            d, e, info = dpttrf(d, e)
+            if info != 0:  # a non-positive pivot: Robin data with p < 0, say
+                raise SingularSystem(f"dpttrf failed with info = {info}")
+            self._factors[dt] = (d, e)
+        return self._factors[dt]
 
-        b = cur[lo : hi + 1].copy()
-        if f is not None:
-            entry0 = b if b.ndim == 1 else b[:, 0]
-            entry0 += dt * f
+    def _end(self, bc: InterfaceTrace, r: np.ndarray, g: np.ndarray, negate: bool) -> np.ndarray:
+        """What each step adds to an end row from the boundary data at its new time level.
 
-        if self.left_open:
-            if self.left_bc.kind is TraceKind.NEUMANN:
-                b[0] -= 2.0 * r * dx * g_left
-            else:
-                b[0] += 2.0 * r * dx * g_left
-            b[0] *= 0.5
-        else:
-            b[0] += r * g_left
-        if self.right_open:
-            # Neumann and Robin enter with the same sign at the right end.
-            b[-1] += 2.0 * r * dx * g_right
-            b[-1] *= 0.5
-        else:
-            b[-1] += r * g_right
+        r g at a Dirichlet end; at a Neumann or Robin end the ghost term
+        2 r dx g, negated at a left Neumann end, halved as the row is.
+        """
+        if bc.kind is TraceKind.DIRICHLET:
+            return r * g
+        term = 2.0 * r * self.dx * g
+        return 0.5 * (-term if negate else term)
 
-        out[lo : hi + 1], info = dpbtrs(cb, b, lower=0, overwrite_b=1)
-        if info != 0:
-            raise SingularSystem(f"dpbtrs failed with info = {info}")
+    def march(self, u: np.ndarray, times: np.ndarray, g_left, g_right, source=None) -> None:
+        """Fill rows 1.. of ``u`` from row 0, one row per time in ``times``.
+
+        ``g_*`` hold the boundary data of every row (row 0 is not read),
+        with the batch axis of ``u`` if it has one; the source ``f(x, t)``
+        goes to entry 0 alone.
+        """
+        lo, hi = self.lo, self.hi
+        # The float steps of a uniform grid take several values. In sorted
+        # order, a step within UNIFORM_RTOL * T of the shortest step of the
+        # group before it joins that group and takes its value.
+        values, which = np.unique(np.diff(times), return_inverse=True)
+        for i in range(1, len(values)):
+            if values[i] - values[i - 1] <= UNIFORM_RTOL * times[-1]:
+                values[i] = values[i - 1]
+        dts = values[which]
+        batch = (1,) * (u.ndim - 2)
+        r = (self.nu * dts / self.dx**2).reshape((-1,) + batch)
+        left = self._end(self.left_bc, r, g_left[1:], self.left_bc.kind is TraceKind.NEUMANN)
+        right = self._end(self.right_bc, r, g_right[1:], False)
+        scale = self.scale.reshape(self.scale.shape + batch)
+
+        rows = u[:, lo : hi + 1]
+        factors = [self._factor(dt) for dt in values]
+        for n, k in enumerate(which.tolist()):
+            d, e = factors[k]
+            b = rows[n + 1]  # the right-hand side, solved in place
+            np.multiply(rows[n], scale, out=b)
+            if source is not None:
+                entry0 = b if b.ndim == 1 else b[:, 0]
+                entry0 += (values[k] * self.scale) * source(self.x_unk, times[n + 1])
+            b[0] += left[n]
+            b[-1] += right[n]
+            x, info = dpttrs(d, e, b, overwrite_b=1)
+            if info != 0:
+                raise SingularSystem(f"dpttrs failed with info = {info}")
+            if x is not b:  # a batch is solved in a Fortran-ordered copy
+                b[...] = x
         if not self.left_open:
-            out[0] = g_left
+            u[1:, 0] = g_left[1:]
         if not self.right_open:
-            out[-1] = g_right
+            u[1:, -1] = g_right[1:]
+
+    def step(self, cur: np.ndarray, dt: float, g_left, g_right) -> np.ndarray:
+        """u^{n+1} from u^n and the boundary data at n+1, without source: a march of one step."""
+        u = np.stack((cur, cur))
+        g_left, g_right = (np.broadcast_to(g, (2,) + np.shape(g)) for g in (g_left, g_right))
+        self.march(u, np.array([0.0, dt]), g_left, g_right)
+        return u[1]
 
 
 def _march(
@@ -178,14 +209,10 @@ def _march(
         raise ValueError("a subdomain needs at least 2 cells")
     if initial.shape[:1] != (nx + 1,) or initial.ndim > 2:
         raise ValueError("initial data must have one value per node")
-    times = tgrid.times
 
-    steps = _Steps(grid, nu, left_bc, right_bc)
-    u = np.empty((len(times),) + initial.shape)
+    u = np.empty((len(tgrid.times),) + initial.shape)
     u[0] = initial
-    for n, dt in enumerate(np.diff(times)):
-        f = None if source is None else source(steps.x_unk, times[n + 1])
-        steps.step(u[n], u[n + 1], dt, g_left[n + 1], g_right[n + 1], f)
+    _Steps(grid, nu, left_bc, right_bc).march(u, tgrid.times, g_left, g_right, source)
     if not np.isfinite(u).all():
         raise ValueError("array must not contain infs or NaNs")
     return u

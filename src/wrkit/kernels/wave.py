@@ -67,6 +67,13 @@ from .problems import SpaceTimeField
 __all__ = ["solve_wave_subdomain", "solve_wave_strip_2d", "wave_interface_flux"]
 
 
+def _second_difference(v: np.ndarray, out: np.ndarray) -> None:
+    """v[j-1] - 2 v[j] + v[j+1] along axis 0, for the interior j, written into ``out``."""
+    np.multiply(v[1:-1], 2.0, out=out)
+    np.subtract(v[:-2], out, out=out)
+    out += v[2:]
+
+
 class _Stencil:
     """The explicit update on a subdomain (``ygrid`` None) or a strip, for fixed x boundary kinds.
 
@@ -98,16 +105,19 @@ class _Stencil:
         """c^2 (dxx + dyy) v, plus f(t) in entry 0, at all nodes; ``g_*`` feed Neumann ghosts."""
         dx = self.dx
         # x part times dx^2, mirror ghosts next to Neumann ends; pinned rows are never read
-        lap = np.empty_like(v)
-        lap[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
-        lap[0] = 2.0 * (v[1] - v[0]) - 2.0 * dx * g_left if self.left_neumann else 0.0
-        lap[-1] = 2.0 * (v[-2] - v[-1]) + 2.0 * dx * g_right if self.right_neumann else 0.0
+        a = np.empty_like(v)
+        _second_difference(v, a[1:-1])
+        a[0] = 2.0 * (v[1] - v[0]) - 2.0 * dx * g_left if self.left_neumann else 0.0
+        a[-1] = 2.0 * (v[-2] - v[-1]) + 2.0 * dx * g_right if self.right_neumann else 0.0
         if self.dy is None:
-            a = self.c2_over_dx2 * lap
+            a *= self.c2_over_dx2
         else:
-            lap /= dx**2
-            lap[:, 1:-1] += (v[:, :-2] - 2.0 * v[:, 1:-1] + v[:, 2:]) / self.dy**2
-            a = self.c2 * lap
+            a /= dx**2
+            lap_y = np.empty_like(v[:, 1:-1])
+            _second_difference(v.swapaxes(0, 1), lap_y.swapaxes(0, 1))
+            lap_y /= self.dy**2
+            a[:, 1:-1] += lap_y
+            a *= self.c2
         if self.source is not None:
             entry0 = a if a.ndim == len(self.coords) else a[..., 0]
             entry0 += self.source(*self.coords, t)
@@ -129,7 +139,8 @@ class _Stencil:
         ``g_*`` is the data each x end reads in this step: row n at a
         Neumann end (its ghost), row n+1 at a Dirichlet end (its pin).
         """
-        new = _leapfrog_step(cur, prev, tau, tau_prev, self.accel(cur, g_left, g_right))
+        new = np.empty_like(cur)
+        _leapfrog_step(cur, prev, tau, tau_prev, self.accel(cur, g_left, g_right), new, np.empty_like(cur))
         self.pin(new, g_left, g_right)
         return new
 

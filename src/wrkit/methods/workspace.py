@@ -663,10 +663,8 @@ class _Heat1D(_Workspace):
         )
 
     def _last_step(self, left_bc, right_bc, cur, prev, g_left, g_right) -> np.ndarray:
-        out = np.empty_like(cur)
         steps = _HeatSteps(self.xgrid, self.problem.nu, left_bc, right_bc)
-        steps.step(cur, out, self.tgrid.steps[-1], g_left, g_right)
-        return out
+        return steps.step(cur, self.tgrid.steps[-1], g_left, g_right)
 
     def _flux(self, field, side: str, source) -> np.ndarray:
         return heat_interface_flux(field, side, self.problem.nu, source)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from wrkit.errors import WrongBoundaryKind
+from wrkit.errors import SingularSystem, WrongBoundaryKind
 from wrkit.grids import (
     InterfaceTrace,
     SpaceGrid1D,
@@ -16,6 +18,7 @@ from wrkit.grids import (
     zero_trace,
 )
 from wrkit.kernels import (
+    heat,
     heat_interface_flux,
     solve_heat_subdomain,
     solve_monodomain,
@@ -87,6 +90,110 @@ def test_non_finite_step_raises():
     right = neumann_trace(tgrid, lambda t: np.full_like(t, 1e308))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
         solve_heat_subdomain(grid, 1.0, tgrid, np.zeros(grid.n_nodes), zero_trace(tgrid), right)
+    # The same with a batch axis, the huge data in the last entry only.
+    g = np.zeros((2, 3))
+    g[:, -1] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        heat._march(grid, 1.0, tgrid, np.zeros((grid.n_nodes, 3)), zero_trace(tgrid), right, np.zeros_like(g), g)
+
+
+def test_non_positive_pivot_raises_singular_system():
+    # A Robin end with p far below zero makes its halved diagonal entry
+    # 0.5 (1 + 2r + 2 dx r p) negative, so the factor has no positive pivot.
+    grid = SpaceGrid1D.with_spacing(0.0, 1.0, 0.1)
+    tgrid = make_time_grid(1.0, 0.1)
+    left = InterfaceTrace(TraceKind.ROBIN, tgrid, np.zeros(len(tgrid.times)), robin_p=-100.0)
+    with pytest.raises(SingularSystem, match="dpttrf"):
+        solve_heat_subdomain(grid, 1.0, tgrid, np.zeros(grid.n_nodes), left, zero_trace(tgrid))
+
+
+KIND_PAIRS = list(itertools.product((TraceKind.DIRICHLET, TraceKind.NEUMANN, TraceKind.ROBIN), repeat=2))
+KIND_IDS = [f"{a.name}-{b.name}" for a, b in KIND_PAIRS]
+
+
+def _source(x, t):
+    return np.cos(3.0 * x) * (1.0 + t)
+
+
+def _batch_setup(kinds, tgrid, entries=3, seed=0):
+    """Kinds with Robin p, random initial data and boundary data with a batch axis."""
+    rng = np.random.default_rng(seed)
+    grid = SpaceGrid1D.with_spacing(0.0, 1.0, 0.1)
+    m = len(tgrid.times)
+    bcs = [
+        InterfaceTrace(kind, tgrid, np.zeros(m), robin_p=p if kind is TraceKind.ROBIN else None)
+        for kind, p in zip(kinds, (1.5, 0.7))
+    ]
+    u0 = rng.standard_normal((grid.n_nodes, entries))
+    g_left, g_right = rng.standard_normal((2, m, entries))
+    return grid, bcs, u0, g_left, g_right
+
+
+@pytest.mark.parametrize("kinds", KIND_PAIRS, ids=KIND_IDS)
+def test_batched_entries_are_single_marches(kinds):
+    # A clipped grid, so the march uses two factors; entry 0 takes the source.
+    tgrid = make_time_grid_clipped(1.0, 0.03)
+    grid, bcs, u0, g_left, g_right = _batch_setup(kinds, tgrid)
+    batched = heat._march(grid, 0.7, tgrid, u0, *bcs, g_left, g_right, _source)
+    for entry in range(u0.shape[1]):
+        single = heat._march(
+            grid, 0.7, tgrid, u0[:, entry], *bcs, g_left[:, entry], g_right[:, entry],
+            _source if entry == 0 else None,
+        )
+        assert np.array_equal(batched[..., entry], single), entry
+
+
+def _dense_march(grid, nu, times, u0, bcs, g_left, g_right, source):
+    """Backward Euler row by row: Dirichlet nodes kept as u = g, ghost rows unscaled."""
+    nx, dx = grid.n_cells, grid.dx
+    rows = [u0]
+    for n, dt in enumerate(np.diff(times)):
+        r = nu * dt / dx**2
+        A = np.zeros((nx + 1, nx + 1))
+        b = rows[-1] + dt * source(grid.nodes, times[n + 1])
+        for i in range(1, nx):
+            A[i, i - 1 : i + 2] = (-r, 1.0 + 2.0 * r, -r)
+        for j, inner, bc, g, sign in ((0, 1, bcs[0], g_left, -1.0), (nx, nx - 1, bcs[1], g_right, 1.0)):
+            if bc.kind is TraceKind.DIRICHLET:
+                A[j, j], b[j] = 1.0, g[n + 1]
+                continue
+            A[j, j], A[j, inner] = 1.0 + 2.0 * r, -2.0 * r
+            if bc.kind is TraceKind.ROBIN:
+                A[j, j] += 2.0 * dx * r * bc.robin_p
+                b[j] += 2.0 * r * dx * g[n + 1]
+            else:
+                b[j] += sign * 2.0 * r * dx * g[n + 1]
+        rows.append(np.linalg.solve(A, b))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("kinds", KIND_PAIRS, ids=KIND_IDS)
+def test_batched_march_against_dense_backward_euler(kinds):
+    tgrid = make_time_grid(0.5, 0.02)
+    grid, bcs, u0, g_left, g_right = _batch_setup(kinds, tgrid, seed=1)
+    field = heat._march(grid, 0.7, tgrid, u0, *bcs, g_left, g_right, _source)
+    for entry in range(u0.shape[1]):
+        f = _source if entry == 0 else (lambda x, t: np.zeros_like(x))
+        want = _dense_march(grid, 0.7, tgrid.times, u0[:, entry], bcs, g_left[:, entry], g_right[:, entry], f)
+        assert np.max(np.abs(field[..., entry] - want)) <= 1e-13 * np.max(np.abs(want)), entry
+
+
+def test_one_factor_per_step_size(monkeypatch):
+    # np.diff of a uniform grid takes several float values; they share one
+    # factor. A clipped grid adds one for its last step.
+    calls = []
+    real = heat.dpttrf
+    monkeypatch.setattr(heat, "dpttrf", lambda *a: calls.append(1) or real(*a))
+    grid = SpaceGrid1D.with_spacing(0.0, 1.0, 0.02)
+    uniform = make_time_grid(2.0, 0.004)
+    assert len(np.unique(np.diff(uniform.times))) > 1
+    for tgrid, factors in ((uniform, 1), (make_time_grid_clipped(2.0, 0.0037), 2)):
+        calls.clear()
+        assert tgrid.uniform is (factors == 1)
+        solve_heat_subdomain(
+            grid, 1.0, tgrid, np.sin(np.pi * grid.nodes), zero_trace(tgrid), zero_trace(tgrid)
+        )
+        assert len(calls) == factors
 
 
 def test_one_step_left_flux():

@@ -22,6 +22,7 @@ from wrkit.kernels import (
     solve_wave_subdomain,
     wave_interface_flux,
 )
+from wrkit.kernels import monodomain, wave
 from wrkit.kernels.wave import second_time_difference
 
 from conftest import dirichlet_trace, wave_problem
@@ -234,3 +235,107 @@ def test_equal_piecewise_speeds_match_uniform_speed(c):
         replace(problem, speed=(c,) * 4), xgrid, tgrid, partition=partition
     ).values
     assert np.max(np.abs(piecewise - uniform)) <= 1e-13 * np.max(np.abs(uniform))
+
+
+# The leapfrog march as it was written out of place: one new array per
+# row and per accel call. The in-place march must give the same bits.
+
+
+def _out_of_place_step(cur, prev, tau, tau_prev, a):
+    return ((tau + tau_prev) / tau_prev) * cur - (tau / tau_prev) * prev + 0.5 * tau * (tau + tau_prev) * a
+
+
+def _out_of_place_leapfrog(u, times, rate0, accel, pin):
+    steps = np.diff(times)
+    tau0 = steps[0]
+    u[1] = u[0] + tau0 * rate0 + 0.5 * tau0**2 * accel(0)
+    pin(1)
+    for n in range(1, len(steps)):
+        u[n + 1] = _out_of_place_step(u[n], u[n - 1], steps[n], steps[n - 1], accel(n))
+        pin(n + 1)
+
+
+def _out_of_place_accel(self, v, g_left, g_right, t=None):
+    dx = self.dx
+    lap = np.empty_like(v)
+    lap[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
+    lap[0] = 2.0 * (v[1] - v[0]) - 2.0 * dx * g_left if self.left_neumann else 0.0
+    lap[-1] = 2.0 * (v[-2] - v[-1]) + 2.0 * dx * g_right if self.right_neumann else 0.0
+    if self.dy is None:
+        a = self.c2_over_dx2 * lap
+    else:
+        lap /= dx**2
+        lap[:, 1:-1] += (v[:, :-2] - 2.0 * v[:, 1:-1] + v[:, 2:]) / self.dy**2
+        a = self.c2 * lap
+    if self.source is not None:
+        entry0 = a if a.ndim == len(self.coords) else a[..., 0]
+        entry0 += self.source(*self.coords, t)
+    return a
+
+
+LEAPFROG_CASES = [
+    (strip, clipped, batch, kinds)
+    for strip in (False, True)
+    for clipped in (False, True)
+    for batch in (None, 3)
+    for kinds in ((TraceKind.NEUMANN, TraceKind.DIRICHLET), (TraceKind.DIRICHLET, TraceKind.NEUMANN))
+]
+
+
+@pytest.mark.parametrize(
+    "strip, clipped, batch, kinds",
+    LEAPFROG_CASES,
+    ids=[
+        f"{'strip' if s else '1d'}-{'clipped' if c else 'uniform'}-batch{b}-{k[0].name}-{k[1].name}"
+        for s, c, b, k in LEAPFROG_CASES
+    ],
+)
+def test_in_place_leapfrog_matches_the_out_of_place_loop(monkeypatch, strip, clipped, batch, kinds):
+    rng = np.random.default_rng(7)
+    xgrid = SpaceGrid1D.with_cells(0.0, 1.0, 10)
+    ygrid = SpaceGrid1D.with_cells(0.0, 1.0, 8) if strip else None
+    tgrid = (make_time_grid_clipped if clipped else make_time_grid)(1.0, 0.07 if clipped else 0.05)
+    assert tgrid.uniform is not clipped
+    m = len(tgrid.times)
+    shape = (11,) if ygrid is None else (11, 9)
+    extra = () if batch is None else (batch,)
+    u0, v0 = rng.standard_normal((2,) + shape + extra)
+    g_left, g_right = rng.standard_normal((2, m) + shape[1:] + extra)
+    lids = None if ygrid is None else tuple(rng.standard_normal((2, m, 11) + extra))
+    bcs = [InterfaceTrace(kind, tgrid, np.zeros((m,) + shape[1:])) for kind in kinds]
+
+    def source(*coords_and_t):
+        return np.cos(sum(coords_and_t))
+
+    def march():
+        return wave._march(xgrid, ygrid, 1.0, tgrid, u0, v0, *bcs, g_left, g_right, lids, source)
+
+    got = march()
+    with monkeypatch.context() as patch:
+        patch.setattr(wave, "leapfrog", _out_of_place_leapfrog)
+        patch.setattr(wave._Stencil, "accel", _out_of_place_accel)
+        want = march()
+    assert np.array_equal(got, want)
+
+    # The one step a clipped grid's response applies at build time.
+    stencil = wave._Stencil(xgrid, ygrid, 1.0, *kinds)
+    cur, prev = got[-2], got[-3]
+    tau_prev, tau = tgrid.steps[-2:]
+    step = stencil.step(cur, prev, tau, tau_prev, g_left[-1], g_right[-1])
+    a = _out_of_place_accel(stencil, cur, g_left[-1], g_right[-1])
+    oracle = _out_of_place_step(cur, prev, tau, tau_prev, a)
+    stencil.pin(oracle, g_left[-1], g_right[-1])
+    assert np.array_equal(step, oracle)
+
+
+@pytest.mark.parametrize("clipped", [False, True])
+def test_in_place_piecewise_monodomain_matches_the_out_of_place_loop(monkeypatch, clipped):
+    problem = wave_problem(speed=(0.5, 2.0, 1.0))
+    xgrid = SpaceGrid1D.with_spacing(0.0, 5.0, 0.1)
+    tgrid = (make_time_grid_clipped if clipped else make_time_grid)(1.0, 0.03 if clipped else 0.025)
+    partition = make_partition((0.0, 1.0, 3.0, 5.0))
+    got = solve_monodomain(problem, xgrid, tgrid, partition=partition).values
+    with monkeypatch.context() as patch:
+        patch.setattr(monodomain, "leapfrog", _out_of_place_leapfrog)
+        want = solve_monodomain(problem, xgrid, tgrid, partition=partition).values
+    assert np.array_equal(got, want)
