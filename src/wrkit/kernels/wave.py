@@ -105,7 +105,7 @@ class _Stencil:
         """c^2 (dxx + dyy) v, plus f(t) in entry 0, at all nodes; ``g_*`` feed Neumann ghosts."""
         dx = self.dx
         # x part times dx^2, mirror ghosts next to Neumann ends; pinned rows are never read
-        a = np.empty_like(v)
+        a = np.empty_like(v, order="C")
         _second_difference(v, a[1:-1])
         a[0] = 2.0 * (v[1] - v[0]) - 2.0 * dx * g_left if self.left_neumann else 0.0
         a[-1] = 2.0 * (v[-2] - v[-1]) + 2.0 * dx * g_right if self.right_neumann else 0.0
@@ -113,10 +113,16 @@ class _Stencil:
             a *= self.c2_over_dx2
         else:
             a /= dx**2
-            lap_y = np.empty_like(v[:, 1:-1])
-            _second_difference(v.swapaxes(0, 1), lap_y.swapaxes(0, 1))
+            # y neighbours are one y stride apart in the flat C-ordered arrays, so
+            # the y part is a second difference along axis 0 of their (nodes,
+            # stride) views: contiguous slices, not strided swapaxes views. The
+            # entries that wrap across x rows are lid nodes, which pin overwrites.
+            stride = v[0, 0].size
+            flat = v.reshape(-1, stride)  # a copy where v's x and y axes do not merge
+            lap_y = np.empty((len(flat) - 2, stride))
+            _second_difference(flat, lap_y)
             lap_y /= self.dy**2
-            a[:, 1:-1] += lap_y
+            a.reshape(-1, stride)[1:-1] += lap_y
             a *= self.c2
         if self.source is not None:
             entry0 = a if a.ndim == len(self.coords) else a[..., 0]

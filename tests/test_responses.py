@@ -178,6 +178,35 @@ def test_response_solve_matches_the_march(model, s, left, right, homogeneous):
     _assert_matches_march(space, lbc, rbc, homogeneous)
 
 
+def test_fft_length_is_the_smallest_5_smooth_length():
+    def smooth(n):
+        for p in (2, 3, 5):
+            while n % p == 0:
+                n //= p
+        return n == 1
+
+    want = 1
+    for n in range(4096, 0, -1):
+        want = n if smooth(n) else want
+        assert workspace._fft_length(n) == want, n
+
+
+# Grids whose 2 rows - 1 is itself 2^a 3^b 5^c (rows 14 -> 27, rows 113 ->
+# 225), so the convolution length has no slack. The wave kernels have rows
+# + 1 taps, and one point shorter wraps their last product into row 1; the
+# heat kernels' last tap is zero, so there the length has one point to spare.
+@pytest.mark.parametrize("model", ["heat", "wave", "strip"])
+@pytest.mark.parametrize("rows, length", [(14, 27), (113, 225)])
+def test_the_shortest_convolution_length_matches_the_march(model, rows, length):
+    dt = SETUPS[model][4]
+    space = _spaces(model, T=(rows - 1) * dt)[2]
+    assert space.tgrid.uniform and space.tgrid.n_steps + 1 == rows
+    left, right = _trace(space, D, 1), _trace(space, N, 2)
+    _assert_matches_march(space, left, right)
+    (response,) = space._responses.values()
+    assert response.length == length
+
+
 def test_named_columns_match_the_march():
     for dt in (None, 0.07):  # uniform, then clipped
         space = _spaces("strip", dt=dt)[2]

@@ -328,6 +328,52 @@ def test_in_place_leapfrog_matches_the_out_of_place_loop(monkeypatch, strip, cli
     assert np.array_equal(step, oracle)
 
 
+ACCEL_CASES = [
+    (strip, batch, kinds)
+    for strip in (False, True)
+    for batch in (None, 3)
+    for kinds in ((TraceKind.NEUMANN, TraceKind.DIRICHLET), (TraceKind.DIRICHLET, TraceKind.NEUMANN))
+]
+
+
+@pytest.mark.parametrize(
+    "strip, batch, kinds",
+    ACCEL_CASES,
+    ids=[
+        f"{'strip' if s else '1d'}-batch{b}-{k[0].name}-{k[1].name}" for s, b, k in ACCEL_CASES
+    ],
+)
+def test_accel_on_non_contiguous_views_matches_the_out_of_place_accel(strip, batch, kinds):
+    # A clipped grid's last-row map steps its rows as a batch axis that
+    # moveaxis and slices make: views that are not C-contiguous. A
+    # transposed layout is one whose x and y axes no reshape can merge.
+    rng = np.random.default_rng(11)
+    xgrid = SpaceGrid1D.with_cells(0.0, 1.0, 10)
+    ygrid = SpaceGrid1D.with_cells(0.0, 1.0, 8) if strip else None
+    shape = (11,) if ygrid is None else (11, 9)
+    stencil = wave._Stencil(xgrid, ygrid, 1.0, *kinds, lambda *coords_and_t: np.cos(sum(coords_and_t)))
+    if batch is None:
+        views = [rng.standard_normal(shape + (3,))[..., 1], rng.standard_normal(shape[::-1]).T[::-1]]
+        g_left, g_right = rng.standard_normal((2,) + shape[1:])
+    else:
+        views = [
+            np.moveaxis(rng.standard_normal((batch,) + shape), 0, -1),
+            rng.standard_normal(shape + (batch + 2,))[..., 1 : batch + 1],
+            rng.standard_normal((batch,) + shape[::-1]).T,
+        ]
+        g_left, g_right = np.moveaxis(rng.standard_normal((2, batch) + shape[1:]), 1, -1)
+    owned = (slice(None),) if ygrid is None else (slice(None), slice(1, -1))  # all but the lids
+    for v in views:
+        assert not v.flags.c_contiguous
+        before = v.copy()
+        got = stencil.accel(v, g_left, g_right, 0.3)
+        assert np.array_equal(v, before)
+        want = _out_of_place_accel(stencil, v, g_left, g_right, 0.3)
+        assert np.array_equal(got[owned], want[owned])
+        contiguous = stencil.accel(np.ascontiguousarray(v), g_left, g_right, 0.3)
+        assert np.array_equal(got, contiguous)
+
+
 @pytest.mark.parametrize("clipped", [False, True])
 def test_in_place_piecewise_monodomain_matches_the_out_of_place_loop(monkeypatch, clipped):
     problem = wave_problem(speed=(0.5, 2.0, 1.0))

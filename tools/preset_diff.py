@@ -9,6 +9,9 @@ DIR. ``compare`` prints one line per file found in either directory:
 ``identical``, or for a CSV that differs in value, the largest |delta|
 per differing column divided by the run's ``initial_error`` (read from
 its manifest), and the largest |delta| / |old value| in that column.
+Under a manifest that differs, one indented line per differing manifest
+line gives its key with the old and new values, and their relative
+change when both are numbers.
 A last line counts the identical manifests and CSVs, and gives the
 largest |delta| / initial_error over all CSVs and names its preset.
 It exits 1 when a file is missing from one side, a manifest differs,
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from pathlib import Path
 
@@ -70,6 +74,29 @@ def _csv_delta(old: Path, new: Path, scale: float | None) -> tuple[bool, str, fl
     return False, "; ".join(parts) if parts else "same values, different text", worst
 
 
+def _manifest_delta(old: Path, new: Path) -> list[str]:
+    """One line per manifest line that differs: its key, old and new values, and their relative change."""
+    a, b = (path.read_text(encoding="utf-8").splitlines() for path in (old, new))
+    lines = []
+    for i, (x, y) in enumerate(itertools.zip_longest(a, b, fillvalue=""), start=1):
+        if x == y:
+            continue
+        key, _, old_value = x.partition(" = ")
+        new_key, _, new_value = y.partition(" = ")
+        if key != new_key:
+            lines.append(f"line {i}: {x!r} -> {y!r}")
+            continue
+        text = f"{key}: {old_value} -> {new_value}"
+        try:
+            u, v = float(old_value), float(new_value)
+        except ValueError:
+            pass
+        else:
+            text += f" (relative {(v - u) / abs(u):+.2e})" if u else ""
+        lines.append(text)
+    return lines
+
+
 def _compare(old_dir: str, new_dir: str) -> int:
     old, new = Path(old_dir), Path(new_dir)
     names = sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()})
@@ -88,6 +115,8 @@ def _compare(old_dir: str, new_dir: str) -> int:
                 same[kind] += name.endswith(end)
         elif name.endswith("_manifest.txt"):
             print(f"{name}: manifest differs")
+            for line in _manifest_delta(a, b):
+                print(f"  {line}")
             failed = True
         elif name.endswith(".csv"):
             manifest = new / name.replace(".csv", "_manifest.txt")
