@@ -36,6 +36,10 @@ class WindowMismatch(WrkitError):
     """Source and target time grids cover different windows."""
 
 
+class NonFiniteTrace(WrkitError, ValueError):
+    """An interface trace got a NaN or infinite sample (a run that diverged, say)."""
+
+
 # ---------------------------------------------------------------------------
 # kernels
 

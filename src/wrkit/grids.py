@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     IncompatibleGrids,
     NonDivisibleWindow,
+    NonFiniteTrace,
     NonIncreasingBoundaries,
     TooFewSubdomains,
 )
@@ -315,7 +316,7 @@ class InterfaceTrace:
                 f"{len(self.grid.times)} time nodes"
             )
         if not np.isfinite(arr).all():
-            raise ValueError("trace samples must be finite")
+            raise NonFiniteTrace("trace samples must be finite")
         if (self.kind is TraceKind.ROBIN) != (self.robin_p is not None):
             raise ValueError("robin_p is set exactly for Robin traces")
         object.__setattr__(self, "samples", arr)

@@ -160,7 +160,7 @@ def main(argv=None) -> int:
             iters = "-" if row.iterations is None else str(row.iterations)
             print(f"{row.label:<16} {row.method:<15} {iters:>10}  {row.final_error!r}")
         return 0
-    except (WrkitError, FileNotFoundError) as exc:
+    except (WrkitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

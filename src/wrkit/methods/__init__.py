@@ -11,7 +11,7 @@ from .schedule import (
     arrangement_schedule,
     producer_map,
 )
-from .swr import swr_run, swr_state_from_field
+from .swr import swr_run
 from .workspace import RunGrids, guess_grids, make_run_grids, traces_from_field
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "make_run_grids",
     "guess_grids",
     "traces_from_field",
-    "swr_state_from_field",
     "dnwr_run",
     "nnwr_run",
     "swr_run",

@@ -40,7 +40,6 @@ def dnwr_run(
         schedule = arrangement_schedule(n, config.arrangement)
         producer = producer_map(schedule)
         theta = config.theta_resolved
-        g = guesses
 
         # What each subdomain's solve returns, by interface: the producer's
         # Dirichlet trace, and the flux its neighbour there takes as data.
@@ -52,8 +51,7 @@ def dnwr_run(
             other, side = (i, "right") if p == i + 1 else (i + 1, "left")
             reads[other][i] = Output(TraceKind.NEUMANN, side)
 
-        def sweep():
-            nonlocal g
+        def sweep(g):
             read: dict[int, dict] = {}
 
             def boundary(task, side):
@@ -83,10 +81,10 @@ def dnwr_run(
                     )
                     read[s] = dict(zip(reads[s], traces))
 
-            g = [relax_update(theta, read[producer[i]][i], g[i - 1]) for i in range(1, n)]
-            return g
+            new_g = [relax_update(theta, read[producer[i]][i], g[i - 1]) for i in range(1, n)]
+            return new_g, new_g
 
-        return sweep, trace_grids, g
+        return guesses, sweep, trace_grids, guesses
 
     return _drive(
         problem, partition, grids, config, init_guesses, reference, (Method.DNWR,), start

@@ -38,7 +38,6 @@ def nnwr_run(
 
     def start(spaces, ygrid, cache, trace_grids, guesses):
         theta = config.theta_resolved
-        g = guesses
 
         def neumann(trace: InterfaceTrace, flip: bool, space) -> InterfaceTrace:
             projected = cache.project(trace, space.tgrid)
@@ -59,8 +58,7 @@ def nnwr_run(
                 fluxes[s]["right"] = Output(TraceKind.NEUMANN, "right")
                 traces[s]["right"] = Output(TraceKind.DIRICHLET, x[s])
 
-        def sweep():
-            nonlocal g
+        def sweep(g):
             flux = _solve_all(spaces, lambda s, i: cache.project(g[i - 1], spaces[s].tgrid), fluxes)
 
             jumps = []
@@ -90,10 +88,9 @@ def nnwr_run(
                 psi_right = cache.project(psi[i + 1]["left"], trace_grids[i - 1])
                 updated = g[i - 1].samples - theta * (psi_left.samples + psi_right.samples)
                 new_g.append(g[i - 1].with_samples(updated))
-            g = new_g
-            return g
+            return new_g, new_g
 
-        return sweep, trace_grids, g
+        return guesses, sweep, trace_grids, guesses
 
     return _drive(
         problem, partition, grids, config, init_guesses, reference, (Method.NNWR,), start

@@ -1,14 +1,13 @@
-"""Schwarz waveform relaxation, overlapping and Robin: one driver and its warm-start state."""
+"""Schwarz waveform relaxation, overlapping and Robin: one driver over transmission pairs."""
 
 from __future__ import annotations
 
-from ..errors import IncompatibleGrids, ValidationError
-from ..grids import InterfaceTrace, Partition1D, TraceKind, grids_equal
-from ..kernels.problems import SpaceTimeField
+from ..errors import ValidationError
+from ..grids import InterfaceTrace, Partition1D, TraceKind
 from .config import Method, WrConfig
-from .workspace import Output, RunGrids, _adapter, _drive, _PlanCache, _solve_all, force_compatible
+from .workspace import Output, RunGrids, _adapter, _drive, _solve_all, force_compatible
 
-__all__ = ["swr_run", "swr_state_from_field"]
+__all__ = ["swr_run"]
 
 
 def schwarz_shift(config: WrConfig, partition: Partition1D, dx: float, speeds) -> float:
@@ -49,11 +48,6 @@ def _extended_bounds(partition: Partition1D, shift: float) -> dict[int, tuple[fl
     return bounds
 
 
-def _column(field: SpaceTimeField, x: float) -> InterfaceTrace:
-    """The solution history of ``field`` at node ``x``, as a Dirichlet trace."""
-    return InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, field.values[:, field.xgrid.node_index(x)])
-
-
 def swr_run(
     problem,
     partition: Partition1D,
@@ -61,7 +55,6 @@ def swr_run(
     config: WrConfig,
     init_guesses,
     reference="auto",
-    state=None,
 ):
     """Iterate a Schwarz waveform relaxation (classical or Robin).
 
@@ -78,10 +71,9 @@ def swr_run(
     ``init_guesses`` supplies one Dirichlet trace per interface (the
     usual guess presets); it seeds the transmission data on both sides of
     each interface. For Robin runs the guess values are used directly as
-    initial Robin data. ``state`` optionally overrides the seeded
-    transmission data with explicit per-interface pairs (as produced by
-    :func:`swr_state_from_field`), which warm-starts the iteration; the
-    guesses still seed the monitored history.
+    initial Robin data. The state a sweep maps to the next is the list of
+    transmission pairs, one per interface; the guesses also seed the
+    monitored history.
 
     The monitored interface trace is the left neighbor's solution history
     at the interface coordinate. There is no relaxation; theta is ignored.
@@ -94,8 +86,6 @@ def swr_run(
     shift = schwarz_shift(config, partition, grids.dx, speeds)
 
     def start(spaces, ygrid, cache, seed_grids, guesses):
-        nonlocal state
-
         def seed(guess, grid, x):
             """Transmission data from a Dirichlet guess, for the consumer on ``grid`` at ``x``."""
             trace = cache.project(guess, grid)
@@ -103,9 +93,6 @@ def swr_run(
                 return force_compatible(trace, problem, x, ygrid)
             return InterfaceTrace(TraceKind.ROBIN, grid, trace.samples, robin_p=robin_p)
 
-        # Transmission state, one pair per interface: data consumed by the
-        # left subdomain at its right (possibly extended) boundary, and by
-        # the right subdomain at its left one. Stored on the consumer grids.
         positions = [partition.interface_position(i) for i in range(1, partition.n_interfaces + 1)]
         # What the sweep reads of subdomain s: the data its left neighbour
         # takes, the data its right neighbour takes and its own history at
@@ -122,23 +109,13 @@ def swr_run(
                 at = positions[s - 1] - shift if robin_p is None else "right"
                 reads[s]["for_right"] = Output(kind, at, robin_p)
                 reads[s]["monitored"] = Output(TraceKind.DIRICHLET, positions[s - 1])
-        if state is None:
-            state = [
-                (seed(g, grids.tgrids[i], xi + shift), seed(g, grids.tgrids[i + 1], xi - shift))
-                for i, (g, xi) in enumerate(zip(guesses, positions))
-            ]
-        else:
-            state = [tuple(pair) for pair in state]
-            if len(state) != partition.n_interfaces:
-                raise ValidationError(
-                    f"need one transmission pair per interface ({partition.n_interfaces})"
-                )
-            for i, (for_left, for_right) in enumerate(state, start=1):
-                for trace, grid in ((for_left, grids.tgrids[i - 1]), (for_right, grids.tgrids[i])):
-                    # A Dirichlet trace has robin_p None, so one test serves both variants.
-                    fits = trace.kind is kind and trace.robin_p == robin_p
-                    if not (fits and grids_equal(trace.grid, grid)):
-                        raise IncompatibleGrids(f"transmission pair {i} does not fit this run")
+        # Transmission state, one pair per interface: data consumed by the
+        # left subdomain at its right (possibly extended) boundary, and by
+        # the right subdomain at its left one. Stored on the consumer grids.
+        state = [
+            (seed(g, grids.tgrids[i], xi + shift), seed(g, grids.tgrids[i + 1], xi - shift))
+            for i, (g, xi) in enumerate(zip(guesses, positions))
+        ]
 
         # Monitored history starts from the guesses read at the interfaces.
         prev = [
@@ -146,19 +123,18 @@ def swr_run(
             for i, (g, xi) in enumerate(zip(guesses, positions))
         ]
 
-        def sweep():
-            nonlocal state
-            read = _solve_all(spaces, lambda s, i: state[i - 1][1 if i < s else 0], reads)
-            state = [
+        def sweep(pairs):
+            read = _solve_all(spaces, lambda s, i: pairs[i - 1][1 if i < s else 0], reads)
+            pairs = [
                 (
                     cache.project(read[i + 1]["for_left"], spaces[i].tgrid),
                     cache.project(read[i]["for_right"], spaces[i + 1].tgrid),
                 )
                 for i in range(1, n)
             ]
-            return [read[i]["monitored"] for i in range(1, n)]
+            return pairs, [read[i]["monitored"] for i in range(1, n)]
 
-        return sweep, grids.tgrids[:-1], prev
+        return state, sweep, grids.tgrids[:-1], prev
 
     return _drive(
         problem,
@@ -172,39 +148,3 @@ def swr_run(
         bounds=_extended_bounds(partition, shift),
     )
 
-
-def swr_state_from_field(
-    field: SpaceTimeField,
-    partition: Partition1D,
-    grids: RunGrids,
-    config: WrConfig,
-) -> list[tuple[InterfaceTrace, InterfaceTrace]]:
-    """Schwarz transmission state sampled from a full-domain field.
-
-    Returns, per interface, the pair of data traces the two neighbors
-    would consume next: for classical Schwarz the solution histories at
-    the interface pushed outward by the overlap, for Robin Schwarz the
-    outward Robin combinations built from the field's centered derivative
-    at the interface. Feeding this state into :func:`swr_run` warm-starts
-    the iteration at the discrete fixed point.
-    """
-    if config.method not in (Method.SWR_CLASSICAL, Method.SWR_ROBIN):
-        raise ValidationError("transmission state applies to the Schwarz methods only")
-    cache = _PlanCache()
-    out = []
-    for i in range(1, partition.n_interfaces + 1):
-        xi = partition.interface_position(i)
-        if config.method is Method.SWR_CLASSICAL:
-            shift = config.overlap_cells * grids.dx
-            pair = (_column(field, xi + shift), _column(field, xi - shift))
-        else:
-            p = config.robin_p
-            j = field.xgrid.node_index(xi)
-            u = field.values[:, j]
-            w = (field.values[:, j + 1] - field.values[:, j - 1]) / (2.0 * field.xgrid.dx)
-            pair = (
-                InterfaceTrace(TraceKind.ROBIN, field.tgrid, w + p * u, robin_p=p),
-                InterfaceTrace(TraceKind.ROBIN, field.tgrid, -w + p * u, robin_p=p),
-            )
-        out.append(tuple(cache.project(tr, g) for tr, g in zip(pair, grids.tgrids[i - 1 : i + 1])))
-    return out

@@ -9,19 +9,20 @@ projection-plan caching between per-subdomain time grids, reference
 resolution and the trace distance that is the error metric,
 normalization of initial guesses, the per-iteration monitor that
 applies the stopping rule, and the driver loop into which each method
-plugs its sweep. What one method carries between sweeps (the Schwarz
-transmission pairs and their warm start, say) lives in that method's
-module.
+plugs its sweep. A sweep is a function of the state one method
+carries between sweeps (the interface traces, or the Schwarz
+transmission pairs); the loop owns that state.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
-from ..errors import IncompatibleGrids, NoReference, ValidationError
+from ..errors import IncompatibleGrids, NonFiniteTrace, NoReference, ValidationError
 from ..grids import (
     InterfaceTrace,
     Partition1D,
@@ -923,7 +924,7 @@ def traces_from_field(
     """Dirichlet interface histories of a full-domain field.
 
     Returns one trace per interface, re-sampled onto ``target_grids``
-    when given. Used for warm starts, references, and the error metric.
+    when given. Used for references and the error metric.
     """
     out = []
     for i in range(1, partition.n_interfaces + 1):
@@ -1042,7 +1043,7 @@ class _Monitor:
         )
 
 
-def _drive(
+def _setup(
     problem,
     partition: Partition1D,
     grids: RunGrids,
@@ -1052,15 +1053,18 @@ def _drive(
     methods: tuple[Method, ...],
     start,
     bounds: dict[int, tuple[float, float]] | None = None,
-) -> IterationHistory:
-    """The loop every driver runs around its own sweep.
+):
+    """Everything :func:`_drive` does before its first sweep.
 
     Checks the method, builds the workspaces (on ``bounds`` where given)
     and normalizes the guesses. ``start(spaces, ygrid, cache, trace_grids,
-    guesses)`` then returns ``(sweep, monitor_grids, prev)``: ``sweep()``
-    runs one iteration and returns the monitored traces (on
-    ``monitor_grids``, where the reference is resolved), and ``prev`` is
-    what the first update is measured against.
+    guesses)`` then returns ``(state, sweep, monitor_grids, prev)``:
+    ``sweep(state)`` runs one iteration and returns ``(state,
+    monitored)``, the next state and the monitored traces (on
+    ``monitor_grids``, where the reference is resolved); it keeps nothing
+    between calls. ``prev`` is what the first update is measured
+    against. Returns ``(state, sweep, monitor)``, with the
+    :class:`_Monitor` that applies the stopping rule.
     """
     if config.method not in methods:
         names = " or ".join(m.name for m in methods)
@@ -1069,10 +1073,27 @@ def _drive(
     trace_grids = guess_grids(partition, grids, config)
     guesses = normalize_guesses(problem, partition, init_guesses, trace_grids, ygrid)
     cache = _PlanCache()
-    sweep, monitor_grids, prev = start(spaces, ygrid, cache, trace_grids, guesses)
+    state, sweep, monitor_grids, prev = start(spaces, ygrid, cache, trace_grids, guesses)
     ref, metric = resolve_reference(problem, partition, grids, reference, monitor_grids, ygrid)
-    monitor = _Monitor(config, cache, ref, metric, initial=guesses, prev=prev)
-    for k in range(1, config.max_iters + 1):
-        if monitor.record(k, sweep()):
-            break
+    return state, sweep, _Monitor(config, cache, ref, metric, initial=guesses, prev=prev)
+
+
+def _drive(*args, **kwargs) -> IterationHistory:
+    """Set up as :func:`_setup` does, then sweep from the method's state.
+
+    A sweep whose traces stop being finite raises
+    :class:`~wrkit.errors.NonFiniteTrace` naming the sweep; that error,
+    not numpy's overflow warnings, is what reports a run that diverged.
+    """
+    state, sweep, monitor = _setup(*args, **kwargs)
+    with warnings.catch_warnings():
+        # A filter costs nothing per ufunc call, unlike np.errstate.
+        warnings.filterwarnings("ignore", "(overflow|invalid value) encountered", RuntimeWarning)
+        for k in range(1, monitor.config.max_iters + 1):
+            try:
+                state, monitored = sweep(state)
+            except NonFiniteTrace as exc:
+                raise NonFiniteTrace(f"sweep {k}: {exc}") from None
+            if monitor.record(k, monitored):
+                break
     return monitor.history()

@@ -1,7 +1,8 @@
 """Shared problem builders for the test suite.
 
 Everything here is deliberately small: fixed model problems the kernel,
-method, and acceptance tests reuse, plus a couple of trace helpers.
+method, and acceptance tests reuse, plus a couple of trace helpers and
+the packing of a driver's iteration state into one vector.
 """
 
 from __future__ import annotations
@@ -97,3 +98,22 @@ def trace_distance(a: InterfaceTrace, b: InterfaceTrace) -> float:
 
 def uniform_grid(T: float, dt: float) -> TimeGrid:
     return make_time_grid(T, dt)
+
+
+def pack(state) -> np.ndarray:
+    """Every sample of a trace or a nest of lists and tuples of traces, as one 1-D vector."""
+    if isinstance(state, InterfaceTrace):
+        return state.samples.ravel()
+    return np.concatenate([pack(part) for part in state])
+
+
+def unpack(template, vector: np.ndarray):
+    """The state shaped like ``template`` whose samples are ``vector`` (see :func:`pack`)."""
+    if isinstance(template, InterfaceTrace):
+        return template.with_samples(np.reshape(vector, template.samples.shape))
+    parts, at = [], 0
+    for part in template:
+        size = pack(part).size
+        parts.append(unpack(part, vector[at : at + size]))
+        at += size
+    return type(template)(parts)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -577,10 +578,34 @@ def test_cli_error_paths(tmp_path, capsys):
 
     endless = tmp_path / "endless.cfg"
     endless.write_text(MINIMAL_HEAT.replace("T = 0.2", "T = inf"))
-    rc = main(["run", "--config", str(endless)])
-    assert rc == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
+    undecodable = tmp_path / "latin1.cfg"
+    undecodable.write_bytes(MINIMAL_HEAT.encode() + "# caf\xe9\n".encode("latin-1"))
+    # NNWR with theta = 1 on this chain grows about 3x per sweep until
+    # its traces overflow (near sweep 640).
+    diverging = tmp_path / "diverging.cfg"
+    diverging.write_text(
+        "model = heat1d\ninterval = 0, 2\npartition = 0, 1, 2\nnu = 1\ndx = 0.1\n"
+        "dt = 0.02\nT = 2.0\ninitial = parabola\nleft = t2\nright = texp\n"
+        "method = nnwr\ntheta = 1\nmax_iters = 1000\nguess = t2\n"
+    )
+    good = tmp_path / "good.cfg"
+    good.write_text(MINIMAL_HEAT)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for argv in (
+        ["run", "--config", str(endless)],
+        ["run", "--config", str(tmp_path)],  # a directory
+        ["run", "--config", str(undecodable)],
+        ["run", "--config", str(good), "--out", str(taken)],  # --out names a file
+        ["run", "--config", str(diverging), "--out", str(tmp_path / "diverged")],
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print a second line
+            rc = main(argv)
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+    assert "sweep" in err[0]
 
     for kind, params in (
         ("heat-equal", ["count=5", "h=1", "T=2"]),  # nu missing

@@ -3,6 +3,8 @@ finite-step convergence, determinism, comparator behavior."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from wrkit.grids import (
     make_time_grid,
     zero_trace,
 )
+from wrkit.harness import build_guesses, load_config, preset_text
+from wrkit.harness.run import _setup as preset_setup
 from wrkit.kernels import solve_monodomain
 from wrkit.methods import (
     Arrangement,
@@ -31,16 +35,21 @@ from wrkit.methods import (
     producer_map,
     relax_update,
     swr_run,
-    swr_state_from_field,
     traces_from_field,
 )
+from wrkit.methods import dnwr as dnwr_mod
+from wrkit.methods import nnwr as nnwr_mod
+from wrkit.methods import swr as swr_mod
+from wrkit.methods.workspace import _setup
 
 from conftest import (
     dirichlet_trace,
     heat_problem,
+    pack,
     t_squared_guesses,
     trace_distance,
     uneven_partition,
+    unpack,
     wave_problem,
 )
 
@@ -189,6 +198,14 @@ def run_method(cfg, prob, part, grids, guesses=None, **kwargs):
     return runner(prob, part, grids, cfg, guesses, **kwargs)
 
 
+def start_method(monkeypatch, cfg, prob, part, grids, guesses=None):
+    """The method's first state and its sweep, from the set-up its driver runs."""
+    module = {Method.DNWR: dnwr_mod, Method.NNWR: nnwr_mod}.get(cfg.method, swr_mod)
+    monkeypatch.setattr(module, "_drive", _setup)
+    state, sweep, _ = run_method(cfg, prob, part, grids, guesses, reference=None)
+    return state, sweep
+
+
 ALL_CONFIGS = [
     WrConfig(method=Method.DNWR, arrangement=Arrangement.A1),
     WrConfig(method=Method.DNWR, arrangement=Arrangement.A2),
@@ -216,28 +233,56 @@ def test_zero_problem_converges_immediately(cfg):
     assert hist.max_errors[0] == 0.0
 
 
+def schwarz_pairs(field, part, cfg, dx):
+    """The transmission pairs a Schwarz sweep consumes when ``field`` solves the whole domain."""
+
+    def shifted(offset):
+        inner = part.boundaries[1:-1] + offset
+        return traces_from_field(field, make_partition((part.boundaries[0], *inner, part.boundaries[-1])))
+
+    if cfg.method is Method.SWR_CLASSICAL:
+        shift = cfg.overlap_cells * dx
+        return list(zip(shifted(shift), shifted(-shift)))
+    p = cfg.robin_p
+    pairs = []
+    for u, right, left in zip(shifted(0.0), shifted(dx), shifted(-dx)):
+        w = (right.samples - left.samples) / (2.0 * dx)
+        pairs.append(
+            tuple(
+                InterfaceTrace(TraceKind.ROBIN, field.tgrid, sign * w + p * u.samples, robin_p=p)
+                for sign in (1.0, -1.0)
+            )
+        )
+    return pairs
+
+
 @pytest.mark.parametrize("cfg", ALL_CONFIGS, ids=lambda c: f"{c.method.value}-{c.arrangement.name}")
-def test_heat_fixed_point(cfg):
-    # Warm-started from the exact single-domain interface histories,
-    # every method must stay put: the split solves reproduce the
-    # monodomain factorization at rounding level.
+def test_heat_fixed_point(cfg, monkeypatch):
+    # Started from the exact single-domain interface histories, every
+    # method must stay put: the split solves reproduce the monodomain
+    # factorization at rounding level.
     prob, part, grids = heat_setup()
     xgrid = SpaceGrid1D.with_spacing(0.0, 5.0, grids.dx)
     field = solve_monodomain(prob, xgrid, grids.tgrids[0])
     gg = guess_grids(part, grids, cfg)
     guesses = list(traces_from_field(field, part, gg))
-    kwargs = {}
-    if cfg.method in (Method.SWR_CLASSICAL, Method.SWR_ROBIN):
-        kwargs["state"] = swr_state_from_field(field, part, grids, cfg)
-    hist = run_method(
-        WrConfig(**{**cfg.__dict__, "max_iters": 1, "tol": 1e-11}),
-        prob,
-        part,
-        grids,
-        guesses=guesses,
-        **kwargs,
-    )
-    assert hist.max_errors[0] <= 1e-11
+    if cfg.method in (Method.DNWR, Method.NNWR):
+        one = WrConfig(**{**cfg.__dict__, "max_iters": 1, "tol": 1e-11})
+        hist = run_method(one, prob, part, grids, guesses=guesses)
+        assert hist.max_errors[0] <= 1e-11
+        return
+    # Schwarz carries transmission pairs, which the guesses do not fix:
+    # sweep once from the pairs the monodomain field gives.
+    pairs = schwarz_pairs(field, part, cfg, grids.dx)
+    _, sweep = start_method(monkeypatch, cfg, prob, part, grids, guesses)
+    new, monitored = sweep(pairs)
+    for trace, exact in zip(monitored, guesses):
+        assert trace_distance(trace, exact) <= 1e-11
+    # Row 0 of a Robin pair is a one-sided flux of the initial data that
+    # no heat step reads, so only rows 1 onward are a fixed point.
+    for pair_after, pair_before in zip(new, pairs):
+        for after, before in zip(pair_after, pair_before):
+            assert np.max(np.abs(after.samples[1:] - before.samples[1:])) <= 1e-11
 
 
 @pytest.mark.parametrize(
@@ -339,8 +384,6 @@ def test_reruns_are_bitwise_identical():
 def test_stage_order_does_not_change_bits(monkeypatch):
     # Tasks inside one stage are independent; listing them in reverse
     # must reproduce every output bit.
-    import wrkit.methods.dnwr as dnwr_mod
-
     prob, part, grids = heat_setup(n_subs=5, T=1.0)
     cfg = WrConfig(method=Method.DNWR, arrangement=Arrangement.A2, max_iters=6, tol=1e-14)
     gg = guess_grids(part, grids, cfg)
@@ -361,33 +404,6 @@ def test_stage_order_does_not_change_bits(monkeypatch):
     assert baseline.max_errors == permuted.max_errors
     for ta, tb in zip(baseline.final_traces, permuted.final_traces):
         assert np.array_equal(ta.samples, tb.samples)
-
-
-def test_swr_rejects_state_that_does_not_fit():
-    prob, part, grids = heat_setup()
-    field = solve_monodomain(prob, SpaceGrid1D.with_spacing(0.0, 5.0, grids.dx), grids.tgrids[0])
-    classical = WrConfig(method=Method.SWR_CLASSICAL, max_iters=1)
-    robin = WrConfig(method=Method.SWR_ROBIN, robin_p=2.0, max_iters=1)
-    other_p = WrConfig(method=Method.SWR_ROBIN, robin_p=3.0)
-    coarse = make_run_grids(part, grids.dx, 2.0, 0.04)
-    state = swr_state_from_field(field, part, grids, robin)
-    with pytest.raises(ValidationError, match="one transmission pair per interface"):
-        run_method(robin, prob, part, grids, state=state[:-1])
-    neumann = [
-        tuple(zero_trace(g, TraceKind.NEUMANN) for g in grids.tgrids[i - 1 : i + 1])
-        for i in range(1, part.n_interfaces + 1)
-    ]
-    for cfg, state in [
-        (robin, swr_state_from_field(field, part, grids, classical)),  # Dirichlet on Robin
-        (robin, swr_state_from_field(field, part, grids, other_p)),  # another coefficient
-        (robin, swr_state_from_field(field, part, coarse, robin)),  # wrong time grid
-        (classical, swr_state_from_field(field, part, grids, robin)),  # Robin on classical
-        (classical, swr_state_from_field(field, part, coarse, classical)),
-        (classical, neumann),
-    ]:
-        # The run's own check must reject the pair, not a kernel later on.
-        with pytest.raises(IncompatibleGrids, match="does not fit this run"):
-            run_method(cfg, prob, part, grids, state=state)
 
 
 def test_robin_sweep_beats_classical():
@@ -464,3 +480,49 @@ def test_initial_guess_compatibility_forcing():
         assert tr.samples[0] == pytest.approx(
             float(u0(part.interface_position(i))), abs=1e-14
         )
+
+
+def sweep_case(source, cfg):
+    """Problem, partition, grids, config and guesses: ``heat_setup`` or a shipped preset."""
+    if source == "heat":
+        return (*heat_setup(), cfg, None)
+    spec = load_config(preset_text(source))
+    prob, part, grids, ygrid = preset_setup(spec)
+    cfg = replace(spec.config, method=cfg.method)
+    return prob, part, grids, cfg, build_guesses(spec.guess, guess_grids(part, grids, cfg), ygrid)
+
+
+SWEEP_CASES = [("heat", cfg) for cfg in ALL_CONFIGS] + [
+    (name, WrConfig(method=method))
+    for name, methods in (
+        ("fig_wave_T5", (Method.DNWR, Method.NNWR, Method.SWR_CLASSICAL)),
+        ("fig_wave_nonmatching", (Method.DNWR, Method.NNWR)),
+        ("cmp2d_3sub_dnwr", (Method.DNWR,)),
+        ("cmp2d_3sub_nnwr", (Method.NNWR,)),
+        ("cmp2d_3sub_swr_classical", (Method.SWR_CLASSICAL,)),
+    )
+    for method in methods
+]
+
+
+@pytest.mark.parametrize(
+    "source, cfg", SWEEP_CASES, ids=[f"{s}-{c.method.value}-{c.arrangement.name}" for s, c in SWEEP_CASES]
+)
+def test_sweep_is_an_affine_function_of_its_state(source, cfg, monkeypatch):
+    # A sweep maps the state to the next one and keeps nothing between
+    # calls: it is affine in the state, repeats its bits, and leaves its
+    # argument alone.
+    prob, part, grids, cfg, guesses = sweep_case(source, cfg)
+    state, sweep = start_method(monkeypatch, cfg, prob, part, grids, guesses)
+    v = unpack(state, np.random.default_rng(3).standard_normal(pack(state).size))
+    before = pack(v)
+
+    def S(x):
+        return pack(sweep(x))
+
+    s0 = S(unpack(state, np.zeros_like(before)))
+    s1 = S(v)
+    s2 = S(unpack(state, 2.0 * before))
+    assert np.max(np.abs((s2 - s0) - 2.0 * (s1 - s0))) <= 1e-12 * np.max(np.abs(s2 - s0))
+    assert np.array_equal(S(v), s1)
+    assert np.array_equal(pack(v), before)
