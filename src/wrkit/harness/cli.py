@@ -70,6 +70,14 @@ def _print_report(label: str, report, out_dir: str) -> None:
     print(f"  files in {out_dir}: {label}.csv, {label}_manifest.txt")
 
 
+def _read_config(path: str) -> str:
+    """A config file's text; one that is not UTF-8 is an error that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise WrkitError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _run_config_text(text: str, fallback_label: str, out: str | None) -> int:
     spec = load_config(text)
     if spec.label == ExperimentSpec.label and fallback_label:
@@ -134,7 +142,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "run":
-            text = Path(args.config).read_text(encoding="utf-8")
+            text = _read_config(args.config)
             return _run_config_text(text, Path(args.config).stem, args.out)
 
         if args.command == "preset":
@@ -150,17 +158,14 @@ def main(argv=None) -> int:
         if args.command == "bound":
             return _cmd_bound(args.kind, _parse_params(args.params))
 
-        specs = [
-            load_config(Path(path).read_text(encoding="utf-8"))
-            for path in args.configs
-        ]
+        specs = [load_config(_read_config(path)) for path in args.configs]
         table = compare_methods(specs, out_dir=args.out)
         print("label            method          iterations  final_err")
         for row in table.rows:
             iters = "-" if row.iterations is None else str(row.iterations)
             print(f"{row.label:<16} {row.method:<15} {iters:>10}  {row.final_error!r}")
         return 0
-    except (WrkitError, OSError, UnicodeDecodeError) as exc:
+    except (WrkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

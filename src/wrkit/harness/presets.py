@@ -93,7 +93,7 @@ def build_problem(spec: ExperimentSpec):
     source = data("source", _SOURCE_DATA)
     if spec.model == "wave2d":
         return Wave2DProblem(
-            x_interval=spec.interval,
+            interval=spec.interval,
             speed=spec.c,
             initial_u=data("initial", _SPACE2D_DATA),
             initial_ut=data("initial_rate", _SPACE2D_DATA),

@@ -267,11 +267,12 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | None = None) -> ErrorRep
     Files land in ``out_dir`` (or the spec's ``out``) as
     ``<label>.csv`` and ``<label>_manifest.txt``. The run is fully
     deterministic: rerunning the same spec reproduces the CSV byte for
-    byte, seeded random guesses included.
+    byte, seeded random guesses included. The directory is made before
+    the run, so one that cannot be made fails at once.
     """
-    _, report, info = _execute(spec)
     directory = out_dir if out_dir is not None else spec.out
     os.makedirs(directory, exist_ok=True)
+    _, report, info = _execute(spec)
     csv_path = os.path.join(directory, f"{spec.label}.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.csv_text)
@@ -337,7 +338,8 @@ def compare_methods(
     All specs must agree on everything except the method configuration
     (and label); otherwise :class:`InconsistentSpecs`. The reference is
     computed once and shared, so iteration counts are comparable. One
-    CSV named ``compare_<first label>.csv`` is written.
+    CSV named ``compare_<first label>.csv`` is written, into a directory
+    made before the first run.
     """
     if not specs:
         raise InconsistentSpecs("compare_methods needs at least one spec")
@@ -347,6 +349,8 @@ def compare_methods(
             raise InconsistentSpecs(
                 "specs passed to compare_methods differ beyond their method fields"
             )
+    directory = out_dir if out_dir is not None else specs[0].out
+    os.makedirs(directory, exist_ok=True)
 
     reference = None  # the first run resolves it, the others reuse it
     rows = []
@@ -368,9 +372,6 @@ def compare_methods(
         conv = "yes" if row.iterations is not None else "no"
         lines.append(f"{row.label},{row.method},{iters},{conv},{_fmt(row.final_error)}")
     csv_text = "\n".join(lines) + "\n"
-
-    directory = out_dir if out_dir is not None else specs[0].out
-    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"compare_{specs[0].label}.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(csv_text)

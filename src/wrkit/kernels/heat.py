@@ -34,7 +34,9 @@ same loop without the axis. An axis turns the two end-row adds into
 array operations and the solve into one on a Fortran-ordered copy: for
 100 nodes on a 2-vCPU Xeon a step costs 2.9 us without the axis, 5.1 us
 with one entry and 8.6 us with three (least of 15 marches of 500 steps),
-so the monodomain reference solve marches without it.
+so a march of one solve passes no axis: the public solve, an equal
+subdomain's particular part, and the monodomain reference
+(``wrkit.methods.workspace.solve_monodomain``).
 
 Flux extraction recovers u_x at a boundary from the one-sided difference
 plus a half-cell correction that replaces the second space derivative

@@ -68,14 +68,14 @@ class WaveProblem:
 
 @dataclass(frozen=True)
 class Wave2DProblem:
-    """u_tt = c^2 (u_xx + u_yy) + f on a strip cross-section x (0, Ly).
+    """u_tt = c^2 (u_xx + u_yy) + f on the strip ``interval`` x ``y_interval``.
 
     Decomposition is along x only; boundary data is Dirichlet on all four
     sides. Side data functions are elementwise in ``(y, t)`` (left/right)
     or ``(x, t)`` (bottom/top).
     """
 
-    x_interval: tuple[float, float]
+    interval: tuple[float, float]
     speed: float
     initial_u: Callable
     initial_ut: Callable

@@ -23,14 +23,23 @@ builds of ``wrkit.methods.workspace`` march a particular part and one
 impulse per interface side as one batch; the two public solvers march
 the same loop without the axis.
 
+In 1D the speed may also be given per cell, which is how the
+piecewise-speed monodomain reference marches: a node between cells of
+speeds cl and cr takes the asymmetric row s (cl, -(cl + cr), cr) / dx^2
+with s = 2 cl cr / (cl + cr), what continuity of u and of the
+impedance-weighted slope c du/dx leaves after eliminating the one-sided
+ghosts. That coupling is the one under which the glued multidomain fixed
+point, whose solves exchange c du/dx as Neumann data, reproduces the
+single-domain field node for node. The stencil writes it as cl cr dxx u
+plus a correction at the jump nodes only.
+
 Time grids may have unequal steps (a clipped final step, for example);
-the march in :func:`.common.leapfrog`, shared with the piecewise-speed
-monodomain solve, replaces the second time difference with its
-variable-step counterpart and reduces exactly to the above when the
-steps are uniform. Stability requires the Courant number c dt/dx <= 1,
-or c dt sqrt(1/dx^2 + 1/dy^2) <= 1 on a strip (checked against the
-largest step); in 1D at exactly 1 the scheme transports along
-characteristics without dispersion.
+the march in :func:`.common.leapfrog` replaces the second time
+difference with its variable-step counterpart and reduces exactly to
+the above when the steps are uniform. Stability requires the Courant
+number c dt/dx <= 1, or c dt sqrt(1/dx^2 + 1/dy^2) <= 1 on a strip
+(checked against the largest step and speed); in 1D at exactly 1 the
+scheme transports along characteristics without dispersion.
 
 Boundary handling: Dirichlet x boundaries are pinned, and a Neumann x
 boundary eliminates a mirror ghost node using the +x oriented derivative
@@ -77,6 +86,8 @@ def _second_difference(v: np.ndarray, out: np.ndarray) -> None:
 class _Stencil:
     """The explicit update on a subdomain (``ygrid`` None) or a strip, for fixed x boundary kinds.
 
+    ``c`` is one speed, or in 1D without a batch axis one speed per
+    cell, whose jump nodes get a correction term (see ``__init__``).
     ``accel`` is its space part, ``pin`` writes the boundary data, and
     ``step`` is one whole leapfrog update. x is axis 0 of every nodal
     array; a strip's y axis rides along as axis 1, and a trailing batch
@@ -87,11 +98,23 @@ class _Stencil:
     """
 
     def __init__(
-        self, xgrid: SpaceGrid1D, ygrid: SpaceGrid1D | None, c: float, left_kind, right_kind, source=None
+        self, xgrid: SpaceGrid1D, ygrid: SpaceGrid1D | None, c, left_kind, right_kind, source=None
     ):
         self.dx = xgrid.dx
         self.dy = None if ygrid is None else ygrid.dx
-        self.c2 = c**2
+        self.jumps = []
+        if np.ndim(c) == 0:
+            self.c2 = c**2
+        else:
+            # One speed per cell (1D, no batch): a node between speeds cl and
+            # cr takes cl cr dxx u + cl cr (cr - cl)/(cl + cr) (u[j+1] - u[j-1])/dx^2,
+            # the module docstring's asymmetric row; an end node its cell's c^2.
+            cl, cr = c[:-1], c[1:]
+            self.c2 = np.concatenate(([c[0] ** 2], cl * cr, [c[-1] ** 2]))
+            self.jumps = [
+                (j + 1, cl[j] * cr[j] * (cr[j] - cl[j]) / (cl[j] + cr[j]) / self.dx**2)
+                for j in np.flatnonzero(cl != cr)
+            ]
         self.c2_over_dx2 = self.c2 / self.dx**2
         self.left_neumann = left_kind is TraceKind.NEUMANN
         self.right_neumann = right_kind is TraceKind.NEUMANN
@@ -111,6 +134,8 @@ class _Stencil:
         a[-1] = 2.0 * (v[-2] - v[-1]) + 2.0 * dx * g_right if self.right_neumann else 0.0
         if self.dy is None:
             a *= self.c2_over_dx2
+            for j, k in self.jumps:
+                a[j] += k * (v[j + 1] - v[j - 1])
         else:
             a /= dx**2
             # y neighbours are one y stride apart in the flat C-ordered arrays, so
@@ -154,7 +179,7 @@ class _Stencil:
 def _march(
     xgrid: SpaceGrid1D,
     ygrid: SpaceGrid1D | None,
-    c: float,
+    c,
     tgrid: TimeGrid,
     initial_u: np.ndarray,
     initial_ut: np.ndarray,
@@ -172,14 +197,16 @@ def _march(
     plus the batch axis if there is one. ``initial_u``/``initial_ut``
     are nodal arrays, with the batch axis last if there is one, and a
     strip's ``lids`` are the bottom and top histories ``(M+1, nx+1)``
-    plus the batch axis (None in 1D). Checks the kinds, the speed, the
-    cell counts, the Courant number and the shapes, then marches
+    plus the batch axis (None in 1D). ``c`` is one speed, or in 1D
+    without a batch axis one per cell (the piecewise-speed reference).
+    Checks the kinds, the smallest speed, the cell counts, the Courant
+    number of the largest speed and the shapes, then marches
     :class:`_Stencil` with :func:`.common.leapfrog`; returns the values,
     ``(M+1,) + nodal shape + batch``.
     """
     if TraceKind.ROBIN in (left_bc.kind, right_bc.kind):
         raise WrongBoundaryKind("the wave kernel takes Dirichlet or Neumann data, not Robin")
-    if c <= 0:
+    if np.min(c) <= 0:
         raise ValueError("wave speed must be positive")
     nx = xgrid.n_cells
     ny = None if ygrid is None else ygrid.n_cells
@@ -189,7 +216,7 @@ def _march(
     times = tgrid.times
     m = len(times)
 
-    courant = cfl_number(c, xgrid.dx, tgrid.max_step, dy)
+    courant = cfl_number(float(np.max(c)), xgrid.dx, tgrid.max_step, dy)
     if courant > 1.0 + CFL_SLACK:
         raise CflViolation(f"Courant number {courant!r} exceeds 1")
 

@@ -5,8 +5,9 @@ per-run grid bundle, the lattice rules a run applies (partition span,
 snapped y grid), one solver adapter class per model (data sampling,
 physical boundary data, the traces a solve returns, impedance) with
 the impulse responses that replace the march on the iteration path,
-projection-plan caching between per-subdomain time grids, reference
-resolution and the trace distance that is the error metric,
+projection-plan caching between per-subdomain time grids, the
+monodomain reference (one adapter's march on the whole domain) and its
+resolution, the trace distance that is the error metric,
 normalization of initial guesses, the per-iteration monitor that
 applies the stopping rule, and the driver loop into which each method
 plugs its sweep. A sweep is a function of the state one method
@@ -43,7 +44,6 @@ from ..kernels import (  # noqa: F401
     heat_interface_flux,
     sample,
     solve_heat_subdomain,
-    solve_monodomain,
     solve_wave_strip_2d,
     solve_wave_subdomain,
     wave_interface_flux,
@@ -227,9 +227,9 @@ class _Workspace:
     boundary data and 2D lid data, as the Neumann-Neumann correction
     stage needs. ``impedance`` weights the slope carried across an
     interface: the wave speed, or 1 for heat, whose diffusivity is
-    shared. The static methods read the problem: x interval, speed per
-    subdomain (None for heat), initial value function, and shared y grid
-    (None in 1D).
+    shared. The static methods read the problem: speed per subdomain
+    (None for heat), initial value function, and shared y grid (None in
+    1D).
 
     A sweep reads a few traces off each solve, its outputs
     (:class:`Output`), which :meth:`read` takes off a marched field.
@@ -259,10 +259,6 @@ class _Workspace:
         # Responses of the run's subdomains by what their impulse part
         # depends on (see _shape), so equal subdomains march it once.
         self._shared: dict[tuple, _Response] = {} if shared is None else shared
-
-    @staticmethod
-    def interval(problem) -> tuple[float, float]:
-        return problem.interval
 
     @staticmethod
     def make_ygrid(problem, grids: RunGrids) -> SpaceGrid1D | None:
@@ -694,7 +690,9 @@ class _Wave1D(_Workspace):
             return [float(problem.speed)] * n
         speeds = [float(c) for c in problem.speed]
         if len(speeds) != n:
-            raise ValidationError(f"need one wave speed per subdomain ({n}), got {len(speeds)}")
+            raise ValidationError(
+                f"need one wave speed per subdomain of the partition ({n}), got {len(speeds)}"
+            )
         return speeds
 
     @staticmethod
@@ -733,16 +731,14 @@ class _Strip2D(_Wave1D):
     """
 
     @staticmethod
-    def interval(problem) -> tuple[float, float]:
-        return problem.x_interval
-
-    @staticmethod
     def make_ygrid(problem, grids: RunGrids) -> SpaceGrid1D:
         if grids.dy is None:
             raise ValidationError("2D strip runs need dy in RunGrids")
         return snap_ygrid(problem.y_interval, grids.dy)
 
     def _sample(self) -> list[np.ndarray]:
+        if self.ygrid is None:
+            raise ValidationError("a strip solve needs a y grid")
         return strip_data(self.problem, self.xgrid, self.ygrid, self.tgrid)
 
     @cached_property
@@ -847,7 +843,7 @@ def build_workspaces(
                 "final step, so a subdomain solve cannot be a response"
             )
 
-    check_span(model.interval(problem), partition)
+    check_span(problem.interval, partition)
 
     ygrid = model.make_ygrid(problem, grids)
     speeds = model.speeds(problem, n)
@@ -934,6 +930,34 @@ def traces_from_field(
             trace = project_trace(trace, build_plan(field.tgrid, target_grids[i - 1]))
         out.append(trace)
     return tuple(out)
+
+
+def solve_monodomain(
+    problem,
+    xgrid: SpaceGrid1D,
+    tgrid: TimeGrid,
+    ygrid: SpaceGrid1D | None = None,
+    partition: Partition1D | None = None,
+) -> SpaceTimeField:
+    """Solve the stated problem on the full domain with physical boundary data.
+
+    This is the particular march of one subdomain that spans the domain,
+    the scheme the iterations converge to. Per-subdomain wave speeds
+    that differ need ``partition`` (without one the domain is a single
+    subdomain) and march as one speed per cell; equal ones march as one
+    speed.
+    """
+    model = _adapter(problem)
+    n = 1 if partition is None else partition.n_subdomains
+    speeds = model.speeds(problem, n)
+    speed = speeds[0]
+    if len(set(speeds)) > 1:
+        cuts = [xgrid.node_index(partition.interface_position(i)) for i in range(1, n)]
+        speed = np.repeat(speeds, np.diff([0, *cuts, xgrid.n_cells]))
+    space = model(problem, xgrid, tgrid, ygrid, speed)
+    left, right = space._boundaries({}, False)
+    values = space._march(left, right, left.samples, right.samples, True)
+    return SpaceTimeField(xgrid, tgrid, values, left.kind, right.kind, ygrid, space._initial_rate())
 
 
 def reference_from_monodomain(

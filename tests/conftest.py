@@ -57,7 +57,7 @@ def strip_problem(speed=1.0):
         return x * y * (x - 1.0) * (y - np.pi) * (5.0 * x - 2.0) * (4.0 * y - 3.0)
 
     return Wave2DProblem(
-        x_interval=(0.0, 1.0),
+        interval=(0.0, 1.0),
         speed=speed,
         initial_u=u0,
         initial_ut=lambda x, y: np.zeros(np.broadcast(x, y).shape),

@@ -54,11 +54,11 @@ from wrkit.kernels import (
     WaveProblem,
     sample,
     solve_heat_subdomain,
-    solve_monodomain,
     solve_wave_strip_2d,
     solve_wave_subdomain,
 )
 from wrkit.methods import Method, WrConfig, dnwr_run, guess_grids, make_run_grids
+from wrkit.methods.workspace import solve_monodomain
 from wrkit.projection import build_plan, project_trace
 
 mpmath.mp.dps = 30

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wrkit.harness.run as run_module
 import wrkit.harness.spec as spec_module
 import wrkit.methods.workspace as workspace
 
@@ -561,6 +562,24 @@ def test_cli_bound_past_the_float_range(capsys, kind, params):
     assert values[0] == 1.0 and values[-1] == 0.0
 
 
+def test_an_out_that_cannot_be_made_fails_before_the_solve(tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    good = tmp_path / "good.cfg"
+    good.write_text(MINIMAL_HEAT)
+    calls = []
+    monkeypatch.setattr(run_module, "_execute", lambda *args, **kwargs: calls.append(args))
+    for argv in (
+        ["preset", "fig_heat_5sub_T8", "--out", str(taken)],
+        ["run", "--config", str(good), "--out", str(taken / "sub")],
+        ["compare", "--configs", str(good), str(good), "--out", str(taken)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+    assert calls == []
+
+
 def test_cli_error_paths(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "missing.cfg")])
     assert rc == 2
@@ -596,6 +615,7 @@ def test_cli_error_paths(tmp_path, capsys):
         ["run", "--config", str(endless)],
         ["run", "--config", str(tmp_path)],  # a directory
         ["run", "--config", str(undecodable)],
+        ["compare", "--configs", str(good), str(undecodable)],
         ["run", "--config", str(good), "--out", str(taken)],  # --out names a file
         ["run", "--config", str(diverging), "--out", str(tmp_path / "diverged")],
     ):
@@ -605,6 +625,8 @@ def test_cli_error_paths(tmp_path, capsys):
         assert rc == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        if undecodable in map(Path, argv):
+            assert str(undecodable) in err[0]
     assert "sweep" in err[0]
 
     for kind, params in (

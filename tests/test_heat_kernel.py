@@ -21,8 +21,8 @@ from wrkit.kernels import (
     heat,
     heat_interface_flux,
     solve_heat_subdomain,
-    solve_monodomain,
 )
+from wrkit.methods.workspace import solve_monodomain
 
 from conftest import dirichlet_trace, heat_problem, neumann_trace
 

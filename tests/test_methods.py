@@ -19,7 +19,6 @@ from wrkit.grids import (
 )
 from wrkit.harness import build_guesses, load_config, preset_text
 from wrkit.harness.run import _setup as preset_setup
-from wrkit.kernels import solve_monodomain
 from wrkit.methods import (
     Arrangement,
     Method,
@@ -40,7 +39,8 @@ from wrkit.methods import (
 from wrkit.methods import dnwr as dnwr_mod
 from wrkit.methods import nnwr as nnwr_mod
 from wrkit.methods import swr as swr_mod
-from wrkit.methods.workspace import _setup
+from wrkit.methods import workspace
+from wrkit.methods.workspace import _setup, resolve_reference, solve_monodomain
 
 from conftest import (
     dirichlet_trace,
@@ -313,6 +313,23 @@ def test_wave_fixed_point_with_per_subdomain_speeds(cfg):
         guesses=guesses,
     )
     assert hist.max_errors[0] <= 1e-11
+
+
+@pytest.mark.parametrize("name", ["fig_heat_5sub_T2", "fig_wave_nonmatching", "cmp2d_2sub_dnwr"])
+def test_auto_reference_solves_through_the_module_global(name, monkeypatch):
+    # A wrapper on workspace.solve_monodomain, as a profiler's span is,
+    # sees every "auto" reference; one that bypassed the name would
+    # leave the wrapper reading zero calls.
+    prob, part, grids, ygrid = preset_setup(load_config(preset_text(name)))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_monodomain(*args, **kwargs)
+
+    monkeypatch.setattr(workspace, "solve_monodomain", counted)
+    ref, metric = resolve_reference(prob, part, grids, "auto", grids.tgrids[1:], ygrid)
+    assert len(calls) == 1 and metric == "reference" and len(ref) == part.n_interfaces
 
 
 def test_schwarz_rejects_per_subdomain_speeds():

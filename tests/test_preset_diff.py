@@ -39,3 +39,17 @@ def test_equal_directories_exit_0(tmp_path, capsys):
     new = _write(tmp_path / "new", text, csv)
     assert preset_diff.main(["compare", old, new]) == 0
     assert "manifests 1/1 identical, CSVs 1/1 identical" in capsys.readouterr().out
+
+
+def test_the_bound_column_is_judged_by_its_relative_change(tmp_path, capsys):
+    # The bound is the initial error times an envelope that may exceed
+    # one many times over: a 5.7e-14 relative move of a bound of 2 would
+    # read as 1.1e-10 of an initial error of 1e-3.
+    manifest = "initial_error = 0.001\n"
+    moved = 2.0 + 2.0**-43
+    old = _write(tmp_path / "old", manifest, "iteration,err_max,bound\n1,0.5,2.0\n2,0.25,1.0\n")
+    new = _write(tmp_path / "new", manifest, f"iteration,err_max,bound\n1,0.5,{moved!r}\n2,0.25,1.0\n")
+    assert preset_diff.main(["compare", old, new]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "run.csv: bound: max relative 5.68e-14" in out
+    assert out[-1].endswith("largest max|d|/initial_error over all CSVs: 0.00e+00")

@@ -49,7 +49,7 @@ WAVE = WaveProblem(
 )
 
 STRIP = Wave2DProblem(
-    x_interval=(0.0, 1.5),
+    interval=(0.0, 1.5),
     speed=1.0,
     initial_u=lambda x, y: x * np.sin(y),
     initial_ut=lambda x, y: np.sin(2.0 * y) + 0.0 * x,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wrkit.errors import CflViolation, WrongBoundaryKind
+from wrkit.errors import CflViolation, ValidationError, WrongBoundaryKind
 from wrkit.grids import (
     InterfaceTrace,
     SpaceGrid1D,
@@ -13,7 +13,8 @@ from wrkit.grids import (
     make_time_grid,
     zero_trace,
 )
-from wrkit.kernels import solve_monodomain, solve_wave_strip_2d, wave_interface_flux
+from wrkit.kernels import solve_wave_strip_2d, wave_interface_flux
+from wrkit.methods.workspace import solve_monodomain
 
 from conftest import strip_problem
 
@@ -157,6 +158,8 @@ def test_monodomain_dispatch_2d():
     x = xgrid.nodes[:, None]
     y = ygrid.nodes[None, :]
     np.testing.assert_array_equal(field.values[0], problem.initial_u(x, y))
+    with pytest.raises(ValidationError, match="y grid"):
+        solve_monodomain(problem, xgrid, tgrid)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

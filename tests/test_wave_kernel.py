@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wrkit.errors import CflViolation, WrongBoundaryKind
+from wrkit.errors import CflViolation, ValidationError, WrongBoundaryKind
 from wrkit.grids import (
     InterfaceTrace,
     SpaceGrid1D,
@@ -17,13 +17,12 @@ from wrkit.grids import (
     make_time_grid_clipped,
     zero_trace,
 )
-from wrkit.kernels import (
-    solve_monodomain,
-    solve_wave_subdomain,
-    wave_interface_flux,
-)
-from wrkit.kernels import monodomain, wave
+from wrkit.harness import load_config, preset_text
+from wrkit.harness.run import _setup as preset_setup
+from wrkit.kernels import sample, solve_wave_subdomain, wave, wave_interface_flux
+from wrkit.kernels.common import dirichlet_history, leapfrog
 from wrkit.kernels.wave import second_time_difference
+from wrkit.methods.workspace import solve_monodomain
 
 from conftest import dirichlet_trace, wave_problem
 
@@ -209,7 +208,7 @@ def test_piecewise_speeds_monodomain_needs_partition():
     problem = wave_problem(speed=(2.0, 0.5))
     xgrid = SpaceGrid1D.with_spacing(0.0, 5.0, 0.05)
     tgrid = make_time_grid(2.0, 0.02)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="of the partition"):
         solve_monodomain(problem, xgrid, tgrid)
     partition = make_partition((0.0, 2.0, 5.0))
     field = solve_monodomain(problem, xgrid, tgrid, partition=partition)
@@ -219,9 +218,9 @@ def test_piecewise_speeds_monodomain_needs_partition():
 
 @pytest.mark.parametrize("c", [1.0, 0.7])
 def test_equal_piecewise_speeds_match_uniform_speed(c):
-    # One speed given per subdomain takes the piecewise path; it must
-    # march the uniform scheme. A source, a nonzero initial rate and a
-    # clipped final step exercise every term of the march.
+    # Equal speeds given per subdomain must march the one-speed scheme
+    # bit for bit. A source, a nonzero initial rate and a clipped final
+    # step exercise every term of the march.
     problem = replace(
         wave_problem(interval=(0.0, 4.0), speed=c),
         initial_ut=lambda x: np.sin(x),
@@ -234,7 +233,58 @@ def test_equal_piecewise_speeds_match_uniform_speed(c):
     piecewise = solve_monodomain(
         replace(problem, speed=(c,) * 4), xgrid, tgrid, partition=partition
     ).values
-    assert np.max(np.abs(piecewise - uniform)) <= 1e-13 * np.max(np.abs(uniform))
+    assert np.array_equal(piecewise, uniform)
+
+
+def _weights_accel_reference(problem, xgrid, tgrid, partition):
+    """The piecewise-speed monodomain march as a per-node weights accel.
+
+    Each node's row is (wl u[j-1] + wc u[j] + wr u[j+1]) / dx^2, with
+    (c^2, -2 c^2, c^2) inside a subdomain and s (cl, -(cl + cr), cr),
+    s = 2 cl cr / (cl + cr), at an interface between speeds cl and cr.
+    """
+    speeds = np.asarray(problem.speed, dtype=float)
+    wl = np.empty(xgrid.n_nodes)
+    for i in range(1, partition.n_subdomains + 1):
+        a, b = partition.bounds(i)
+        wl[xgrid.node_index(a) : xgrid.node_index(b) + 1] = speeds[i - 1] ** 2
+    wr = wl.copy()
+    for i in range(1, partition.n_interfaces + 1):
+        j = xgrid.node_index(partition.interface_position(i))
+        cl, cr = speeds[i - 1], speeds[i]
+        s = 2.0 * cl * cr / (cl + cr)
+        wl[j], wr[j] = s * cl, s * cr
+    wc = -(wl + wr)
+    x, times, dx = xgrid.nodes, tgrid.times, xgrid.dx
+    left = dirichlet_history(problem.boundary_left, tgrid).samples
+    right = dirichlet_history(problem.boundary_right, tgrid).samples
+    u = np.empty((len(times), xgrid.n_nodes))
+    u[0] = sample(problem.initial_u, x.shape, x)
+    a = np.zeros(xgrid.n_nodes)
+
+    def accel(n):
+        a[1:-1] = (wl[1:-1] * u[n, :-2] + wc[1:-1] * u[n, 1:-1] + wr[1:-1] * u[n, 2:]) / dx**2
+        if problem.source is not None:
+            a[1:-1] += problem.source(x[1:-1], times[n])
+        return a
+
+    def pin(n):
+        u[n, 0], u[n, -1] = left[n], right[n]
+
+    leapfrog(u, times, sample(problem.initial_ut, x.shape, x), accel, pin)
+    return u
+
+
+def test_piecewise_monodomain_matches_the_weights_accel():
+    # The reference of fig_wave_nonmatching: three speeds, marched on the
+    # finest of its time grids.
+    problem, partition, grids, _ = preset_setup(load_config(preset_text("fig_wave_nonmatching")))
+    assert len(set(problem.speed)) == 3
+    xgrid = SpaceGrid1D.with_spacing(*partition.interval, grids.dx)
+    tgrid = max(grids.tgrids, key=lambda tg: tg.n_steps)
+    got = solve_monodomain(problem, xgrid, tgrid, partition=partition).values
+    want = _weights_accel_reference(problem, xgrid, tgrid, partition)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 # The leapfrog march as it was written out of place: one new array per
@@ -382,6 +432,6 @@ def test_in_place_piecewise_monodomain_matches_the_out_of_place_loop(monkeypatch
     partition = make_partition((0.0, 1.0, 3.0, 5.0))
     got = solve_monodomain(problem, xgrid, tgrid, partition=partition).values
     with monkeypatch.context() as patch:
-        patch.setattr(monodomain, "leapfrog", _out_of_place_leapfrog)
+        patch.setattr(wave, "leapfrog", _out_of_place_leapfrog)
         want = solve_monodomain(problem, xgrid, tgrid, partition=partition).values
     assert np.array_equal(got, want)

@@ -9,11 +9,14 @@ DIR. ``compare`` prints one line per file found in either directory:
 ``identical``, or for a CSV that differs in value, the largest |delta|
 per differing column divided by the run's ``initial_error`` (read from
 its manifest), and the largest |delta| / |old value| in that column.
+The ``bound`` column, an envelope whose values may lie far below the
+errors, is judged by its relative change alone.
 Under a manifest that differs, one indented line per differing manifest
 line gives its key with the old and new values, and their relative
 change when both are numbers.
 A last line counts the identical manifests and CSVs, and gives the
-largest |delta| / initial_error over all CSVs and names its preset.
+largest |delta| / initial_error over all CSVs' error columns and names
+its preset.
 It exits 1 when a file is missing from one side, a manifest differs,
 or two CSVs disagree in header or row count; value differences alone
 exit 0, since judging them is the reader's job.
@@ -53,7 +56,8 @@ def _initial_error(manifest: Path) -> float | None:
 def _csv_delta(old: Path, new: Path, scale: float | None) -> tuple[bool, str, float]:
     """(fatal, description, largest |delta| / initial_error) of how two preset CSVs differ.
 
-    The last is 0 when there is no ``initial_error`` to scale by.
+    The last is over the error columns, and 0 when there is no
+    ``initial_error`` to scale by; ``bound`` gets its relative change only.
     """
     a, b = _rows(old), _rows(new)
     if a[0] != b[0] or len(a) != len(b):
@@ -67,6 +71,9 @@ def _csv_delta(old: Path, new: Path, scale: float | None) -> tuple[bool, str, fl
         if delta == 0.0:
             continue
         rel = max(abs(x - y) / abs(x) if x else float("inf") for x, y in zip(olds, news) if x != y)
+        if name == "bound":
+            parts.append(f"{name}: max relative {rel:.2e}")
+            continue
         rel_err0 = f"{delta / scale:.2e}" if scale else "n/a"
         if scale:
             worst = max(worst, delta / scale)
