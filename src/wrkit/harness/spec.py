@@ -12,6 +12,7 @@ their driver's rules. Runs never start from a spec that would die mid-way.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
@@ -291,6 +292,8 @@ def _check_cfl(spec: ExperimentSpec) -> None:
         )
     dy = snap_ygrid(spec.y_interval, spec.dy).dx if spec.model == "wave2d" else None
     for i, (c, dt) in enumerate(zip(speeds, steps), start=1):
+        if not sys.float_info.min <= c * c <= sys.float_info.max:  # the kernels divide by c^2
+            raise ValidationError(f"wave speed {c!r} of subdomain {i}: its square is not a normal float")
         # the run's time grid: a step that does not divide T is clipped
         courant = cfl_number(c, spec.dx, make_time_grid_clipped(spec.T, dt).max_step, dy=dy)
         if courant > 1.0 + CFL_SLACK:
@@ -308,10 +311,10 @@ def load_config(text: str) -> ExperimentSpec:
     wrong: non-finite numbers, missing required keys, keys that do not
     apply to the model or method, bad preset names, theta out of (0, 1],
     partitions off the lattice, subdomains narrower than 2 cells,
-    explicit wave steps above the CFL limit, per-subdomain steps off
-    the 1D wave model, Robin Schwarz on a wave model, or Schwarz runs
-    across wave speed jumps or with an overlap past a neighboring
-    subdomain.
+    explicit wave steps above the CFL limit, wave speeds whose square
+    is not a normal float, per-subdomain steps off the 1D wave model,
+    Robin Schwarz on a wave model, or Schwarz runs across wave speed
+    jumps or with an overlap past a neighboring subdomain.
     """
     values = {key: _KEYS[key].parse(raw, key) for key, raw in _parse_lines(text).items()}
     if "model" not in values:

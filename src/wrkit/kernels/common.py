@@ -1,4 +1,4 @@
-"""What the kernels share: data sampling, the leapfrog march, the half-cell flux."""
+"""What the kernels share: data sampling, boundary trace checks, the half-cell flux."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from ..errors import IncompatibleGrids, WrongBoundaryKind
 from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, grids_equal
 from .problems import SpaceTimeField, sample
 
-__all__ = ["check_bc", "dirichlet_history", "strip_data", "leapfrog", "half_cell_flux"]
+__all__ = ["check_bc", "dirichlet_history", "strip_data", "half_cell_flux"]
 
 
 def check_bc(bc: InterfaceTrace, tgrid: TimeGrid, side: str, ny: int | None = None) -> None:
@@ -52,43 +52,6 @@ def strip_data(problem, xgrid: SpaceGrid1D, ygrid: SpaceGrid1D, tgrid: TimeGrid)
         sample(problem.boundary_bottom, lid_shape, x[None, :], t[:, None]),
         sample(problem.boundary_top, lid_shape, x[None, :], t[:, None]),
     ]
-
-
-def _leapfrog_step(
-    cur: np.ndarray, prev: np.ndarray, tau: float, tau_prev: float, a: np.ndarray, out: np.ndarray, tmp: np.ndarray
-) -> None:
-    """One variable-step leapfrog update: u^{n+1} from u^n, u^{n-1} and a^n, written into ``out``.
-
-    ``tau`` is the step to n+1 and ``tau_prev`` the one before it; with
-    equal steps this is u^{n+1} = 2 u^n - u^{n-1} + dt^2 a^n exactly.
-    ``tmp`` is scratch of the shape of ``out``. The arrays may carry any
-    trailing axes, a batch of rows among them.
-    """
-    np.multiply(cur, (tau + tau_prev) / tau_prev, out=out)
-    np.multiply(prev, tau / tau_prev, out=tmp)
-    out -= tmp
-    np.multiply(a, 0.5 * tau * (tau + tau_prev), out=tmp)
-    out += tmp
-
-
-def leapfrog(u: np.ndarray, times: np.ndarray, rate0: np.ndarray, accel, pin) -> None:
-    """March the explicit three-level wave scheme in place over the rows of ``u``.
-
-    ``u[0]`` holds u(., 0) on entry and ``rate0`` u_t(., 0). ``accel(n)``
-    returns the right-hand side a^n of u_tt = a from ``u[n]``, and
-    ``pin(n)`` overwrites the entries of ``u[n]`` that boundary data
-    owns. After the Taylor start u^1 = u^0 + dt w0 + (dt^2/2) a^0 every
-    row is one :func:`_leapfrog_step`, computed in ``u[n + 1]`` itself
-    with one scratch row reused across the march.
-    """
-    steps = np.diff(times)
-    tau0 = steps[0]
-    u[1] = u[0] + tau0 * rate0 + 0.5 * tau0**2 * accel(0)
-    pin(1)
-    tmp = np.empty_like(u[0])
-    for n in range(1, len(steps)):
-        _leapfrog_step(u[n], u[n - 1], steps[n], steps[n - 1], accel(n), u[n + 1], tmp)
-        pin(n + 1)
 
 
 def half_cell_flux(

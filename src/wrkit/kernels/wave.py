@@ -12,8 +12,23 @@ where L is the second difference dxx on a 1D subdomain and the
 five-point dxx + dyy on a 2D strip (x_left, x_right) x (y0, y1). One
 march serves both: x is axis 0 of every nodal array and a strip's y
 axis rides along, so the checks, the Neumann ghosts, the Dirichlet pins
-and the field are stated once, and only the y part of L and the y lids
-are strip-only.
+and the field are stated once, and only the y neighbour sum and the y
+lids are strip-only.
+
+Each step is one update in coefficient form, written in place into the
+new row,
+
+    u^{n+1} = (alpha - 2 kx - 2 ky) u^n + kx (u[j-1] + u[j+1])
+              + ky (u[k-1] + u[k+1]) - beta u^{n-1} + gamma f^n,
+
+with kx = gamma c^2/dx^2 and ky = gamma c^2/dy^2 (0 in 1D). For the
+step tau after tau_p, alpha = (tau + tau_p)/tau_p, beta = tau/tau_p and
+gamma = tau (tau + tau_p)/2; the Taylor start has alpha = 1, gamma =
+tau^2/2 and tau w0 in place of the u^{n-1} term. The coefficients are
+formed once per distinct step. A step costs six array passes in 1D and
+nine on a strip: per axis a neighbour sum and its scaling (and on a
+strip its accumulation), then the u^n and u^{n-1} terms, each scaled
+and accumulated.
 
 The march may also carry a trailing batch axis: several solves with
 the same x boundary kinds step together, each entry with its own
@@ -31,24 +46,26 @@ impedance-weighted slope c du/dx leaves after eliminating the one-sided
 ghosts. That coupling is the one under which the glued multidomain fixed
 point, whose solves exchange c du/dx as Neumann data, reproduces the
 single-domain field node for node. The stencil writes it as cl cr dxx u
-plus a correction at the jump nodes only.
+(kx per node) plus a correction at the jump nodes only, scaled by gamma.
 
 Time grids may have unequal steps (a clipped final step, for example);
-the march in :func:`.common.leapfrog` replaces the second time
-difference with its variable-step counterpart and reduces exactly to
-the above when the steps are uniform. Stability requires the Courant
-number c dt/dx <= 1, or c dt sqrt(1/dx^2 + 1/dy^2) <= 1 on a strip
-(checked against the largest step and speed); in 1D at exactly 1 the
-scheme transports along characteristics without dispersion.
+the variable-step coefficients above then replace the second time
+difference with its variable-step counterpart, and they reduce to the
+uniform scheme (alpha = 2, beta = 1, gamma = dt^2) when the steps are
+equal. Stability requires the Courant number c dt/dx <= 1, or
+c dt sqrt(1/dx^2 + 1/dy^2) <= 1 on a strip (checked against the
+largest step and speed); in 1D at exactly 1 the scheme transports
+along characteristics without dispersion.
 
 Boundary handling: Dirichlet x boundaries are pinned, and a Neumann x
 boundary eliminates a mirror ghost node using the +x oriented derivative
-data (applied also inside the Taylor step, so the start is as accurate
-as the march); on a strip the traces carry one sample column per y node.
-A strip's y boundaries always carry physical Dirichlet data, pinned last
-so that they own the corner nodes. Robin data raises
-:class:`WrongBoundaryKind`: its only producer is Robin Schwarz, which
-diverges on waves and is rejected for them (see
+data: its x neighbour sum is 2 u[1] - 2 dx g at the left end and
+2 u[-2] + 2 dx g at the right (applied also inside the Taylor step, so
+the start is as accurate as the march); on a strip the traces carry one
+sample column per y node. A strip's y boundaries always carry physical
+Dirichlet data, pinned last so that they own the corner nodes. Robin
+data raises :class:`WrongBoundaryKind`: its only producer is Robin
+Schwarz, which diverges on waves and is rejected for them (see
 :func:`wrkit.methods.swr.schwarz_shift`).
 
 Flux extraction mirrors the heat version with the PDE-based half-cell
@@ -70,17 +87,10 @@ import numpy as np
 
 from ..errors import CflViolation, WrongBoundaryKind
 from ..grids import CFL_SLACK, InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, cfl_number
-from .common import _leapfrog_step, check_bc, half_cell_flux, leapfrog
+from .common import check_bc, half_cell_flux
 from .problems import SpaceTimeField
 
 __all__ = ["solve_wave_subdomain", "solve_wave_strip_2d", "wave_interface_flux"]
-
-
-def _second_difference(v: np.ndarray, out: np.ndarray) -> None:
-    """v[j-1] - 2 v[j] + v[j+1] along axis 0, for the interior j, written into ``out``."""
-    np.multiply(v[1:-1], 2.0, out=out)
-    np.subtract(v[:-2], out, out=out)
-    out += v[2:]
 
 
 class _Stencil:
@@ -88,13 +98,13 @@ class _Stencil:
 
     ``c`` is one speed, or in 1D without a batch axis one speed per
     cell, whose jump nodes get a correction term (see ``__init__``).
-    ``accel`` is its space part, ``pin`` writes the boundary data, and
-    ``step`` is one whole leapfrog update. x is axis 0 of every nodal
-    array; a strip's y axis rides along as axis 1, and a trailing batch
-    axis (solves, or rows) may ride along too, the boundary data and lids
-    then holding one value per batch entry and the source going to entry
-    0 alone. Only the y Laplacian and the lid pins depend on whether it
-    is a strip.
+    :meth:`update` writes one leapfrog row, :meth:`pin` its boundary
+    data, and :meth:`step` is both on a new row. x is axis 0 of every
+    nodal array; a strip's y axis rides along as axis 1, and a trailing
+    batch axis (solves, or rows) may ride along too, the boundary data
+    and lids then holding one value per batch entry and the source going
+    to entry 0 alone. Only the y neighbour sum and the lid pins depend
+    on whether it is a strip.
     """
 
     def __init__(
@@ -102,6 +112,11 @@ class _Stencil:
     ):
         self.dx = xgrid.dx
         self.dy = None if ygrid is None else ygrid.dx
+        self.left_neumann = left_kind is TraceKind.NEUMANN
+        self.right_neumann = right_kind is TraceKind.NEUMANN
+        # The rows the update writes: all but the Dirichlet x ends, which pin owns.
+        nx = xgrid.n_cells
+        self.rows = slice(0 if self.left_neumann else 1, nx + 1 if self.right_neumann else nx)
         self.jumps = []
         if np.ndim(c) == 0:
             self.c2 = c**2
@@ -110,49 +125,82 @@ class _Stencil:
             # cr takes cl cr dxx u + cl cr (cr - cl)/(cl + cr) (u[j+1] - u[j-1])/dx^2,
             # the module docstring's asymmetric row; an end node its cell's c^2.
             cl, cr = c[:-1], c[1:]
-            self.c2 = np.concatenate(([c[0] ** 2], cl * cr, [c[-1] ** 2]))
+            self.c2 = np.concatenate(([c[0] ** 2], cl * cr, [c[-1] ** 2]))[self.rows]
             self.jumps = [
                 (j + 1, cl[j] * cr[j] * (cr[j] - cl[j]) / (cl[j] + cr[j]) / self.dx**2)
                 for j in np.flatnonzero(cl != cr)
             ]
-        self.c2_over_dx2 = self.c2 / self.dx**2
-        self.left_neumann = left_kind is TraceKind.NEUMANN
-        self.right_neumann = right_kind is TraceKind.NEUMANN
         self.source = source
+        x = xgrid.nodes[self.rows]
         if ygrid is None:
-            self.coords = (xgrid.nodes,)
+            self.coords = (x,)
         else:
-            self.coords = (xgrid.nodes[:, None], ygrid.nodes[None, :])
+            self.coords = (x[:, None], ygrid.nodes[None, :])
+            # The y neighbour sums run over the rows' nodes in C order, but
+            # for the strip's first and last node (corners, which the lids own).
+            ny1 = ygrid.n_nodes
+            start, stop = self.rows.start * ny1, self.rows.stop * ny1
+            self.flat_rows = slice(max(start, 1), min(stop, (nx + 1) * ny1 - 1))
+        self._coefficients = {}
+        self._tmp = None
 
-    def accel(self, v: np.ndarray, g_left, g_right, t=None) -> np.ndarray:
-        """c^2 (dxx + dyy) v, plus f(t) in entry 0, at all nodes; ``g_*`` feed Neumann ghosts."""
-        dx = self.dx
-        # x part times dx^2, mirror ghosts next to Neumann ends; pinned rows are never read
-        a = np.empty_like(v, order="C")
-        _second_difference(v, a[1:-1])
-        a[0] = 2.0 * (v[1] - v[0]) - 2.0 * dx * g_left if self.left_neumann else 0.0
-        a[-1] = 2.0 * (v[-2] - v[-1]) + 2.0 * dx * g_right if self.right_neumann else 0.0
-        if self.dy is None:
-            a *= self.c2_over_dx2
-            for j, k in self.jumps:
-                a[j] += k * (v[j + 1] - v[j - 1])
-        else:
-            a /= dx**2
-            # y neighbours are one y stride apart in the flat C-ordered arrays, so
-            # the y part is a second difference along axis 0 of their (nodes,
-            # stride) views: contiguous slices, not strided swapaxes views. The
-            # entries that wrap across x rows are lid nodes, which pin overwrites.
-            stride = v[0, 0].size
-            flat = v.reshape(-1, stride)  # a copy where v's x and y axes do not merge
-            lap_y = np.empty((len(flat) - 2, stride))
-            _second_difference(flat, lap_y)
-            lap_y /= self.dy**2
-            a.reshape(-1, stride)[1:-1] += lap_y
-            a *= self.c2
+    def coefficients(self, tau: float, tau_prev: float | None) -> tuple:
+        """(diag, kx, ky, weight, gamma, jumps) of the step ``tau`` after ``tau_prev``, formed once each.
+
+        The module docstring states them; weight is -beta, or tau at the
+        Taylor start (``tau_prev`` None), and the jump corrections carry gamma.
+        """
+        key = (tau, tau_prev)
+        if key not in self._coefficients:
+            if tau_prev is None:
+                alpha, weight, gamma = 1.0, tau, 0.5 * tau**2
+            else:
+                alpha, weight, gamma = (tau + tau_prev) / tau_prev, -tau / tau_prev, 0.5 * tau * (tau + tau_prev)
+            kx = gamma * self.c2 / self.dx**2
+            ky = 0.0 if self.dy is None else gamma * self.c2 / self.dy**2
+            jumps = [(j, gamma * k) for j, k in self.jumps]
+            self._coefficients[key] = (alpha - 2.0 * kx - 2.0 * ky, kx, ky, weight, gamma, jumps)
+        return self._coefficients[key]
+
+    def update(self, out, cur, other, tau, tau_prev, g_left, g_right, t=None) -> None:
+        """Write u^{n+1} into the rows of ``out`` that boundary data does not own.
+
+        ``other`` is u^{n-1}, or the initial rate at the Taylor start
+        (``tau_prev`` None), and ``g_*`` feed the Neumann ghosts. ``out``
+        is C-contiguous; ``cur`` and ``other`` may be any views.
+        """
+        diag, kx, ky, weight, gamma, jumps = self.coefficients(tau, tau_prev)
+        rows = self.rows
+        new = out[rows]
+        np.add(cur[:-2], cur[2:], out=out[1:-1])
+        if self.left_neumann:
+            out[0] = 2.0 * cur[1] - 2.0 * self.dx * g_left
+        if self.right_neumann:
+            out[-1] = 2.0 * cur[-2] + 2.0 * self.dx * g_right
+        new *= kx
+        if self._tmp is None or self._tmp.shape != out.shape:
+            self._tmp = np.empty(out.shape)
+        tmp = self._tmp
+        if self.dy is not None:
+            # y neighbours are one y stride apart in the flat C-ordered arrays:
+            # contiguous slices, not strided views. The sums that wrap across x
+            # rows land on lid nodes, which pin overwrites.
+            stride = cur[0, 0].size
+            flat, r = cur.reshape(-1, stride), self.flat_rows  # a copy where cur's axes do not merge
+            part = tmp.reshape(-1, stride)[r]
+            np.add(flat[r.start - 1 : r.stop - 1], flat[r.start + 1 : r.stop + 1], out=part)
+            part *= ky
+            out.reshape(-1, stride)[r] += part
+        part = tmp[rows]
+        np.multiply(cur[rows], diag, out=part)
+        new += part
+        np.multiply(other[rows], weight, out=part)
+        new += part
+        for j, k in jumps:
+            out[j] += k * (cur[j + 1] - cur[j - 1])
         if self.source is not None:
-            entry0 = a if a.ndim == len(self.coords) else a[..., 0]
-            entry0 += self.source(*self.coords, t)
-        return a
+            entry0 = new if new.ndim == len(self.coords) else new[..., 0]
+            entry0 += gamma * self.source(*self.coords, t)
 
     def pin(self, v: np.ndarray, g_left, g_right, bottom=0.0, top=0.0) -> None:
         """Overwrite the Dirichlet x ends with ``g_*``, then a strip's lids (they own the corners)."""
@@ -165,13 +213,13 @@ class _Stencil:
             v[:, -1] = top
 
     def step(self, cur: np.ndarray, prev: np.ndarray, tau: float, tau_prev: float, g_left, g_right):
-        """One leapfrog update without source or lid data: u^{n+1} from u^n and u^{n-1}.
+        """One leapfrog update without source or lid data, on a new row: u^{n+1} from u^n and u^{n-1}.
 
         ``g_*`` is the data each x end reads in this step: row n at a
         Neumann end (its ghost), row n+1 at a Dirichlet end (its pin).
         """
-        new = np.empty_like(cur)
-        _leapfrog_step(cur, prev, tau, tau_prev, self.accel(cur, g_left, g_right), new, np.empty_like(cur))
+        new = np.empty(cur.shape)
+        self.update(new, cur, prev, tau, tau_prev, g_left, g_right)
         self.pin(new, g_left, g_right)
         return new
 
@@ -201,7 +249,7 @@ def _march(
     without a batch axis one per cell (the piecewise-speed reference).
     Checks the kinds, the smallest speed, the cell counts, the Courant
     number of the largest speed and the shapes, then marches
-    :class:`_Stencil` with :func:`.common.leapfrog`; returns the values,
+    :class:`_Stencil`, one update and one pin per row; returns the values,
     ``(M+1,) + nodal shape + batch``.
     """
     if TraceKind.ROBIN in (left_bc.kind, right_bc.kind):
@@ -234,13 +282,11 @@ def _march(
     stencil = _Stencil(xgrid, ygrid, c, left_bc.kind, right_bc.kind, source)
     u = np.empty((m,) + initial_u.shape)
     u[0] = initial_u
-    leapfrog(
-        u,
-        times,
-        initial_ut,
-        lambda n: stencil.accel(u[n], g_left[n], g_right[n], times[n]),
-        lambda n: stencil.pin(u[n], g_left[n], g_right[n], bottom[n], top[n]),
-    )
+    steps = tgrid.steps.tolist()
+    for n in range(m - 1):
+        other, tau_prev = (u[n - 1], steps[n - 1]) if n else (initial_ut, None)
+        stencil.update(u[n + 1], u[n], other, steps[n], tau_prev, g_left[n], g_right[n], times[n])
+        stencil.pin(u[n + 1], g_left[n + 1], g_right[n + 1], bottom[n + 1], top[n + 1])
     return u
 
 

@@ -431,7 +431,7 @@ class _Response:
 
     The convolutions set an error floor above the march's. Run past
     convergence (sweeps 10-15), ``fig_wave_T5``'s monitored error stays
-    at 1.6e-12 to 5.2e-12, against 3.7e-14 to 5.5e-14 with every solve
+    at 1.3e-12 to 4.9e-12, against 2.1e-13 to 3.3e-13 with every solve
     marched; a ``tol`` of 3e-12 is met at the march's sweep 10 and 1e-12
     is never met. ``fig_wave_nonmatching`` (clipped grids) floors at
     5.3e-13 to 5.8e-13 marched or not, and ``tol`` 1e-10, 1e-11 and

@@ -607,6 +607,11 @@ def test_cli_error_paths(tmp_path, capsys):
         "dt = 0.02\nT = 2.0\ninitial = parabola\nleft = t2\nright = texp\n"
         "method = nnwr\ntheta = 1\nmax_iters = 1000\nguess = t2\n"
     )
+    # Wave speeds whose square overflows or underflows; each Courant number is 0.2 or less.
+    chain = "model = wave1d\ninterval = 0, 1\npartition = 0, 0.5, 1\ndx = 0.05\n"
+    fast, slow = tmp_path / "fast.cfg", tmp_path / "slow.cfg"
+    fast.write_text(chain + "c = 1e200\ndt = 1e-202\nT = 1e-201\n")
+    slow.write_text(chain + "c = 1e-200\ndt = 0.05\nT = 1\n")
     good = tmp_path / "good.cfg"
     good.write_text(MINIMAL_HEAT)
     taken = tmp_path / "taken"
@@ -618,6 +623,8 @@ def test_cli_error_paths(tmp_path, capsys):
         ["compare", "--configs", str(good), str(undecodable)],
         ["run", "--config", str(good), "--out", str(taken)],  # --out names a file
         ["run", "--config", str(diverging), "--out", str(tmp_path / "diverged")],
+        ["run", "--config", str(fast), "--out", str(tmp_path / "fast")],
+        ["run", "--config", str(slow), "--out", str(tmp_path / "slow")],
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning would print a second line
@@ -627,7 +634,10 @@ def test_cli_error_paths(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error:")
         if undecodable in map(Path, argv):
             assert str(undecodable) in err[0]
-    assert "sweep" in err[0]
+        if diverging in map(Path, argv):
+            assert "sweep" in err[0]
+        if fast in map(Path, argv) or slow in map(Path, argv):
+            assert "wave speed" in err[0]
 
     for kind, params in (
         ("heat-equal", ["count=5", "h=1", "T=2"]),  # nu missing

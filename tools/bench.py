@@ -21,6 +21,13 @@ The JSON file holds:
   0.13, 0.039, 0.1 scaled with dx (so each subdomain keeps its Courant
   number, and the first two steps divide T = 2 at no size: their grids
   stay clipped); one run each;
+* ``kernels``: microseconds per time step of each kernel's march, the
+  least of seven marches of 400 steps, for the heat step and the 1D
+  wave step on 201 nodes and the strip step on 29 x 80 nodes, each
+  without a batch axis and with a batch of 3, and with Dirichlet ends
+  (D/D) or a Neumann left end (N/D): the kernel layers alone, which
+  perfbench's ``*.solve`` spans do not reach since the response builds
+  call the marches directly;
 * ``perfbench``: per workload, the metrics of one traced
   ``perfbench/run.py --trace 1`` run at perfbench's default seed and
   length (the per-layer values are medians over its traced replays),
@@ -41,13 +48,20 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from wrkit.grids import InterfaceTrace, SpaceGrid1D, TraceKind, make_time_grid  # noqa: E402
 from wrkit.harness import load_config, preset_names, preset_text, run_experiment  # noqa: E402
 from wrkit.harness.presets import _heat_nsub  # noqa: E402
+from wrkit.kernels.heat import _march as heat_march  # noqa: E402
+from wrkit.kernels.wave import _march as wave_march  # noqa: E402
 
 REPEATS = 3
+KERNEL_STEPS = 400
+KERNEL_REPEATS = 7
 WORKLOADS = ("chains_1d", "strip_methods")
 
 
@@ -82,6 +96,36 @@ def _timed(text: str, out_dir: str, repeats: int) -> dict:
     return {"wall_s": statistics.median(walls), "sweeps": len(report.max_errors), "converged": report.converged_at is not None}
 
 
+def _kernels() -> dict[str, float]:
+    """Microseconds per step of each kernel march, keyed like ``strip N/D batch 3``."""
+    tgrid = make_time_grid(1.0, 1.0 / KERNEL_STEPS)
+    m = KERNEL_STEPS + 1
+    line = SpaceGrid1D.with_cells(0.0, 1.0, 200)  # wave Courant number 0.5
+    strip = (SpaceGrid1D.with_cells(0.0, 1.0, 28), SpaceGrid1D.with_cells(0.0, 1.0, 79))  # 0.21
+    rng = np.random.default_rng(0)
+    out = {}
+    for kernel in ("heat", "wave", "strip"):
+        xgrid, ygrid = strip if kernel == "strip" else (line, None)
+        ny = () if ygrid is None else (ygrid.n_nodes,)
+        for ends, kinds in (("D/D", (TraceKind.DIRICHLET,) * 2), ("N/D", (TraceKind.NEUMANN, TraceKind.DIRICHLET))):
+            bcs = [InterfaceTrace(kind, tgrid, np.zeros((m,) + ny)) for kind in kinds]
+            for batch in ((), (3,)):
+                u0, v0 = rng.standard_normal((2, xgrid.n_nodes) + ny + batch)
+                g = rng.standard_normal((2, m) + ny + batch)
+                lids = None if ygrid is None else rng.standard_normal((2, m, xgrid.n_nodes) + batch)
+                if kernel == "heat":
+                    march, args = heat_march, (xgrid, 1.0, tgrid, u0, *bcs, *g)
+                else:
+                    march, args = wave_march, (xgrid, ygrid, 1.0, tgrid, u0, v0, *bcs, *g, lids, None)
+                walls = []
+                for _ in range(KERNEL_REPEATS):
+                    start = time.perf_counter()
+                    march(*args)
+                    walls.append(time.perf_counter() - start)
+                out[f"{kernel} {ends} {f'batch {batch[0]}' if batch else 'no batch'}"] = 1e6 * min(walls) / KERNEL_STEPS
+    return out
+
+
 def _perfbench(workload: str) -> dict:
     subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "1"],
@@ -95,7 +139,9 @@ def main(argv=None) -> int:
     p.add_argument("out", help="the BENCH_<n>.json file to write")
     args = p.parse_args(argv)
 
-    bench: dict = {"machine": None, "presets": {}, "scaling": {}, "perfbench": {}}
+    bench: dict = {"machine": None, "presets": {}, "scaling": {}, "kernels": _kernels(), "perfbench": {}}
+    for name, us in bench["kernels"].items():
+        print(f"kernel {name}: {us:.2f} us/step", flush=True)
     with tempfile.TemporaryDirectory() as out_dir:
         for name in preset_names():
             bench["presets"][name] = _timed(preset_text(name), out_dir, REPEATS)
