@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 from ..errors import ParseError, UnknownKey, ValidationError, WrkitError
-from ..grids import CFL_SLACK, SpaceGrid1D, cfl_number, make_partition, make_time_grid_clipped
+from ..grids import CFL_SLACK, SpaceGrid1D, TimeGrid, cfl_number, make_partition, make_time_grid_clipped
 from ..methods import Arrangement, Method, WrConfig
 from ..methods.swr import schwarz_shift
 from ..methods.workspace import check_span, snap_ygrid
@@ -281,21 +281,32 @@ def _check_schwarz(spec: ExperimentSpec) -> None:
         schwarz_shift(spec.config, make_partition(spec.partition), spec.dx, speeds)
 
 
-def _check_cfl(spec: ExperimentSpec) -> None:
+def _time_grids(spec: ExperimentSpec) -> list[TimeGrid]:
+    """The run's time grid of each subdomain, or a ValidationError naming a dt and T it cannot build."""
+    grids: dict[float, TimeGrid] = {}
+    for dt in spec.dt_list():
+        if dt not in grids:
+            try:
+                grids[dt] = make_time_grid_clipped(spec.T, dt)
+            except (ValueError, OverflowError, MemoryError) as exc:  # too many steps for numpy
+                raise ValidationError(f"dt = {dt!r} on T = {spec.T!r}: the time grid cannot be built ({exc})") from None
+    return [grids[dt] for dt in spec.dt_list()]
+
+
+def _check_cfl(spec: ExperimentSpec, tgrids: list[TimeGrid]) -> None:
     if spec.model == "heat1d":
         return
     speeds = spec.c_list()
-    steps = spec.dt_list()
     if len(speeds) != spec.n_subdomains:
         raise ValidationError(
             f"need one wave speed per subdomain ({spec.n_subdomains}), got {len(speeds)}"
         )
     dy = snap_ygrid(spec.y_interval, spec.dy).dx if spec.model == "wave2d" else None
-    for i, (c, dt) in enumerate(zip(speeds, steps), start=1):
+    for i, (c, tgrid) in enumerate(zip(speeds, tgrids), start=1):
         if not sys.float_info.min <= c * c <= sys.float_info.max:  # the kernels divide by c^2
             raise ValidationError(f"wave speed {c!r} of subdomain {i}: its square is not a normal float")
         # the run's time grid: a step that does not divide T is clipped
-        courant = cfl_number(c, spec.dx, make_time_grid_clipped(spec.T, dt).max_step, dy=dy)
+        courant = cfl_number(c, spec.dx, tgrid.max_step, dy=dy)
         if courant > 1.0 + CFL_SLACK:
             raise ValidationError(
                 f"subdomain {i} fails the CFL check: c*dt/dx = {courant!r} > 1"
@@ -310,7 +321,8 @@ def load_config(text: str) -> ExperimentSpec:
     the schema, and :class:`ValidationError` for anything semantically
     wrong: non-finite numbers, missing required keys, keys that do not
     apply to the model or method, bad preset names, theta out of (0, 1],
-    partitions off the lattice, subdomains narrower than 2 cells,
+    partitions off the lattice, subdomains narrower than 2 cells, a dt
+    whose time grid on T cannot be built (too many steps for numpy),
     explicit wave steps above the CFL limit, wave speeds whose square
     is not a normal float, per-subdomain steps off the 1D wave model,
     Robin Schwarz on a wave model, or Schwarz runs across wave speed
@@ -338,7 +350,7 @@ def load_config(text: str) -> ExperimentSpec:
     if model == "wave2d" and not spec.y_interval[1] > spec.y_interval[0]:
         raise ValidationError("y_interval must have positive length")
     _check_lattice(spec)
-    _check_cfl(spec)
+    _check_cfl(spec, _time_grids(spec))
     _check_schwarz(spec)
     presets.build_problem(spec)  # every data slot names one of its presets
     if spec.guess == "tsin" and model != "wave2d":

@@ -8,8 +8,8 @@ three-point second difference,
 so each step solves a tridiagonal system with r = nu dt/dx^2 on the
 diagonal pattern (-r, 1+2r, -r). Boundary conditions:
 
-* Dirichlet: the node is pinned and removed from the unknown set; its
-  coupling moves to the right-hand side.
+* Dirichlet: the node is pinned; its coupling moves to the right-hand
+  side, and its own row is 1 on the diagonal with no coupling.
 * Neumann (given w = u_x in +x orientation): a mirror ghost node
   eliminates the derivative, u_ghost = u_in -/+ 2 dx w (left/right), and
   the boundary row becomes (1+2r) u_b - 2r u_in = rhs -/+ 2 r dx w.
@@ -18,25 +18,36 @@ diagonal pattern (-r, 1+2r, -r). Boundary conditions:
 
 Neumann/Robin rows are scaled by 1/2, which symmetrizes the matrix; it
 is then a positive-definite tridiagonal for every r > 0 (and p > 0).
-LAPACK's ``dpttrf`` factors it as L D L^T once per step size of the
-grid, and each step is one ``dpttrs`` call on the cached factor. The row
-scale and the boundary terms of every step are computed before the
-loop, and the pinned Dirichlet columns, which no step reads, are written
-after it. The finished field is checked for infs and NaNs once.
 
-The march may carry a trailing batch axis: several right-hand sides
-with the same boundary kinds step together, one ``dpttrs`` column each,
-with the same arithmetic per column as a march of that column alone.
-Entry 0 alone takes the source. The response builds of
-``wrkit.methods.workspace`` march a particular part and one impulse per
-interface side as one batch; :func:`solve_heat_subdomain` marches the
-same loop without the axis. An axis turns the two end-row adds into
-array operations and the solve into one on a Fortran-ordered copy: for
-100 nodes on a 2-vCPU Xeon a step costs 2.9 us without the axis, 5.1 us
-with one entry and 8.6 us with three (least of 15 marches of 500 steps),
-so a march of one solve passes no axis: the public solve, an equal
-subdomain's particular part, and the monodomain reference
-(``wrkit.methods.workspace.solve_monodomain``).
+One march steps many solves on one time grid as one block-diagonal
+system (:func:`_march`). A :class:`_Block` is one subdomain's solves
+with the same boundary kinds: its initial data and boundary data may
+carry a trailing batch axis, and the source goes to entry 0 alone.
+Every entry of every block is one diagonal block, all of its grid's
+nodes in a row, and the couplings between entries are exact zeros.
+LAPACK's ``dpttrf`` factors the whole matrix as L D L^T once per step
+size of the grid, and each step is one ``dpttrs`` call on one
+contiguous row, solved in place. The row scale and the boundary terms
+of every step are computed before the loop, and the pinned Dirichlet
+nodes, whose rows carry their initial value along, take their data
+after it. The finished fields, views of one array, are checked for
+infs and NaNs once.
+
+A zero coupling keeps every entry's bits: ``dpttrf`` forms e/d and
+d' - e (e/d), which are 0 and d' when e is 0, and ``dpttrs`` forms
+b' - b e and b/d - b' e, which are b' and b/d; a march of each entry
+alone gives the same numbers (a signed zero aside). The response builds
+of ``wrkit.methods.workspace`` march all of a run's heat keys on one
+time grid as one block march, through ``workspace._heat_march``, the
+one name that a span around the heat build can wrap. The public solve,
+an equal subdomain's particular part and the monodomain reference are
+blocks of one. A batch therefore costs what the same number of rows
+costs unbatched: in ``tools/bench.py`` on a 2-vCPU Xeon, a step on 201
+nodes takes 4.0-5.2 us without a batch and 9.8-11.1 us with three
+entries (13.8-21.7 us when each entry was solved from its own strided
+copy), and the nine-subdomain heat chain of the benchmark (17 entries
+of 51 nodes) steps in 13.5-14.4 us, against 40-62 us for its nine
+marches one by one.
 
 Flux extraction recovers u_x at a boundary from the one-sided difference
 plus a half-cell correction that replaces the second space derivative
@@ -53,6 +64,9 @@ is the monodomain scheme.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -86,138 +100,159 @@ def _build_matrix(r: float, dx: float, n_unk: int, left_bc, right_bc, left_open:
     return d, e
 
 
-class _Steps:
-    """Backward-Euler steps on one subdomain for fixed boundary kinds.
+class _Block(NamedTuple):
+    """One subdomain's march in a block march: boundary kinds, data and source.
 
-    Nodal arrays have x on axis 0; a trailing axis holds a batch of
-    entries, which one multi-right-hand-side ``dpttrs`` call solves
-    together. A march keys the cached factors on the grid's step sizes
-    (a uniform grid factorizes once, a clipped one twice); :meth:`step`
-    is a march of one step.
+    ``initial`` is ``(nx+1,)`` or ``(nx+1, batch)``; ``g_left`` and
+    ``g_right`` hold the boundary data of every row, ``(M+1,)`` or
+    ``(M+1, batch)`` (row 0 is not read). The source ``f(x, t)`` goes to
+    entry 0 alone.
     """
 
-    def __init__(self, grid: SpaceGrid1D, nu: float, left_bc: InterfaceTrace, right_bc: InterfaceTrace):
-        self.nu = nu
-        self.dx = grid.dx
-        self.left_bc, self.right_bc = left_bc, right_bc
-        self.left_open = left_bc.kind is not TraceKind.DIRICHLET
-        self.right_open = right_bc.kind is not TraceKind.DIRICHLET
+    grid: SpaceGrid1D
+    nu: float
+    initial: np.ndarray
+    left_bc: InterfaceTrace
+    right_bc: InterfaceTrace
+    g_left: np.ndarray
+    g_right: np.ndarray
+    source: object = None
+
+
+class _Part:
+    """One block's place in a block march: its rows, their scale, its matrix and end terms.
+
+    Each entry takes every node of the block's grid. A pinned Dirichlet
+    node is a row of its own, diagonal 1 and no coupling, that carries
+    its value along until the march writes the data in.
+    """
+
+    def __init__(self, block: _Block):
+        grid, initial = block.grid, block.initial
+        if block.nu <= 0:
+            raise ValueError("nu must be positive")
+        if grid.n_cells < 2:
+            raise ValueError("a subdomain needs at least 2 cells")
+        if initial.shape[:1] != (grid.n_nodes,) or initial.ndim > 2:
+            raise ValueError("initial data must have one value per node")
+        self.block = block
+        self.entries = 1 if initial.ndim == 1 else initial.shape[1]
+        self.size = grid.n_nodes
+        self.left_open = block.left_bc.kind is not TraceKind.DIRICHLET
+        self.right_open = block.right_bc.kind is not TraceKind.DIRICHLET
         self.lo = 0 if self.left_open else 1
         self.hi = grid.n_cells if self.right_open else grid.n_cells - 1
-        self.x_unk = grid.nodes[self.lo : self.hi + 1]
+        self.x = grid.nodes[self.lo : self.hi + 1]
         # Neumann and Robin rows are halved, which keeps the matrix symmetric.
-        self.scale = np.ones(self.hi - self.lo + 1)
-        self.scale[0] = 0.5 if self.left_open else 1.0
-        self.scale[-1] = 0.5 if self.right_open else 1.0
-        self._factors: dict[float, tuple] = {}
+        self.scale = np.ones(self.size)
+        self.scale[[0, -1]] = (0.5 if self.left_open else 1.0, 0.5 if self.right_open else 1.0)
 
-    def _factor(self, dt: float) -> tuple:
-        """The ``dpttrf`` factor (d, e) of the step-``dt`` matrix."""
-        if dt not in self._factors:
-            r = self.nu * dt / self.dx**2
-            d, e = _build_matrix(
-                r, self.dx, len(self.scale), self.left_bc, self.right_bc, self.left_open, self.right_open
-            )
-            d, e, info = dpttrf(d, e)
-            if info != 0:  # a non-positive pivot: Robin data with p < 0, say
-                raise SingularSystem(f"dpttrf failed with info = {info}")
-            self._factors[dt] = (d, e)
-        return self._factors[dt]
+    def r(self, dt):
+        return self.block.nu * dt / self.block.grid.dx**2
+
+    def matrix(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of every entry at step ``dt``, a zero coupling after each."""
+        b, lo, hi = self.block, self.lo, self.hi
+        d = np.ones(self.size)
+        e = np.zeros(self.size)
+        d[lo : hi + 1], e[lo:hi] = _build_matrix(
+            self.r(dt), b.grid.dx, hi - lo + 1, b.left_bc, b.right_bc, self.left_open, self.right_open
+        )
+        return np.tile(d, self.entries), np.tile(e, self.entries)
+
+    def ends(self, dts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """What each step adds to the first and last unknown of each entry, ``(M, entries)``."""
+        b = self.block
+        r = self.r(dts)[:, None]
+        m = len(dts)
+        left = self._end(b.left_bc, r, b.g_left[1:].reshape(m, -1), b.left_bc.kind is TraceKind.NEUMANN)
+        right = self._end(b.right_bc, r, b.g_right[1:].reshape(m, -1), False)
+        return left, right
 
     def _end(self, bc: InterfaceTrace, r: np.ndarray, g: np.ndarray, negate: bool) -> np.ndarray:
-        """What each step adds to an end row from the boundary data at its new time level.
-
-        r g at a Dirichlet end; at a Neumann or Robin end the ghost term
-        2 r dx g, negated at a left Neumann end, halved as the row is.
-        """
+        """r g at a Dirichlet end; at a Neumann or Robin end the ghost term
+        2 r dx g, negated at a left Neumann end, halved as the row is."""
         if bc.kind is TraceKind.DIRICHLET:
             return r * g
-        term = 2.0 * r * self.dx * g
+        term = 2.0 * r * self.block.grid.dx * g
         return 0.5 * (-term if negate else term)
 
-    def march(self, u: np.ndarray, times: np.ndarray, g_left, g_right, source=None) -> None:
-        """Fill rows 1.. of ``u`` from row 0, one row per time in ``times``.
 
-        ``g_*`` hold the boundary data of every row (row 0 is not read),
-        with the batch axis of ``u`` if it has one; the source ``f(x, t)``
-        goes to entry 0 alone.
-        """
-        lo, hi = self.lo, self.hi
-        # The float steps of a uniform grid take several values. In sorted
-        # order, a step within UNIFORM_RTOL * T of the shortest step of the
-        # group before it joins that group and takes its value.
-        values, which = np.unique(np.diff(times), return_inverse=True)
-        for i in range(1, len(values)):
-            if values[i] - values[i - 1] <= UNIFORM_RTOL * times[-1]:
-                values[i] = values[i - 1]
-        dts = values[which]
-        batch = (1,) * (u.ndim - 2)
-        r = (self.nu * dts / self.dx**2).reshape((-1,) + batch)
-        left = self._end(self.left_bc, r, g_left[1:], self.left_bc.kind is TraceKind.NEUMANN)
-        right = self._end(self.right_bc, r, g_right[1:], False)
-        scale = self.scale.reshape(self.scale.shape + batch)
+def _march(tgrid: TimeGrid, blocks: list[_Block]) -> list[np.ndarray]:
+    """March every block across the window as one system: ``(M+1, nx+1)`` or ``(M+1, nx+1, batch)`` each.
 
-        rows = u[:, lo : hi + 1]
-        factors = [self._factor(dt) for dt in values]
-        for n, k in enumerate(which.tolist()):
-            d, e = factors[k]
-            b = rows[n + 1]  # the right-hand side, solved in place
-            np.multiply(rows[n], scale, out=b)
-            if source is not None:
-                entry0 = b if b.ndim == 1 else b[:, 0]
-                entry0 += (values[k] * self.scale) * source(self.x_unk, times[n + 1])
-            b[0] += left[n]
-            b[-1] += right[n]
-            x, info = dpttrs(d, e, b, overwrite_b=1)
-            if info != 0:
-                raise SingularSystem(f"dpttrs failed with info = {info}")
-            if x is not b:  # a batch is solved in a Fortran-ordered copy
-                b[...] = x
-        if not self.left_open:
-            u[1:, 0] = g_left[1:]
-        if not self.right_open:
-            u[1:, -1] = g_right[1:]
-
-    def step(self, cur: np.ndarray, dt: float, g_left, g_right) -> np.ndarray:
-        """u^{n+1} from u^n and the boundary data at n+1, without source: a march of one step."""
-        u = np.stack((cur, cur))
-        g_left, g_right = (np.broadcast_to(g, (2,) + np.shape(g)) for g in (g_left, g_right))
-        self.march(u, np.array([0.0, dt]), g_left, g_right)
-        return u[1]
-
-
-def _march(
-    grid: SpaceGrid1D,
-    nu: float,
-    tgrid: TimeGrid,
-    initial: np.ndarray,
-    left_bc: InterfaceTrace,
-    right_bc: InterfaceTrace,
-    g_left: np.ndarray,
-    g_right: np.ndarray,
-    source=None,
-) -> np.ndarray:
-    """March the implicit scheme across the window: ``(M+1, nx+1)``, or ``(M+1, nx+1, batch)``.
-
-    ``left_bc``/``right_bc`` give the boundary kinds (and Robin p) of
-    every entry; their data are ``g_left``/``g_right``, ``(M+1,)`` or
-    ``(M+1, batch)``. ``initial`` is ``(nx+1,)`` or ``(nx+1, batch)``.
-    The source goes to entry 0 alone.
+    Each entry of each block is one diagonal block of the system, in
+    block order, with a zero coupling to the next; every step is one
+    ``dpttrs`` call on the factor of its step size. The fields are views
+    of one array. Raises ``ValueError`` if they are not finite.
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive")
-    nx = grid.n_cells
-    if nx < 2:
-        raise ValueError("a subdomain needs at least 2 cells")
-    if initial.shape[:1] != (nx + 1,) or initial.ndim > 2:
-        raise ValueError("initial data must have one value per node")
+    parts = [_Part(block) for block in blocks]
+    times = tgrid.times
+    # The float steps of a uniform grid take several values. In sorted
+    # order, a step within UNIFORM_RTOL * T of the shortest step of the
+    # group before it joins that group and takes its value.
+    steps, which = np.unique(np.diff(times), return_inverse=True)
+    values, group = [], []
+    for step in steps.tolist():
+        if not values or step - values[-1] > UNIFORM_RTOL * times[-1]:
+            values.append(step)
+        group.append(len(values) - 1)
+    which = np.array(group)[which]
+    dts = np.array(values)[which]
 
-    u = np.empty((len(tgrid.times),) + initial.shape)
-    u[0] = initial
-    _Steps(grid, nu, left_bc, right_bc).march(u, tgrid.times, g_left, g_right, source)
+    # The entries side by side, entries-major within each block.
+    offsets = list(accumulate((p.size * p.entries for p in parts), initial=0))
+    u = np.empty((len(times), offsets[-1]))
+    u[0] = np.concatenate([p.block.initial.T.ravel() for p in parts])
+    scale = np.concatenate([np.tile(p.scale, p.entries) for p in parts])
+    left, right = (np.concatenate(a, axis=1) for a in zip(*(p.ends(dts) for p in parts)))
+    starts = [o + p.size * j for o, p in zip(offsets, parts) for j in range(p.entries)]
+    first = np.add(starts, [p.lo for p in parts for _ in range(p.entries)])
+    last = np.add(starts, [p.hi for p in parts for _ in range(p.entries)])
+    if len(starts) == 1:  # a lone entry adds scalars
+        first, last, left, right = int(first[0]), int(last[0]), left[:, 0], right[:, 0]
+    sources = [
+        (slice(o + p.lo, o + p.hi + 1), p) for o, p in zip(offsets, parts) if p.block.source is not None
+    ]
+
+    factors = []
+    for dt in values:
+        d, e = (np.concatenate(a) for a in zip(*(p.matrix(dt) for p in parts)))
+        d, e, info = dpttrf(d, e[:-1])
+        if info != 0:  # a non-positive pivot: Robin data with p < 0, say
+            raise SingularSystem(f"dpttrf failed with info = {info}")
+        factors.append((d, e))
+    for n, k in enumerate(which.tolist()):
+        d, e = factors[k]
+        b = u[n + 1]  # the right-hand side, solved in place
+        np.multiply(u[n], scale, out=b)
+        for at, p in sources:
+            b[at] += (values[k] * p.scale[p.lo : p.hi + 1]) * p.block.source(p.x, times[n + 1])
+        b[first] += left[n]
+        b[last] += right[n]
+        _, info = dpttrs(d, e, b, overwrite_b=1)
+        if info != 0:
+            raise SingularSystem(f"dpttrs failed with info = {info}")
+
+    fields = []
+    for o, p in zip(offsets, parts):
+        field = u[:, o : o + p.size * p.entries].reshape(len(times), p.entries, p.size)
+        field = np.moveaxis(field, 1, -1).reshape((len(times),) + p.block.initial.shape)
+        if not p.left_open:
+            field[1:, 0] = p.block.g_left[1:]
+        if not p.right_open:
+            field[1:, -1] = p.block.g_right[1:]
+        fields.append(field)
     if not np.isfinite(u).all():
         raise ValueError("array must not contain infs or NaNs")
-    return u
+    return fields
+
+
+def _step(grid, nu, left_bc, right_bc, cur, dt, g_left, g_right) -> np.ndarray:
+    """u^{n+1} from u^n and the boundary data at n+1, without source: a march of one step."""
+    g_left, g_right = (np.broadcast_to(g, (2,) + np.shape(g)) for g in (g_left, g_right))
+    block = _Block(grid, nu, cur, left_bc, right_bc, g_left, g_right)
+    return _march(TimeGrid(np.array([0.0, dt])), [block])[0][1]
 
 
 def solve_heat_subdomain(
@@ -237,7 +272,7 @@ def solve_heat_subdomain(
     check_bc(left_bc, tgrid, "left")
     check_bc(right_bc, tgrid, "right")
     u0 = np.asarray(initial, dtype=float)
-    u = _march(grid, nu, tgrid, u0, left_bc, right_bc, left_bc.samples, right_bc.samples, source)
+    (u,) = _march(tgrid, [_Block(grid, nu, u0, left_bc, right_bc, left_bc.samples, right_bc.samples, source)])
     return SpaceTimeField(
         xgrid=grid,
         tgrid=tgrid,

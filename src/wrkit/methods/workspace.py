@@ -49,8 +49,9 @@ from ..kernels import (  # noqa: F401
     wave_interface_flux,
 )
 from ..kernels.common import check_bc, dirichlet_history, strip_data
+from ..kernels.heat import _Block as _HeatBlock
 from ..kernels.heat import _march as _heat_march
-from ..kernels.heat import _Steps as _HeatSteps
+from ..kernels.heat import _step as _heat_step
 from ..kernels.wave import _march as _wave_march
 from ..kernels.wave import _Stencil as _WaveStencil
 from ..kernels.problems import SpaceTimeField
@@ -233,8 +234,14 @@ class _Workspace:
 
     A sweep reads a few traces off each solve, its outputs
     (:class:`Output`), which :meth:`read` takes off a marched field.
-    :meth:`solve` returns them from a :class:`_Response`, built from one
-    batched march of the kernel per set of side kinds and outputs;
+    :meth:`solve` returns them from a :class:`_Response`, one per key:
+    the side kinds (with Robin p), the outputs and ``homogeneous``,
+    which are fixed for a run. A run builds every key's response before
+    its first sweep (:func:`_build_all`), each from one batched march of
+    the kernel; ``_march_all(jobs)`` makes the marches of many keys at
+    once, as one block march per time grid for heat and one march per
+    key for the wave models. A solve of a key not built yet, outside a
+    run, builds it alone.
     ``_last_step(left_bc, right_bc, cur, prev, g_left, g_right)``, the
     kernel's own step on a batch of rows, gives a clipped grid's last
     row. :func:`build_workspaces` rejects any other time grid. The
@@ -256,6 +263,8 @@ class _Workspace:
             self.c = self.impedance = speed
         self.data = self._sample()
         self._responses: dict[tuple, _Response] = {}
+        # The responses to build, while a recording sweep runs (see _build_all).
+        self._recorded: list | None = None
         # Responses of the run's subdomains by what their impulse part
         # depends on (see _shape), so equal subdomains march it once.
         self._shared: dict[tuple, _Response] = {} if shared is None else shared
@@ -263,6 +272,16 @@ class _Workspace:
     @staticmethod
     def make_ygrid(problem, grids: RunGrids) -> SpaceGrid1D | None:
         return None
+
+    @staticmethod
+    def _march_all(jobs: list):
+        """What ``space._march(*args)`` returns for each ``(space, args)`` of ``jobs``, in order.
+
+        Each march is made when its field is asked for, so a build holds
+        one field at a time (a strip's is about 13 MB at the benchmark's
+        sizes).
+        """
+        return (space._march(*args) for space, args in jobs)
 
     def _batched(self, particular: bool, batch: int | None):
         """The data arrays with a batch axis, set in entry 0 if ``particular``; the source then.
@@ -323,8 +342,10 @@ class _Workspace:
         A side at the end of the chain takes None and gets the problem's
         physical data (zero if homogeneous). ``outputs`` is a sequence of
         :class:`Output`; their traces come back in its order, on this
-        subdomain's time grid. The first solve for a set of side kinds
-        and outputs builds the response.
+        subdomain's time grid. A run has built every response it solves
+        before its first sweep; a key not built yet is built here, alone.
+        While :func:`_build_all` records keys, a solve records its key
+        and returns zero traces.
         """
         inputs = {side: bc for side, bc in (("left", left_bc), ("right", right_bc)) if bc is not None}
         ny = None if self.ygrid is None else self.ygrid.n_cells
@@ -337,7 +358,14 @@ class _Workspace:
         if response is None:
             shape = self._shape(kinds, outputs, homogeneous)
             response = _Response(self, inputs, outputs, homogeneous, self._shared.get(shape))
+            if self._recorded is None:
+                _build([(self, response)])
+            else:
+                self._recorded.append((self, response))
             self._responses[key] = self._shared[shape] = response
+        if self._recorded is not None:
+            zero = np.zeros_like(next(iter(inputs.values())).samples)
+            return tuple(InterfaceTrace(out.kind, self.tgrid, zero, robin_p=out.robin_p) for out in outputs)
         return response.apply(self, inputs)
 
     def _shape(self, kinds: tuple, outputs: tuple, homogeneous: bool) -> tuple:
@@ -381,8 +409,12 @@ def _fft_length(n: int) -> int:
 class _Response:
     """One subdomain's outputs for fixed interface-side kinds, as convolutions in time.
 
-    Built from one batched march of the adapter's own kernel on its time
-    grid. Entry 0 is the particular part: all data but the interface
+    Built in two steps, so that :func:`_build` can make the marches of a
+    run's keys together: the constructor keeps the key, :meth:`march`
+    gives the arguments of the one batched march of the adapter's own
+    kernel on its time grid that the response needs (if
+    :attr:`marches`), and :meth:`finish` completes the response from
+    that march. Entry 0 is the particular part: all data but the interface
     traces, which are zero (a homogeneous solve has no entry 0: its
     particular part is exactly zero). Each further entry is one
     interface side's unit impulse at row 1, with zero data elsewhere.
@@ -441,44 +473,73 @@ class _Response:
     """
 
     def __init__(self, space: _Workspace, inputs: dict, outputs: tuple, homogeneous: bool, like=None):
+        self.outputs = outputs
+        self.homogeneous = homogeneous
+        # An equal subdomain's response (see _Workspace._shape) has this
+        # impulse part, so only the particular part is marched.
+        self.like = like
+        self.kinds = {side: (bc.kind, bc.robin_p) for side, bc in inputs.items()}
+        self.sides = list(inputs)
+        self.first = [0 if inputs[side].kind in space._row0_kinds else 1 for side in self.sides]
+        #: Whether the build marches: not for an equal subdomain's homogeneous response.
+        self.marches = like is None or not homogeneous
+
+    def _bcs(self, space: _Workspace) -> tuple[InterfaceTrace, InterfaceTrace]:
+        """Left and right data of the build's march: zero at the interface sides.
+
+        Made when asked for, so a response waiting to be built holds no arrays.
+        """
+        m = len(space.tgrid.times)
+        shape = (m,) if space.ygrid is None else (m, space.ygrid.n_nodes)
+        zero = {
+            side: InterfaceTrace(kind, space.tgrid, np.zeros(shape), robin_p=p)
+            for side, (kind, p) in self.kinds.items()
+        }
+        return space._boundaries(zero, self.homogeneous)
+
+    def march(self, space: _Workspace) -> tuple:
+        """The arguments of the one batched ``space._march`` that the build makes (see :attr:`marches`)."""
+        bcs = self._bcs(space)
+        if self.like is not None:
+            return (*bcs, bcs[0].samples, bcs[1].samples, True)
+        lead = 0 if self.homogeneous else 1
+        data = []
+        for side, bc in zip(("left", "right"), bcs):
+            g = np.zeros(bc.samples.shape + (lead + len(self.sides),))
+            if side in self.kinds:
+                e = self.sides.index(side)
+                g[self.first[e], ..., lead + e] = space._profile()
+            elif lead:
+                g[..., 0] = bc.samples  # the physical data
+            data.append(g)
+        return (*bcs, *data, not self.homogeneous)
+
+    def finish(self, space: _Workspace, values: np.ndarray | None) -> None:
+        """Complete the response from ``values``, what ``space._march`` returns for :meth:`march`."""
         grid, times = space.tgrid, space.tgrid.times
         n_rows = len(times)
-        self.outputs = outputs
-        zero = {side: bc.with_samples(np.zeros_like(bc.samples)) for side, bc in inputs.items()}
-        bcs = space._boundaries(zero, homogeneous)
-        kinds = (bcs[0].kind, bcs[1].kind)
+        outputs, homogeneous, like = self.outputs, self.homogeneous, self.like
+        self.like = None
+        bcs = self._bcs(space)
+        self.base = np.zeros((len(outputs),) + bcs[0].samples.shape)
 
         def particular(values: np.ndarray) -> np.ndarray:
             """The outputs of the particular march ``values``."""
             rate = space._initial_rate()
-            field = SpaceTimeField(space.xgrid, grid, values, *kinds, space.ygrid, rate)
+            field = SpaceTimeField(space.xgrid, grid, values, bcs[0].kind, bcs[1].kind, space.ygrid, rate)
             return np.stack([space.read(field, out, space.problem.source) for out in outputs])
 
-        self.base = np.zeros((len(outputs),) + bcs[0].samples.shape)
         if like is not None:
-            # An equal subdomain's response (see _Workspace._shape) has this
-            # impulse part, so only the particular part is marched.
             for name in ("rows", "length", "sides", "weights", "kernels", "heads", "ends", "special"):
                 setattr(self, name, getattr(like, name))
             if not homogeneous:
-                self.base = particular(space._march(*bcs, bcs[0].samples, bcs[1].samples, True))
+                self.base = particular(values)
             return
 
+        kinds = (bcs[0].kind, bcs[1].kind)
         self.rows = rows = n_rows - (0 if grid.uniform else 1)  # the uniform prefix
         self.length = _fft_length(2 * rows - 1)
-        self.sides = list(inputs)
-        lead = 0 if homogeneous else 1
-        first = [0 if inputs[side].kind in space._row0_kinds else 1 for side in self.sides]
-        data = []
-        for side, bc in zip(("left", "right"), bcs):
-            g = np.zeros(bc.samples.shape + (lead + len(inputs),))
-            if side in inputs:
-                e = self.sides.index(side)
-                g[first[e], ..., lead + e] = space._profile()
-            elif lead:
-                g[..., 0] = bc.samples  # the physical data
-            data.append(g)
-        values = space._march(*bcs, *data, not homogeneous)
+        first, lead = self.first, 0 if homogeneous else 1
         if not homogeneous:
             self.base = particular(values[..., 0])
 
@@ -535,9 +596,9 @@ class _Response:
             for r in end_rows[1:]:
                 if (r == n_rows - 1 and not grid.uniform) or own(phi_end[r - lo], phi[1], r - lo):
                     self.special.append((o, r))
-        self.kernels = np.empty((len(inputs), len(outputs), self.length // 2 + 1, k), complex)
+        self.kernels = np.empty((len(self.sides), len(outputs), self.length // 2 + 1, k), complex)
         self.heads = []  # (output, side, first taps) applied directly on a solve
-        ends = np.zeros((k, len(self.special), len(inputs), n_rows))
+        ends = np.zeros((k, len(self.special), len(self.sides), n_rows))
         for o, (out, (_, pair), (phi, phi_end)) in enumerate(zip(outputs, narrow, phis)):
             wanted = [(i, end_rows.index(r)) for i, (oo, r) in enumerate(self.special) if oo == o]
             at = [cols.index(j) for j in pair]
@@ -564,7 +625,7 @@ class _Response:
                     index, rows_w = (list(x) for x in zip(*wanted))
                     ends[:, index, e] = np.moveaxis(w[rows_w], -1, 0)
         # (modes, special rows, sides * input rows): one product per mode on a solve
-        self.ends = ends.reshape(k, len(self.special), len(inputs) * n_rows)
+        self.ends = ends.reshape(k, len(self.special), len(self.sides) * n_rows)
         self.special = tuple(np.array(index, dtype=int) for index in zip(*self.special))
 
     def _end_weights(self, phi, ns, march: np.ndarray, last, first: int, weights) -> np.ndarray:
@@ -644,6 +705,39 @@ class _Response:
         )
 
 
+def _build(built: list[tuple[_Workspace, _Response]]) -> None:
+    """Make the marches the responses of ``built``, ``(space, response)`` pairs, need; finish them.
+
+    The marches of one run's model go to its ``_march_all`` together, so
+    heat keys on one time grid march as one block system; each response
+    is finished as its field arrives.
+    """
+    jobs = ((space, response.march(space)) for space, response in built if response.marches)
+    fields = iter(type(built[0][0])._march_all(jobs))
+    for space, response in built:
+        response.finish(space, next(fields) if response.marches else None)
+
+
+def _build_all(spaces: dict[int, _Workspace], sweep, state) -> None:
+    """Build every response the sweeps of a run solve, before the first sweep.
+
+    The keys a sweep solves are fixed for the run, and a sweep keeps
+    nothing between calls, so one sweep of ``state`` whose solves record
+    their keys and return zero traces finds them all; its result is
+    dropped.
+    """
+    recorded: list = []
+    for space in spaces.values():
+        space._recorded = recorded
+    try:
+        sweep(state)
+    finally:
+        for space in spaces.values():
+            space._recorded = None
+    if recorded:
+        _build(recorded)
+
+
 def _batch(bc: InterfaceTrace, g: np.ndarray) -> int | None:
     """The batch size of march data ``g`` for boundary ``bc``, None without a batch axis."""
     return g.shape[-1] if g.ndim > bc.samples.ndim else None
@@ -664,15 +758,24 @@ class _Heat1D(_Workspace):
         x = self.xgrid.nodes
         return [sample(self.problem.initial, x.shape, x)]
 
-    def _march(self, left_bc, right_bc, g_left, g_right, particular) -> np.ndarray:
+    def _block(self, left_bc, right_bc, g_left, g_right, particular) -> _HeatBlock:
         (u0,), source = self._batched(particular, _batch(left_bc, g_left))
-        return _heat_march(
-            self.xgrid, self.problem.nu, self.tgrid, u0, left_bc, right_bc, g_left, g_right, source
-        )
+        return _HeatBlock(self.xgrid, self.problem.nu, u0, left_bc, right_bc, g_left, g_right, source)
+
+    def _march(self, *args) -> np.ndarray:
+        return _heat_march(self.tgrid, [self._block(*args)])[0]
+
+    @staticmethod
+    def _march_all(jobs: list) -> list[np.ndarray]:
+        """One block march per time grid, each job's march one block of it."""
+        jobs, fields = list(jobs), {}
+        for tgrid in dict.fromkeys(space.tgrid for space, _ in jobs):
+            mine = [i for i, (space, _) in enumerate(jobs) if space.tgrid is tgrid]
+            fields.update(zip(mine, _heat_march(tgrid, [jobs[i][0]._block(*jobs[i][1]) for i in mine])))
+        return [fields[i] for i in range(len(jobs))]
 
     def _last_step(self, left_bc, right_bc, cur, prev, g_left, g_right) -> np.ndarray:
-        steps = _HeatSteps(self.xgrid, self.problem.nu, left_bc, right_bc)
-        return steps.step(cur, self.tgrid.steps[-1], g_left, g_right)
+        return _heat_step(self.xgrid, self.problem.nu, left_bc, right_bc, cur, self.tgrid.steps[-1], g_left, g_right)
 
     def _flux(self, field, side: str, source) -> np.ndarray:
         return heat_interface_flux(field, side, self.problem.nu, source)
@@ -1098,6 +1201,7 @@ def _setup(
     guesses = normalize_guesses(problem, partition, init_guesses, trace_grids, ygrid)
     cache = _PlanCache()
     state, sweep, monitor_grids, prev = start(spaces, ygrid, cache, trace_grids, guesses)
+    _build_all(spaces, sweep, state)
     ref, metric = resolve_reference(problem, partition, grids, reference, monitor_grids, ygrid)
     return state, sweep, _Monitor(config, cache, ref, metric, initial=guesses, prev=prev)
 

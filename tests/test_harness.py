@@ -612,6 +612,11 @@ def test_cli_error_paths(tmp_path, capsys):
     fast, slow = tmp_path / "fast.cfg", tmp_path / "slow.cfg"
     fast.write_text(chain + "c = 1e200\ndt = 1e-202\nT = 1e-201\n")
     slow.write_text(chain + "c = 1e-200\ndt = 0.05\nT = 1\n")
+    # A step so small that numpy refuses the time grid's size before allocating it.
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(
+        "model = heat1d\ninterval = 0, 2\npartition = 0, 1, 2\nnu = 1\ndx = 0.1\ndt = 1e-300\nT = 0.2\n"
+    )
     good = tmp_path / "good.cfg"
     good.write_text(MINIMAL_HEAT)
     taken = tmp_path / "taken"
@@ -625,6 +630,7 @@ def test_cli_error_paths(tmp_path, capsys):
         ["run", "--config", str(diverging), "--out", str(tmp_path / "diverged")],
         ["run", "--config", str(fast), "--out", str(tmp_path / "fast")],
         ["run", "--config", str(slow), "--out", str(tmp_path / "slow")],
+        ["run", "--config", str(tiny), "--out", str(tmp_path / "tiny")],
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning would print a second line
@@ -638,6 +644,8 @@ def test_cli_error_paths(tmp_path, capsys):
             assert "sweep" in err[0]
         if fast in map(Path, argv) or slow in map(Path, argv):
             assert "wave speed" in err[0]
+        if tiny in map(Path, argv):
+            assert "dt = 1e-300" in err[0] and "T = 0.2" in err[0]
 
     for kind, params in (
         ("heat-equal", ["count=5", "h=1", "T=2"]),  # nu missing

@@ -83,6 +83,11 @@ def test_clipped_window_against_dense_march():
     np.testing.assert_allclose(field.values, np.array(expect), rtol=0, atol=1e-13)
 
 
+def _march_one(grid, nu, tgrid, u0, left_bc, right_bc, g_left, g_right, source=None):
+    """The kernel's march of one block."""
+    return heat._march(tgrid, [heat._Block(grid, nu, u0, left_bc, right_bc, g_left, g_right, source)])[0]
+
+
 def test_non_finite_step_raises():
     # r = 2500: the Neumann row adds 2 r dx * 1e308 = inf to the right-hand side.
     grid = SpaceGrid1D.with_spacing(0.0, 1.0, 0.02)
@@ -94,7 +99,7 @@ def test_non_finite_step_raises():
     g = np.zeros((2, 3))
     g[:, -1] = 1e308
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
-        heat._march(grid, 1.0, tgrid, np.zeros((grid.n_nodes, 3)), zero_trace(tgrid), right, np.zeros_like(g), g)
+        _march_one(grid, 1.0, tgrid, np.zeros((grid.n_nodes, 3)), zero_trace(tgrid), right, np.zeros_like(g), g)
 
 
 def test_non_positive_pivot_raises_singular_system():
@@ -134,9 +139,9 @@ def test_batched_entries_are_single_marches(kinds):
     # A clipped grid, so the march uses two factors; entry 0 takes the source.
     tgrid = make_time_grid_clipped(1.0, 0.03)
     grid, bcs, u0, g_left, g_right = _batch_setup(kinds, tgrid)
-    batched = heat._march(grid, 0.7, tgrid, u0, *bcs, g_left, g_right, _source)
+    batched = _march_one(grid, 0.7, tgrid, u0, *bcs, g_left, g_right, _source)
     for entry in range(u0.shape[1]):
-        single = heat._march(
+        single = _march_one(
             grid, 0.7, tgrid, u0[:, entry], *bcs, g_left[:, entry], g_right[:, entry],
             _source if entry == 0 else None,
         )
@@ -171,7 +176,7 @@ def _dense_march(grid, nu, times, u0, bcs, g_left, g_right, source):
 def test_batched_march_against_dense_backward_euler(kinds):
     tgrid = make_time_grid(0.5, 0.02)
     grid, bcs, u0, g_left, g_right = _batch_setup(kinds, tgrid, seed=1)
-    field = heat._march(grid, 0.7, tgrid, u0, *bcs, g_left, g_right, _source)
+    field = _march_one(grid, 0.7, tgrid, u0, *bcs, g_left, g_right, _source)
     for entry in range(u0.shape[1]):
         f = _source if entry == 0 else (lambda x, t: np.zeros_like(x))
         want = _dense_march(grid, 0.7, tgrid.times, u0[:, entry], bcs, g_left[:, entry], g_right[:, entry], f)
@@ -194,6 +199,56 @@ def test_one_factor_per_step_size(monkeypatch):
             grid, 1.0, tgrid, np.sin(np.pi * grid.nodes), zero_trace(tgrid), zero_trace(tgrid)
         )
         assert len(calls) == factors
+
+
+def test_a_block_march_is_each_block_marched_alone(monkeypatch):
+    # Blocks of other widths, kinds, diffusivities and batches, two with a
+    # source, on a clipped grid. Each entry is one block of the system with
+    # a zero coupling to the next, so its bits are those of its own march,
+    # and the whole march is one factor per step size and one solve per step.
+    tgrid = make_time_grid_clipped(1.0, 0.03)
+    m = len(tgrid.times)
+    rng = np.random.default_rng(4)
+    D, N, R = TraceKind.DIRICHLET, TraceKind.NEUMANN, TraceKind.ROBIN
+    blocks = []
+    for kinds, width, nu, batch, source in (
+        ((D, N), 1.0, 0.7, (3,), _source),
+        ((N, R), 1.5, 0.7, (), None),
+        ((D, D), 0.2, 1.3, (2,), None),  # two cells: one unknown per entry
+        ((R, D), 0.5, 0.7, (), _source),
+        ((N, N), 1.0, 0.4, (1,), None),
+    ):
+        grid = SpaceGrid1D.with_spacing(0.0, width, 0.1)
+        bcs = [
+            InterfaceTrace(kind, tgrid, np.zeros(m), robin_p=p if kind is R else None)
+            for kind, p in zip(kinds, (1.5, 0.7))
+        ]
+        u0 = rng.standard_normal((grid.n_nodes,) + batch)
+        g_left, g_right = rng.standard_normal((2, m) + batch)
+        blocks.append(heat._Block(grid, nu, u0, *bcs, g_left, g_right, source))
+    calls = {"dpttrf": 0, "dpttrs": 0}
+    for name in calls:
+        real = getattr(heat, name)
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(heat, name, counted)
+    fields = heat._march(tgrid, blocks)
+    assert calls == {"dpttrf": 2, "dpttrs": tgrid.n_steps}
+    for block, field in zip(blocks, fields):
+        assert field.shape == (m,) + block.initial.shape
+        assert np.array_equal(field, heat._march(tgrid, [block])[0])
+        if block.initial.ndim == 2:
+            for entry in range(block.initial.shape[1]):
+                alone = block._replace(
+                    initial=block.initial[:, entry],
+                    g_left=block.g_left[:, entry],
+                    g_right=block.g_right[:, entry],
+                    source=block.source if entry == 0 else None,
+                )
+                assert np.array_equal(field[..., entry], heat._march(tgrid, [alone])[0]), entry
 
 
 def test_one_step_left_flux():

@@ -3,12 +3,15 @@
 Every output a response solve returns (a Dirichlet trace at an x, a
 flux, a Robin combination) must match the same quantity read off the
 march of the same kernel, and the row-0 facts the responses rest on are
-checked against the kernels directly.
+checked against the kernels directly. A run builds every response before
+its first sweep, its heat keys in one block march, and each response
+equals the one its key builds marched alone.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,9 @@ import pytest
 import wrkit.methods.workspace as workspace
 from wrkit.errors import IncompatibleGrids, ValidationError, WrongBoundaryKind
 from wrkit.grids import InterfaceTrace, TimeGrid, TraceKind, make_partition
+from wrkit.harness import build_guesses, load_config, preset_names, preset_text, run_experiment, with_out_dir
+from wrkit.harness.run import _RUNNERS
+from wrkit.harness.run import _setup as preset_setup
 from wrkit.kernels import (
     HeatProblem,
     Wave2DProblem,
@@ -24,8 +30,13 @@ from wrkit.kernels import (
     solve_wave_strip_2d,
     solve_wave_subdomain,
 )
-from wrkit.methods import RunGrids, make_run_grids
+from wrkit.methods import Method, RunGrids, guess_grids, make_run_grids
+from wrkit.methods import dnwr as dnwr_mod
+from wrkit.methods import nnwr as nnwr_mod
+from wrkit.methods import swr as swr_mod
 from wrkit.methods.workspace import Output, build_workspaces
+
+from conftest import pack
 
 D, N, R = TraceKind.DIRICHLET, TraceKind.NEUMANN, TraceKind.ROBIN
 
@@ -322,20 +333,21 @@ def test_fluxes_are_extracted_at_build_time_only(monkeypatch, model, name):
     ("wave", (0.0, 0.5, 1.0, 1.5, 2.5, 3.0)),
     ("strip", (0.0, 0.25, 0.5, 0.75, 1.25, 1.5)),
 ])
-def test_equal_subdomains_share_the_impulse_part(model, boundaries):
+def test_equal_subdomains_share_the_impulse_part(monkeypatch, model, boundaries):
     problem, _, dx, T, dt, dy = SETUPS[model]
     dx = 0.125 if model == "strip" else dx
     part = make_partition(boundaries)
     spaces, _ = build_workspaces(problem, part, make_run_grids(part, dx, T, dt, dy))
     batches = []
-    for space in spaces.values():
-        real = space._march
+    real = spaces[1]._march_all
 
-        def counted(left_bc, right_bc, g_left, g_right, particular, real=real):
+    def counted(jobs):  # a job is one key's march: (space, (left_bc, right_bc, g_left, g_right, particular))
+        jobs = list(jobs)
+        for _, (left_bc, _, g_left, _, _) in jobs:
             batches.append(g_left.shape[-1] if g_left.ndim > left_bc.samples.ndim else None)
-            return real(left_bc, right_bc, g_left, g_right, particular)
+        return real(jobs)
 
-        space._march = counted
+    monkeypatch.setattr(type(spaces[1]), "_march_all", staticmethod(counted))
     for homogeneous in (False, True):
         batches.clear()
         for s, seed in ((2, 1), (3, 3)):  # equal widths, the same side kinds and outputs
@@ -377,17 +389,18 @@ BATCHES = [
         for m, dt, s, l, r, h in BATCHES
     ],
 )
-def test_each_entry_of_a_build_march_is_the_single_march(model, dt, s, left, right, homogeneous):
+def test_each_entry_of_a_build_march_is_the_single_march(monkeypatch, model, dt, s, left, right, homogeneous):
     space = _spaces(model, dt=dt)[s]
     marches = []
-    real = space._march
+    real = space._march_all
 
-    def batched(left_bc, right_bc, g_left, g_right, particular):
-        values = real(left_bc, right_bc, g_left, g_right, particular)
-        marches.append((left_bc, right_bc, g_left, g_right, particular, values))
-        return values
+    def batched(jobs):
+        jobs = list(jobs)
+        fields = list(real(jobs))
+        marches.extend((*args, values) for (_, args), values in zip(jobs, fields))
+        return fields
 
-    space._march = batched
+    monkeypatch.setattr(type(space), "_march_all", staticmethod(batched))
     lbc = None if left is None else _trace(space, left, 1)
     rbc = None if right is None else _trace(space, right, 2)
     space.solve(lbc, rbc, _outputs(space, lbc, rbc), homogeneous)
@@ -447,3 +460,126 @@ def test_wave_neumann_row_0_response_is_half_the_row_1_response_shifted(model):
     r0, r1 = response(0), response(1)
     assert np.max(np.abs(r0)) > 0
     assert np.max(np.abs(r0[:-1] - 0.5 * r1[1:])) <= 1e-14 * np.max(np.abs(r1))
+
+
+# A run builds its responses before its first sweep, and all of its heat
+# keys on one time grid march as one block system.
+
+
+def _with_method(text: str, method: str, extra: str = "") -> str:
+    """A heat preset's text run with another method (DNWR's arrangement dropped)."""
+    lines = [line for line in text.splitlines() if not line.startswith(("arrangement", "method"))]
+    return "\n".join(lines) + f"\nmethod = {method}\n{extra}"
+
+
+def _heat_chain(monkeypatch, smoke: bool) -> str:
+    """perfbench's nine-subdomain heat chain, at its smoke or full sizes."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import HEAT_CHAIN
+
+    (text,) = HEAT_CHAIN.configs(1, smoke)
+    return text
+
+
+HEAT_PRESETS = [name for name in preset_names() if "model = heat1d" in preset_text(name)]
+HEAT_RUNS = HEAT_PRESETS + [
+    "fig_heat_5sub_T2:nnwr", "fig_heat_5sub_T2:swr_classical", "fig_heat_5sub_T2:swr_robin",
+    "heat_chain:smoke", "heat_chain:full",
+]
+
+
+def _run_text(monkeypatch, name: str) -> str:
+    base, _, variant = name.partition(":")
+    if base == "heat_chain":
+        return _heat_chain(monkeypatch, variant == "smoke")
+    if not variant:
+        return preset_text(base)
+    return _with_method(preset_text(base), variant, "robin_p = 2\n" if variant == "swr_robin" else "")
+
+
+def _set_up(monkeypatch, text: str):
+    """The workspaces of a run once its driver has set up: every response built, no sweep run."""
+    spec = load_config(text)
+    problem, partition, grids, ygrid = preset_setup(spec)
+    guesses = build_guesses(spec.guess, guess_grids(partition, grids, spec.config), ygrid)
+    built = []
+    real = workspace.build_workspaces
+    module = {Method.DNWR: dnwr_mod, Method.NNWR: nnwr_mod}.get(spec.config.method, swr_mod)
+    with monkeypatch.context() as m:
+        m.setattr(workspace, "build_workspaces", lambda *a, **k: built.append(real(*a, **k)) or built[-1])
+        m.setattr(module, "_drive", workspace._setup)
+        _RUNNERS[spec.config.method](problem, partition, grids, spec.config, guesses, reference=None)
+    ((spaces, _),) = built
+    return spaces
+
+
+@pytest.mark.parametrize("name", HEAT_RUNS)
+def test_the_block_march_is_the_per_key_march(monkeypatch, name):
+    text = _run_text(monkeypatch, name)
+    real = workspace._heat_march
+    sizes = []
+    with monkeypatch.context() as m:
+        m.setattr(workspace, "_heat_march", lambda tgrid, blocks: sizes.append(len(blocks)) or real(tgrid, blocks))
+        spaces = _set_up(m, text)
+    assert sizes and max(sizes) > 1  # the keys marched as blocks of one system
+    with monkeypatch.context() as m:  # the oracle: each key marched alone
+        m.setattr(workspace, "_heat_march", lambda tgrid, blocks: [real(tgrid, [b])[0] for b in blocks])
+        alone = _set_up(m, text)
+    for s, space in spaces.items():
+        assert space._responses.keys() == alone[s]._responses.keys()
+        for key, response in space._responses.items():
+            want = alone[s]._responses[key]
+            for attr in ("base", "kernels", "ends"):
+                assert np.array_equal(getattr(response, attr), getattr(want, attr)), (s, key, attr)
+            assert len(response.heads) == len(want.heads)
+            for (o, e, taps), (o2, e2, taps2) in zip(response.heads, want.heads):
+                assert (o, e) == (o2, e2) and np.array_equal(taps, taps2), (s, key)
+
+
+def test_no_response_is_built_inside_a_sweep(monkeypatch, tmp_path):
+    phase = [None]
+    built = {"setup": 0, "sweeps": 0}
+    marches = []  # (time grid, blocks, entries) of each heat march in a set-up
+    real_setup, real_init, real_march = workspace._setup, workspace._Response.__init__, workspace._heat_march
+    real_build_all = workspace._build_all
+
+    def setup(*args, **kwargs):
+        phase[0] = "setup"
+        out = real_setup(*args, **kwargs)
+        phase[0] = "sweeps"
+        return out
+
+    def init(self, *args, **kwargs):
+        built[phase[0]] += 1
+        real_init(self, *args, **kwargs)
+
+    def march(tgrid, blocks):
+        if phase[0] == "setup":
+            entries = sum(1 if b.initial.ndim == 1 else b.initial.shape[1] for b in blocks)
+            marches.append((tgrid, len(blocks), entries))
+        return real_march(tgrid, blocks)
+
+    def build_all(spaces, sweep, state):  # the recording sweep leaves its state as it was
+        before = pack(state)
+        real_build_all(spaces, sweep, state)
+        assert np.array_equal(pack(state), before)
+
+    monkeypatch.setattr(workspace, "_setup", setup)
+    monkeypatch.setattr(workspace._Response, "__init__", init)
+    monkeypatch.setattr(workspace, "_heat_march", march)
+    monkeypatch.setattr(workspace, "_build_all", build_all)
+    texts = {name: preset_text(name) for name in preset_names()}
+    texts["heat_chain"] = _heat_chain(monkeypatch, smoke=False)
+    texts["fig_heat_5sub_T2:swr_robin"] = _run_text(monkeypatch, "fig_heat_5sub_T2:swr_robin")
+    for name, text in texts.items():
+        phase[0] = None
+        built.update(setup=0, sweeps=0)
+        marches.clear()
+        run_experiment(with_out_dir(load_config(text), str(tmp_path)))
+        assert built["setup"] > 0 and built["sweeps"] == 0, name
+        if "model = heat1d" in text:
+            assert len(marches) == 1, name  # one block march: a heat run has one time grid
+        else:
+            assert not marches, name
+        if name == "heat_chain":
+            assert [m[1:] for m in marches] == [(9, 17)]  # 9 subdomains, 17 entries

@@ -27,7 +27,12 @@ The JSON file holds:
   without a batch axis and with a batch of 3, and with Dirichlet ends
   (D/D) or a Neumann left end (N/D): the kernel layers alone, which
   perfbench's ``*.solve`` spans do not reach since the response builds
-  call the marches directly;
+  call the marches directly; and ``heat_chain build``, the microseconds
+  per time step of every heat march that a run of perfbench's
+  ``heat_chain`` (nine subdomains, 51 nodes each, 500 steps) makes,
+  replayed together, least of seven: the build marches of its
+  responses, one block march of 17 entries, which perfbench's spans do
+  not reach either;
 * ``perfbench``: per workload, the metrics of one traced
   ``perfbench/run.py --trace 1`` run at perfbench's default seed and
   length (the per-layer values are medians over its traced replays),
@@ -54,10 +59,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from wrkit.grids import InterfaceTrace, SpaceGrid1D, TraceKind, make_time_grid  # noqa: E402
-from wrkit.harness import load_config, preset_names, preset_text, run_experiment  # noqa: E402
+from wrkit.harness import build_guesses, load_config, preset_names, preset_text, run_experiment  # noqa: E402
 from wrkit.harness.presets import _heat_nsub  # noqa: E402
+from wrkit.harness.run import _setup as run_setup  # noqa: E402
+from wrkit.kernels.heat import _Block as HeatBlock  # noqa: E402
 from wrkit.kernels.heat import _march as heat_march  # noqa: E402
 from wrkit.kernels.wave import _march as wave_march  # noqa: E402
+from wrkit.methods import dnwr_run, guess_grids, workspace  # noqa: E402
 
 REPEATS = 3
 KERNEL_STEPS = 400
@@ -114,7 +122,7 @@ def _kernels() -> dict[str, float]:
                 g = rng.standard_normal((2, m) + ny + batch)
                 lids = None if ygrid is None else rng.standard_normal((2, m, xgrid.n_nodes) + batch)
                 if kernel == "heat":
-                    march, args = heat_march, (xgrid, 1.0, tgrid, u0, *bcs, *g)
+                    march, args = heat_march, (tgrid, [HeatBlock(xgrid, 1.0, u0, *bcs, *g)])
                 else:
                     march, args = wave_march, (xgrid, ygrid, 1.0, tgrid, u0, v0, *bcs, *g, lids, None)
                 walls = []
@@ -123,7 +131,34 @@ def _kernels() -> dict[str, float]:
                     march(*args)
                     walls.append(time.perf_counter() - start)
                 out[f"{kernel} {ends} {f'batch {batch[0]}' if batch else 'no batch'}"] = 1e6 * min(walls) / KERNEL_STEPS
+    out["heat_chain build"] = _heat_chain_build()
     return out
+
+
+def _heat_chain_build() -> float:
+    """Microseconds per step of the heat marches of one perfbench ``heat_chain`` run, replayed together."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import HEAT_CHAIN
+
+    (text,) = HEAT_CHAIN.configs(1, False)
+    spec = load_config(text)
+    problem, partition, grids, ygrid = run_setup(spec)
+    guesses = build_guesses(spec.guess, guess_grids(partition, grids, spec.config), ygrid)
+    calls = []
+    real = workspace._heat_march
+    workspace._heat_march = lambda *args: calls.append(args) or real(*args)
+    try:  # no reference, so every heat march is a build march
+        dnwr_run(problem, partition, grids, spec.config, guesses, reference=None)
+    finally:
+        workspace._heat_march = real
+    walls = []
+    for _ in range(KERNEL_REPEATS):
+        start = time.perf_counter()
+        for args in calls:
+            real(*args)
+        walls.append(time.perf_counter() - start)
+    print(f"heat_chain build: {len(calls)} marches", flush=True)
+    return 1e6 * min(walls) / grids.tgrids[0].n_steps
 
 
 def _perfbench(workload: str) -> dict:
