@@ -59,6 +59,18 @@ def erfc_eval(x: float) -> float:
     return math.erfc(x)
 
 
+def _spread(nu: float, T: float) -> float:
+    """2 sqrt(nu T), the length over which heat diffuses in the window.
+
+    Raises ValueError unless nu and T are positive and nu*T does not underflow to 0.
+    """
+    if nu <= 0 or T <= 0:
+        raise ValueError("nu and T must be positive")
+    if nu * T == 0.0:
+        raise ValueError(f"nu*T underflows to 0 (nu={nu!r}, T={T!r})")
+    return 2.0 * math.sqrt(nu * T)
+
+
 def reflection_series(h: float, nu: float, T: float) -> float:
     """The reflection sum Q(h, nu, T) used by the equal-width envelope.
 
@@ -69,9 +81,9 @@ def reflection_series(h: float, nu: float, T: float) -> float:
     summation stops when a term drops below 1e-16 of the partial sum and
     aborts with QDiverged if 400 terms are not enough (very large nu*T/h^2).
     """
-    if h <= 0 or nu <= 0 or T <= 0:
-        raise ValueError("h, nu, T must be positive")
-    a = h / (2.0 * math.sqrt(nu * T))
+    if h <= 0:
+        raise ValueError("h must be positive")
+    a = h / _spread(nu, T)
     total = 2.0 * erfc_eval(a)
     for i in range(_Q_MAX_TERMS):
         term = 2.0 ** (i + 1) * erfc_eval(i * a)
@@ -109,11 +121,10 @@ def _envelope(multiplier: float, h_min: float, nu: float, T: float, k: int) -> f
     inf only when that exceeds the float range. For large k the -x^2 of
     log erfc wins and the value tends to 0.
     """
-    if nu <= 0 or T <= 0:
-        raise ValueError("nu and T must be positive")
+    spread = _spread(nu, T)
     if k < 0 or k != int(k):
         raise ValueError("iteration index k must be a nonnegative integer")
-    x = k * h_min / (2.0 * math.sqrt(nu * T))
+    x = k * h_min / spread
     if erfc_eval(x) >= sys.float_info.min:
         try:
             with np.errstate(over="ignore"):
@@ -141,6 +152,8 @@ def heat_bound_unequal(m: int, widths: Sequence[float], nu: float, T: float, k: 
         raise ValueError(f"expected 2m+1={2*m+1} widths, got {len(w)}")
     if m < 1:  # one subdomain: no interface, and a multiplier of -1
         raise ValueError("the envelope needs m >= 1 (three subdomains or more)")
+    if not np.all(w > 0):
+        raise ValueError("widths must be positive")
     return _envelope(2 * m - 3 + 2.0 * w.max() / w[m], w.min(), nu, T, k)
 
 
@@ -154,6 +167,8 @@ def heat_bound_even(m: int, widths: Sequence[float], nu: float, T: float, k: int
         raise OddCount("even subdomain count required; use heat_bound_unequal")
     if len(w) != 2 * m + 2:
         raise ValueError(f"expected 2m+2={2*m+2} widths, got {len(w)}")
+    if not np.all(w > 0):
+        raise ValueError("widths must be positive")
     return _envelope(2 * m - 1 + 2.0 * w.max() / w[m], w.min(), nu, T, k)
 
 
@@ -202,5 +217,8 @@ def wave_steps_needed(T: float, widths, speeds) -> int:
     if len(c) != len(w):
         raise ValueError("speeds must be scalar or one per subdomain")
     hoc = float((w / c).min())
-    k = math.ceil(T / hoc - 1e-12)
+    sweeps = T / hoc if hoc > 0 else math.inf  # min(h_i/c_i) may underflow to 0
+    if not math.isfinite(sweeps):
+        raise ValueError(f"T / min(h_i/c_i) = {T!r} / {hoc!r} is not a finite number of sweeps")
+    k = math.ceil(sweeps - 1e-12)
     return max(k, 1) + 1

@@ -171,6 +171,15 @@ def _text(value: str, key: str) -> str:
     return value
 
 
+def _file_name(value: str, key: str) -> str:
+    """A plain file name, which the run's output files are named after."""
+    if value in (".", "..") or any(c in value for c in "/\\\0"):
+        raise ValidationError(
+            f"key {key!r} must be a plain file name (no '/', '\\' or NUL, not '.' or '..'), got {value!r}"
+        )
+    return value
+
+
 def _choice(options):
     """Parser for one of ``options``: a tuple of names, or an Enum by value."""
     members = tuple(options)
@@ -231,7 +240,7 @@ _KEYS = {
     "overlap_cells": _Key(_int, methods=(Method.SWR_CLASSICAL,)),
     "robin_p": _Key(_number, methods=(Method.SWR_ROBIN,), required=True),
     "guess": _Key(_guess),
-    "label": _Key(_text),
+    "label": _Key(_file_name),
     "out": _Key(_text),
 }
 
@@ -320,13 +329,14 @@ def load_config(text: str) -> ExperimentSpec:
     that are not ``key = value``, :class:`UnknownKey` for keys outside
     the schema, and :class:`ValidationError` for anything semantically
     wrong: non-finite numbers, missing required keys, keys that do not
-    apply to the model or method, bad preset names, theta out of (0, 1],
-    partitions off the lattice, subdomains narrower than 2 cells, a dt
-    whose time grid on T cannot be built (too many steps for numpy),
-    explicit wave steps above the CFL limit, wave speeds whose square
-    is not a normal float, per-subdomain steps off the 1D wave model,
-    Robin Schwarz on a wave model, or Schwarz runs across wave speed
-    jumps or with an overlap past a neighboring subdomain.
+    apply to the model or method, a label that is not a plain file name,
+    bad preset names, theta out of (0, 1], partitions off the lattice,
+    subdomains narrower than 2 cells, a dt whose time grid on T cannot
+    be built (too many steps for numpy), explicit wave steps above the
+    CFL limit, wave speeds whose square is not a normal float,
+    per-subdomain steps off the 1D wave model, Robin Schwarz on a wave
+    model, or Schwarz runs across wave speed jumps or with an overlap
+    past a neighboring subdomain.
     """
     values = {key: _KEYS[key].parse(raw, key) for key, raw in _parse_lines(text).items()}
     if "model" not in values:

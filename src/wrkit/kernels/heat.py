@@ -79,27 +79,6 @@ from .problems import SpaceTimeField
 __all__ = ["solve_heat_subdomain", "heat_interface_flux"]
 
 
-def _build_matrix(r: float, dx: float, n_unk: int, left_bc, right_bc, left_open: bool, right_open: bool):
-    """Diagonal and off-diagonal of the symmetric tridiagonal matrix for one step size.
-
-    ``left_open``/``right_open`` say whether the boundary node is an
-    unknown (Neumann/Robin) rather than pinned (Dirichlet).
-    """
-    d = np.full(n_unk, 1.0 + 2.0 * r)
-    e = np.full(n_unk - 1, -r)
-    if left_open:
-        diag = 1.0 + 2.0 * r
-        if left_bc.kind is TraceKind.ROBIN:
-            diag += 2.0 * dx * r * left_bc.robin_p
-        d[0] = 0.5 * diag
-    if right_open:
-        diag = 1.0 + 2.0 * r
-        if right_bc.kind is TraceKind.ROBIN:
-            diag += 2.0 * dx * r * right_bc.robin_p
-        d[-1] = 0.5 * diag
-    return d, e
-
-
 class _Block(NamedTuple):
     """One subdomain's march in a block march: boundary kinds, data and source.
 
@@ -151,13 +130,21 @@ class _Part:
         return self.block.nu * dt / self.block.grid.dx**2
 
     def matrix(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Diagonal and off-diagonal of every entry at step ``dt``, a zero coupling after each."""
-        b, lo, hi = self.block, self.lo, self.hi
+        """Diagonal and off-diagonal of every entry at step ``dt``, a zero coupling after each.
+
+        The unknowns' rows are (-r, 1 + 2r, -r); a Robin end adds
+        2 dx r p to its diagonal, and a Neumann or Robin end row is halved.
+        """
+        b, lo, hi, r = self.block, self.lo, self.hi, self.r(dt)
         d = np.ones(self.size)
         e = np.zeros(self.size)
-        d[lo : hi + 1], e[lo:hi] = _build_matrix(
-            self.r(dt), b.grid.dx, hi - lo + 1, b.left_bc, b.right_bc, self.left_open, self.right_open
-        )
+        d[lo : hi + 1] = 1.0 + 2.0 * r
+        e[lo:hi] = -r
+        for at, bc, is_open in ((0, b.left_bc, self.left_open), (-1, b.right_bc, self.right_open)):
+            if is_open:
+                if bc.kind is TraceKind.ROBIN:
+                    d[at] += 2.0 * b.grid.dx * r * bc.robin_p
+                d[at] *= 0.5
         return np.tile(d, self.entries), np.tile(e, self.entries)
 
     def ends(self, dts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -236,25 +236,21 @@ class _Workspace:
     (:class:`Output`), which :meth:`read` takes off a marched field.
     :meth:`solve` returns them from a :class:`_Response`, one per key:
     the side kinds (with Robin p), the outputs and ``homogeneous``,
-    which are fixed for a run. A run builds every key's response before
-    its first sweep (:func:`_build_all`), each from one batched march of
+    which are fixed for a run. :func:`_build_all` builds every key's
+    response before a run's first sweep, each from one batched march of
     the kernel; ``_march_all(jobs)`` makes the marches of many keys at
     once, as one block march per time grid for heat and one march per
-    key for the wave models. A solve of a key not built yet, outside a
-    run, builds it alone.
+    key for the wave models.
     ``_last_step(left_bc, right_bc, cur, prev, g_left, g_right)``, the
     kernel's own step on a batch of rows, gives a clipped grid's last
-    row. :func:`build_workspaces` rejects any other time grid. The
-    subdomains of one run share their responses' impulse parts: a
-    subdomain equal to one already built (same grids, speed, side kinds
-    and columns read) marches only its particular part, without a batch.
+    row. :func:`build_workspaces` rejects any other time grid.
     """
 
     impedance = 1.0
     #: Boundary kinds whose data the kernel reads at row 0 as well.
     _row0_kinds: frozenset = frozenset()
 
-    def __init__(self, problem, xgrid: SpaceGrid1D, tgrid: TimeGrid, ygrid, speed, shared=None):
+    def __init__(self, problem, xgrid: SpaceGrid1D, tgrid: TimeGrid, ygrid, speed):
         self.problem = problem
         self.xgrid = xgrid
         self.tgrid = tgrid
@@ -263,11 +259,9 @@ class _Workspace:
             self.c = self.impedance = speed
         self.data = self._sample()
         self._responses: dict[tuple, _Response] = {}
-        # The responses to build, while a recording sweep runs (see _build_all).
-        self._recorded: list | None = None
-        # Responses of the run's subdomains by what their impulse part
-        # depends on (see _shape), so equal subdomains march it once.
-        self._shared: dict[tuple, _Response] = {} if shared is None else shared
+        # While a recording sweep runs, the (space, key) pairs it solves,
+        # in order, as the keys of a dict (see _build_all).
+        self._recorded: dict | None = None
 
     @staticmethod
     def make_ygrid(problem, grids: RunGrids) -> SpaceGrid1D | None:
@@ -342,31 +336,22 @@ class _Workspace:
         A side at the end of the chain takes None and gets the problem's
         physical data (zero if homogeneous). ``outputs`` is a sequence of
         :class:`Output`; their traces come back in its order, on this
-        subdomain's time grid. A run has built every response it solves
-        before its first sweep; a key not built yet is built here, alone.
-        While :func:`_build_all` records keys, a solve records its key
-        and returns zero traces.
+        subdomain's time grid, from the key's response, which
+        :func:`_build_all` has built (a key it has not built raises
+        ``KeyError``). While :func:`_build_all` records keys, a solve
+        records its key and returns zero traces.
         """
         inputs = {side: bc for side, bc in (("left", left_bc), ("right", right_bc)) if bc is not None}
         ny = None if self.ygrid is None else self.ygrid.n_cells
         for side, bc in inputs.items():
             check_bc(bc, self.tgrid, side, ny)
         outputs = tuple(outputs)
-        kinds = tuple((side, bc.kind, bc.robin_p) for side, bc in inputs.items())
-        key = (kinds, outputs, homogeneous)
-        response = self._responses.get(key)
-        if response is None:
-            shape = self._shape(kinds, outputs, homogeneous)
-            response = _Response(self, inputs, outputs, homogeneous, self._shared.get(shape))
-            if self._recorded is None:
-                _build([(self, response)])
-            else:
-                self._recorded.append((self, response))
-            self._responses[key] = self._shared[shape] = response
-        if self._recorded is not None:
-            zero = np.zeros_like(next(iter(inputs.values())).samples)
-            return tuple(InterfaceTrace(out.kind, self.tgrid, zero, robin_p=out.robin_p) for out in outputs)
-        return response.apply(self, inputs)
+        key = (tuple((side, bc.kind, bc.robin_p) for side, bc in inputs.items()), outputs, homogeneous)
+        if self._recorded is None:
+            return self._responses[key].apply(self, inputs)
+        self._recorded[self, key] = None
+        zero = np.zeros_like(next(iter(inputs.values())).samples)
+        return tuple(InterfaceTrace(out.kind, self.tgrid, zero, robin_p=out.robin_p) for out in outputs)
 
     def _shape(self, kinds: tuple, outputs: tuple, homogeneous: bool) -> tuple:
         """What a response's impulse part depends on: grids, speed, side kinds, columns read."""
@@ -409,14 +394,13 @@ def _fft_length(n: int) -> int:
 class _Response:
     """One subdomain's outputs for fixed interface-side kinds, as convolutions in time.
 
-    Built in two steps, so that :func:`_build` can make the marches of a
-    run's keys together: the constructor keeps the key, :meth:`march`
-    gives the arguments of the one batched march of the adapter's own
-    kernel on its time grid that the response needs (if
-    :attr:`marches`), and :meth:`finish` completes the response from
-    that march. Entry 0 is the particular part: all data but the interface
-    traces, which are zero (a homogeneous solve has no entry 0: its
-    particular part is exactly zero). Each further entry is one
+    Made from its key; :func:`_build_all`, which makes the marches of a
+    run's keys together, takes from :meth:`march` the arguments of the
+    one batched march of the adapter's own kernel on its time grid that
+    the response needs and completes it from that march with
+    :meth:`finish`. Entry 0 is the particular part: all data but the
+    interface traces, which are zero (a homogeneous solve has no entry
+    0: its particular part is exactly zero). Each further entry is one
     interface side's unit impulse at row 1, with zero data elsewhere.
     The response to an impulse at row m >= 1 is the row-1 response
     shifted by m - 1. Row 0 of an input is never read by the heat kernel
@@ -472,17 +456,12 @@ class _Response:
     taps directly (``heads``); through the FFT they doubled that floor.
     """
 
-    def __init__(self, space: _Workspace, inputs: dict, outputs: tuple, homogeneous: bool, like=None):
+    def __init__(self, space: _Workspace, kinds: tuple, outputs: tuple, homogeneous: bool):
         self.outputs = outputs
         self.homogeneous = homogeneous
-        # An equal subdomain's response (see _Workspace._shape) has this
-        # impulse part, so only the particular part is marched.
-        self.like = like
-        self.kinds = {side: (bc.kind, bc.robin_p) for side, bc in inputs.items()}
-        self.sides = list(inputs)
-        self.first = [0 if inputs[side].kind in space._row0_kinds else 1 for side in self.sides]
-        #: Whether the build marches: not for an equal subdomain's homogeneous response.
-        self.marches = like is None or not homogeneous
+        self.kinds = {side: (kind, p) for side, kind, p in kinds}
+        self.sides = list(self.kinds)
+        self.first = [0 if kind in space._row0_kinds else 1 for kind, _ in self.kinds.values()]
 
     def _bcs(self, space: _Workspace) -> tuple[InterfaceTrace, InterfaceTrace]:
         """Left and right data of the build's march: zero at the interface sides.
@@ -497,10 +476,14 @@ class _Response:
         }
         return space._boundaries(zero, self.homogeneous)
 
-    def march(self, space: _Workspace) -> tuple:
-        """The arguments of the one batched ``space._march`` that the build makes (see :attr:`marches`)."""
+    def march(self, space: _Workspace, like) -> tuple:
+        """The arguments of the one batched ``space._march`` that the build makes.
+
+        With ``like``, a response of the same impulse part, it marches
+        the particular part alone, without a batch.
+        """
         bcs = self._bcs(space)
-        if self.like is not None:
+        if like is not None:
             return (*bcs, bcs[0].samples, bcs[1].samples, True)
         lead = 0 if self.homogeneous else 1
         data = []
@@ -514,12 +497,15 @@ class _Response:
             data.append(g)
         return (*bcs, *data, not self.homogeneous)
 
-    def finish(self, space: _Workspace, values: np.ndarray | None) -> None:
-        """Complete the response from ``values``, what ``space._march`` returns for :meth:`march`."""
+    def finish(self, space: _Workspace, like, values: np.ndarray | None) -> None:
+        """Complete the response from ``values``, what ``space._march`` returns for :meth:`march`.
+
+        With ``like`` the impulse part is ``like``'s; a homogeneous
+        response then has no march, and ``values`` is None.
+        """
         grid, times = space.tgrid, space.tgrid.times
         n_rows = len(times)
-        outputs, homogeneous, like = self.outputs, self.homogeneous, self.like
-        self.like = None
+        outputs, homogeneous = self.outputs, self.homogeneous
         bcs = self._bcs(space)
         self.base = np.zeros((len(outputs),) + bcs[0].samples.shape)
 
@@ -705,28 +691,22 @@ class _Response:
         )
 
 
-def _build(built: list[tuple[_Workspace, _Response]]) -> None:
-    """Make the marches the responses of ``built``, ``(space, response)`` pairs, need; finish them.
-
-    The marches of one run's model go to its ``_march_all`` together, so
-    heat keys on one time grid march as one block system; each response
-    is finished as its field arrives.
-    """
-    jobs = ((space, response.march(space)) for space, response in built if response.marches)
-    fields = iter(type(built[0][0])._march_all(jobs))
-    for space, response in built:
-        response.finish(space, next(fields) if response.marches else None)
-
-
 def _build_all(spaces: dict[int, _Workspace], sweep, state) -> None:
     """Build every response the sweeps of a run solve, before the first sweep.
 
     The keys a sweep solves are fixed for the run, and a sweep keeps
     nothing between calls, so one sweep of ``state`` whose solves record
     their keys and return zero traces finds them all; its result is
-    dropped.
+    dropped. The subdomains of the run share their responses' impulse
+    parts: a key that matches an earlier one in all its impulse part
+    depends on (:meth:`_Workspace._shape`: grids, speed, side kinds,
+    columns read) takes that one's and marches its particular part
+    alone, without a batch, or nothing if homogeneous. The marches go to
+    the model's ``_march_all`` together, so heat keys on one time grid
+    march as one block system, and each response is finished as its
+    field arrives.
     """
-    recorded: list = []
+    recorded: dict = {}
     for space in spaces.values():
         space._recorded = recorded
     try:
@@ -734,8 +714,17 @@ def _build_all(spaces: dict[int, _Workspace], sweep, state) -> None:
     finally:
         for space in spaces.values():
             space._recorded = None
-    if recorded:
-        _build(recorded)
+    built, first = [], {}
+    for space, key in recorded:
+        response = _Response(space, *key)
+        like = first.setdefault(space._shape(*key), response)
+        like = None if like is response else like
+        built.append((space, key, response, like, like is None or not response.homogeneous))
+    jobs = ((space, response.march(space, like)) for space, _, response, like, marches in built if marches)
+    fields = iter(type(next(iter(spaces.values())))._march_all(jobs))
+    for space, key, response, like, marches in built:
+        response.finish(space, like, next(fields) if marches else None)
+        space._responses[key] = response
 
 
 def _batch(bc: InterfaceTrace, g: np.ndarray) -> int | None:
@@ -951,11 +940,10 @@ def build_workspaces(
     ygrid = model.make_ygrid(problem, grids)
     speeds = model.speeds(problem, n)
     spaces: dict[int, _Workspace] = {}
-    shared: dict[tuple, _Response] = {}
     for i in range(1, n + 1):
         lo, hi = partition.bounds(i) if bounds is None else bounds[i]
         xgrid = SpaceGrid1D.with_spacing(lo, hi, grids.dx)
-        spaces[i] = model(problem, xgrid, grids.tgrids[i - 1], ygrid, speeds[i - 1], shared)
+        spaces[i] = model(problem, xgrid, grids.tgrids[i - 1], ygrid, speeds[i - 1])
     return spaces, ygrid
 
 
@@ -1015,23 +1003,15 @@ def normalize_guesses(
     return out
 
 
-def traces_from_field(
-    field: SpaceTimeField,
-    partition: Partition1D,
-    target_grids: tuple[TimeGrid, ...] | None = None,
-) -> tuple[InterfaceTrace, ...]:
-    """Dirichlet interface histories of a full-domain field.
+def traces_from_field(field: SpaceTimeField, partition: Partition1D) -> tuple[InterfaceTrace, ...]:
+    """Dirichlet interface histories of a full-domain field, one per interface, on its time grid.
 
-    Returns one trace per interface, re-sampled onto ``target_grids``
-    when given. Used for references and the error metric.
+    Used for references.
     """
     out = []
     for i in range(1, partition.n_interfaces + 1):
         j = field.xgrid.node_index(partition.interface_position(i))
-        trace = InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, field.values[:, j])
-        if target_grids is not None:
-            trace = project_trace(trace, build_plan(field.tgrid, target_grids[i - 1]))
-        out.append(trace)
+        out.append(InterfaceTrace(TraceKind.DIRICHLET, field.tgrid, field.values[:, j]))
     return tuple(out)
 
 

@@ -538,6 +538,25 @@ def test_cli_bound_subcommand(capsys):
     assert capsys.readouterr().out.strip() == "11"
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("heat-unequal", ["m=1", "widths=1,-1,1", "nu=1", "T=2", "kmax=2"]),  # was a negative envelope
+    ("heat-unequal", ["m=1", "widths=1,0,1", "nu=1", "T=2", "kmax=2"]),  # was inf and a RuntimeWarning
+    ("heat-even", ["m=1", "widths=1,1,0,1", "nu=1", "T=2"]),
+    ("heat-equal", ["count=5", "h=1", "nu=1e-300", "T=1e-300", "kmax=3"]),  # nu*T underflows to 0
+    ("heat-unequal", ["m=1", "widths=1,1,1", "nu=1e-300", "T=1e-300"]),
+    ("wave-steps", ["T=1e300", "widths=1e-300", "c=1"]),  # T / h overflows
+    ("wave-steps", ["T=1", "widths=1e-300", "c=1e300"]),  # h / c underflows to 0
+])
+def test_cli_bound_rejects_what_its_parsers_pass(capsys, kind, params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print a second line
+        rc = main(["bound", "--kind", kind, "--params", *params])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 
 def test_cli_bound_heat_equal_when_q_diverges(capsys):
     rc = main(["bound", "--kind", "heat-equal", "--params", "count=5", "h=1", "nu=1", "T=2500"])
@@ -621,6 +640,11 @@ def test_cli_error_paths(tmp_path, capsys):
     good.write_text(MINIMAL_HEAT)
     taken = tmp_path / "taken"
     taken.write_text("")
+    # Labels that are not plain file names: rejected with the config, before any solve.
+    labels = {"escape": "../esc/escaped", "nested": "a/b", "nul": "a\0b"}
+    for name, label in labels.items():
+        (tmp_path / f"{name}.cfg").write_text(MINIMAL_HEAT + f"label = {label}\n")
+    out = str(tmp_path / "out")
     for argv in (
         ["run", "--config", str(endless)],
         ["run", "--config", str(tmp_path)],  # a directory
@@ -631,6 +655,8 @@ def test_cli_error_paths(tmp_path, capsys):
         ["run", "--config", str(fast), "--out", str(tmp_path / "fast")],
         ["run", "--config", str(slow), "--out", str(tmp_path / "slow")],
         ["run", "--config", str(tiny), "--out", str(tmp_path / "tiny")],
+        *(["run", "--config", str(tmp_path / f"{name}.cfg"), "--out", out] for name in labels),
+        ["compare", "--configs", str(good), str(tmp_path / "escape.cfg"), "--out", out],
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning would print a second line
@@ -646,6 +672,9 @@ def test_cli_error_paths(tmp_path, capsys):
             assert "wave speed" in err[0]
         if tiny in map(Path, argv):
             assert "dt = 1e-300" in err[0] and "T = 0.2" in err[0]
+        if out in argv:
+            assert "plain file name" in err[0]
+    assert not (tmp_path / "esc").exists() and not (tmp_path / "out").exists()
 
     for kind, params in (
         ("heat-equal", ["count=5", "h=1", "T=2"]),  # nu missing

@@ -41,6 +41,7 @@ from wrkit.methods import nnwr as nnwr_mod
 from wrkit.methods import swr as swr_mod
 from wrkit.methods import workspace
 from wrkit.methods.workspace import _setup, resolve_reference, solve_monodomain
+from wrkit.projection import build_plan, project_trace
 
 from conftest import (
     dirichlet_trace,
@@ -265,7 +266,7 @@ def test_heat_fixed_point(cfg, monkeypatch):
     xgrid = SpaceGrid1D.with_spacing(0.0, 5.0, grids.dx)
     field = solve_monodomain(prob, xgrid, grids.tgrids[0])
     gg = guess_grids(part, grids, cfg)
-    guesses = list(traces_from_field(field, part, gg))
+    guesses = [project_trace(tr, build_plan(field.tgrid, g)) for tr, g in zip(traces_from_field(field, part), gg)]
     if cfg.method in (Method.DNWR, Method.NNWR):
         one = WrConfig(**{**cfg.__dict__, "max_iters": 1, "tol": 1e-11})
         hist = run_method(one, prob, part, grids, guesses=guesses)
@@ -304,7 +305,7 @@ def test_wave_fixed_point_with_per_subdomain_speeds(cfg):
     xgrid = SpaceGrid1D.with_spacing(0.0, 6.0, grids.dx)
     field = solve_monodomain(prob, xgrid, grids.tgrids[0], partition=part)
     gg = guess_grids(part, grids, cfg)
-    guesses = list(traces_from_field(field, part, gg))
+    guesses = [project_trace(tr, build_plan(field.tgrid, g)) for tr, g in zip(traces_from_field(field, part), gg)]
     hist = run_method(
         WrConfig(**{**cfg.__dict__, "max_iters": 1, "tol": 1e-11}),
         prob,

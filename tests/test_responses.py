@@ -119,6 +119,24 @@ def _march(space, left, right, homogeneous=False):
     ), homogeneous)
 
 
+def _solve(*solves):
+    """The traces of each of ``solves``, ``(space, left, right, outputs[, homogeneous])``, as a run solves them.
+
+    A solve applies its key's response, so keys not built yet are built
+    first the way a run builds them: one ``_build_all`` whose recording
+    sweep is these solves.
+    """
+
+    def sweep(_):
+        return [space.solve(*args) for space, *args in solves]
+
+    try:
+        return sweep(None)
+    except KeyError:
+        workspace._build_all(dict(enumerate(dict.fromkeys(space for space, *_ in solves))), sweep, None)
+    return sweep(None)
+
+
 def _outputs(space, left, right):
     """Every output a sweep could read: u at both ends and inside, flux and Robin where allowed.
 
@@ -136,7 +154,7 @@ def _outputs(space, left, right):
 def _assert_matches_march(space, left, right, homogeneous=False, outputs=None):
     """Compare each output with the same quantity read off the marched field, rows 0 and M too."""
     outputs = _outputs(space, left, right) if outputs is None else outputs
-    got = space.solve(left, right, outputs, homogeneous)
+    (got,) = _solve((space, left, right, outputs, homogeneous))
     field = _march(space, left, right, homogeneous)
     source = None if homogeneous else space.problem.source
     assert len(got) == len(outputs)
@@ -183,7 +201,7 @@ def test_response_solve_matches_the_march(model, s, left, right, homogeneous):
     lbc = None if left is None else _trace(space, left, 1)
     rbc = None if right is None else _trace(space, right, 2)
     _assert_matches_march(space, lbc, rbc, homogeneous)
-    # A second solve with other data reuses the cached responses.
+    # A second solve with other data reuses the built responses.
     lbc = None if left is None else _trace(space, left, 3)
     rbc = None if right is None else _trace(space, right, 4)
     _assert_matches_march(space, lbc, rbc, homogeneous)
@@ -232,13 +250,13 @@ def test_reading_a_column_not_kept_raises():
     space = _spaces("heat")[2]
     left, right = _trace(space, D, 1), _trace(space, N, 2)
     with pytest.raises(IncompatibleGrids, match="not a node"):
-        space.solve(left, right, [Output(D, 1.05)])  # between two nodes
+        _solve((space, left, right, [Output(D, 1.05)]))  # between two nodes
     with pytest.raises(IncompatibleGrids, match="not a node"):
-        space.solve(left, right, [Output(D, 2.5)])  # outside the subdomain
+        _solve((space, left, right, [Output(D, 2.5)]))  # outside the subdomain
     with pytest.raises(WrongBoundaryKind):
-        space.solve(left, right, [Output(N, "right")])  # the flux there is the input
+        _solve((space, left, right, [Output(N, "right")]))  # the flux there is the input
     with pytest.raises(WrongBoundaryKind):
-        space.solve(left, right, [Output(R, "right", 1.5)])
+        _solve((space, left, right, [Output(R, "right", 1.5)]))
     assert not space._responses
 
 
@@ -300,9 +318,25 @@ def test_clipped_and_uniform_grids_build_once(monkeypatch, model, kernel):
         assert space.tgrid.uniform is (dt is None)
         for seed in (1, 2, 3):
             left, right = _trace(space, D, seed), _trace(space, N, seed + 1)
-            traces = space.solve(left, right, _outputs(space, left, right))
+            (traces,) = _solve((space, left, right, _outputs(space, left, right)))
             assert all(isinstance(trace, InterfaceTrace) for trace in traces)
         assert len(calls) == 1  # one batched march: the particular part and one impulse per side
+
+
+@pytest.mark.parametrize("model, kernel", [
+    ("heat", "_heat_march"),
+    ("wave", "_wave_march"),
+    ("strip", "_wave_march"),
+])
+def test_a_key_not_built_is_a_key_error_that_builds_nothing(monkeypatch, model, kernel):
+    calls = []
+    real = getattr(workspace, kernel)
+    monkeypatch.setattr(workspace, kernel, lambda *a, **k: calls.append(1) or real(*a, **k))
+    space = _spaces(model)[2]
+    left, right = _trace(space, D, 1), _trace(space, N, 2)
+    with pytest.raises(KeyError):
+        space.solve(left, right, _outputs(space, left, right))
+    assert calls == [] and space._responses == {}
 
 
 @pytest.mark.parametrize("model, name", [
@@ -318,11 +352,11 @@ def test_fluxes_are_extracted_at_build_time_only(monkeypatch, model, name):
         space = _spaces(model, dt=dt)[2]
         left, right = _trace(space, D, 1), _trace(space, N, 2)
         outputs = _outputs(space, left, right)
-        space.solve(left, right, outputs)
+        _solve((space, left, right, outputs))
         built = len(calls)
         assert built > 0
         for seed in (3, 5):
-            space.solve(_trace(space, D, seed), _trace(space, N, seed + 1), outputs)
+            _solve((space, _trace(space, D, seed), _trace(space, N, seed + 1), outputs))
         assert len(calls) == built
 
 
@@ -350,16 +384,25 @@ def test_equal_subdomains_share_the_impulse_part(monkeypatch, model, boundaries)
     monkeypatch.setattr(type(spaces[1]), "_march_all", staticmethod(counted))
     for homogeneous in (False, True):
         batches.clear()
+        solves = []
         for s, seed in ((2, 1), (3, 3)):  # equal widths, the same side kinds and outputs
             space = spaces[s]
-            _assert_matches_march(space, _trace(space, D, seed), _trace(space, N, seed + 1), homogeneous)
+            left, right = _trace(space, D, seed), _trace(space, N, seed + 1)
+            solves.append((space, left, right, _outputs(space, left, right), homogeneous))
+        _solve(*solves)  # one build, as a run's
+        for space, left, right, _, _ in solves:
+            _assert_matches_march(space, left, right, homogeneous)
         # subdomain 3 marches its particular part alone, unbatched, or nothing if homogeneous
         assert batches == ([2] if homogeneous else [3, None])
     batches.clear()
+    solves = []
     for s in (2, 4):  # the same side kinds and outputs, but 4 is wider: its own build
         space = spaces[s]
         outputs = [Output(N, "left"), Output(D, space.xgrid.x_left)]
-        _assert_matches_march(space, _trace(space, D, 5), _trace(space, N, 6), outputs=outputs)
+        solves.append((space, _trace(space, D, 5), _trace(space, N, 6), outputs))
+    _solve(*solves)
+    for space, left, right, outputs in solves:
+        _assert_matches_march(space, left, right, outputs=outputs)
     assert batches == [3, 3]
 
 
@@ -403,7 +446,7 @@ def test_each_entry_of_a_build_march_is_the_single_march(monkeypatch, model, dt,
     monkeypatch.setattr(type(space), "_march_all", staticmethod(batched))
     lbc = None if left is None else _trace(space, left, 1)
     rbc = None if right is None else _trace(space, right, 2)
-    space.solve(lbc, rbc, _outputs(space, lbc, rbc), homogeneous)
+    _solve((space, lbc, rbc, _outputs(space, lbc, rbc), homogeneous))
     ((left_bc, right_bc, g_left, g_right, particular, values),) = marches
     sides = sum(bc is not None for bc in (lbc, rbc))
     assert particular is not homogeneous
