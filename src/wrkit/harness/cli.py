@@ -158,8 +158,8 @@ def main(argv=None) -> int:
         if args.command == "bound":
             return _cmd_bound(args.kind, _parse_params(args.params))
 
-        specs = [load_config(_read_config(path)) for path in args.configs]
-        table = compare_methods(specs, out_dir=args.out)
+        specs = [with_out_dir(load_config(_read_config(path)), args.out) for path in args.configs]
+        table = compare_methods(specs)
         print("label            method          iterations  final_err")
         for row in table.rows:
             iters = "-" if row.iterations is None else str(row.iterations)

@@ -180,6 +180,13 @@ def _file_name(value: str, key: str) -> str:
     return value
 
 
+def _dir_name(value: str, key: str) -> str:
+    """A directory path the operating system can take: one without a NUL byte."""
+    if "\0" in value:
+        raise ValidationError(f"key {key!r} must not hold a NUL byte, got {value!r}")
+    return value
+
+
 def _choice(options):
     """Parser for one of ``options``: a tuple of names, or an Enum by value."""
     members = tuple(options)
@@ -241,7 +248,7 @@ _KEYS = {
     "robin_p": _Key(_number, methods=(Method.SWR_ROBIN,), required=True),
     "guess": _Key(_guess),
     "label": _Key(_file_name),
-    "out": _Key(_text),
+    "out": _Key(_dir_name),
 }
 
 _CONFIG_KEYS = tuple(f.name for f in fields(WrConfig))
@@ -330,13 +337,13 @@ def load_config(text: str) -> ExperimentSpec:
     the schema, and :class:`ValidationError` for anything semantically
     wrong: non-finite numbers, missing required keys, keys that do not
     apply to the model or method, a label that is not a plain file name,
-    bad preset names, theta out of (0, 1], partitions off the lattice,
-    subdomains narrower than 2 cells, a dt whose time grid on T cannot
-    be built (too many steps for numpy), explicit wave steps above the
-    CFL limit, wave speeds whose square is not a normal float,
-    per-subdomain steps off the 1D wave model, Robin Schwarz on a wave
-    model, or Schwarz runs across wave speed jumps or with an overlap
-    past a neighboring subdomain.
+    an ``out`` holding a NUL byte, bad preset names, theta out of (0, 1],
+    partitions off the lattice, subdomains narrower than 2 cells, a dt
+    whose time grid on T cannot be built (too many steps for numpy),
+    explicit wave steps above the CFL limit, wave speeds whose square is
+    not a normal float, per-subdomain steps off the 1D wave model, Robin
+    Schwarz on a wave model, or Schwarz runs across wave speed jumps or
+    with an overlap past a neighboring subdomain.
     """
     values = {key: _KEYS[key].parse(raw, key) for key, raw in _parse_lines(text).items()}
     if "model" not in values:
@@ -369,5 +376,8 @@ def load_config(text: str) -> ExperimentSpec:
 
 
 def with_out_dir(spec: ExperimentSpec, out: str | None) -> ExperimentSpec:
-    """The same spec writing into ``out`` (no-op when ``out`` is None)."""
-    return spec if out is None else replace(spec, out=out)
+    """The same spec writing into ``out`` (no-op when ``out`` is None).
+
+    Raises :class:`ValidationError` when ``out`` holds a NUL byte.
+    """
+    return spec if out is None else replace(spec, out=_dir_name(out, "out"))

@@ -44,10 +44,8 @@ an equal subdomain's particular part and the monodomain reference are
 blocks of one. A batch therefore costs what the same number of rows
 costs unbatched: in ``tools/bench.py`` on a 2-vCPU Xeon, a step on 201
 nodes takes 4.0-5.2 us without a batch and 9.8-11.1 us with three
-entries (13.8-21.7 us when each entry was solved from its own strided
-copy), and the nine-subdomain heat chain of the benchmark (17 entries
-of 51 nodes) steps in 13.5-14.4 us, against 40-62 us for its nine
-marches one by one.
+entries, and the nine-subdomain heat chain of the benchmark (17 entries
+of 51 nodes) steps in 13.5-14.4 us.
 
 Flux extraction recovers u_x at a boundary from the one-sided difference
 plus a half-cell correction that replaces the second space derivative

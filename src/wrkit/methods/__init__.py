@@ -3,21 +3,12 @@
 from .config import IterationHistory, Method, WrConfig, relax_update
 from .dnwr import dnwr_run
 from .nnwr import nnwr_run
-from .schedule import (
-    Arrangement,
-    Role,
-    Schedule,
-    StageTask,
-    arrangement_schedule,
-    producer_map,
-)
+from .schedule import Arrangement, StageTask, arrangement_schedule, producer_map
 from .swr import swr_run
 from .workspace import RunGrids, guess_grids, make_run_grids, traces_from_field
 
 __all__ = [
     "Arrangement",
-    "Role",
-    "Schedule",
     "StageTask",
     "arrangement_schedule",
     "producer_map",

@@ -51,6 +51,10 @@ class WrConfig:
     robin_p: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.method, Method):
+            raise ValidationError(f"method must be a Method, got {self.method!r}")
+        if not isinstance(self.arrangement, Arrangement):
+            raise ValidationError(f"arrangement must be an Arrangement, got {self.arrangement!r}")
         if self.theta is not None and not 0.0 < self.theta <= 1.0:
             raise ValidationError(f"theta must lie in (0, 1], got {self.theta!r}")
         if self.max_iters < 1:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from ..grids import Partition1D, TraceKind
 from .config import Method, WrConfig, relax_update
-from .schedule import Role, arrangement_schedule, producer_map
-from .workspace import Output, RunGrids, _drive, exchange_scale
+from .schedule import arrangement_schedule, producer_map
+from .workspace import Output, RunGrids, _drive, _solve_all, exchange_scale
 
 __all__ = ["dnwr_run"]
 
@@ -20,13 +20,14 @@ def dnwr_run(
 ):
     """Iterate the Dirichlet-Neumann sweep until convergence or max_iters.
 
-    Each iteration walks the configured arrangement's schedule: a task
-    with a Dirichlet role at an interface consumes the trace from the
-    previous iteration, while a Neumann role consumes the flux that the
-    neighbor solved earlier in the same iteration returned. After the
-    sweep, the trace at each interface is refreshed from the Dirichlet
-    trace that the subdomain which solved with a Neumann condition there
-    returned, relaxed against the old trace with weight theta.
+    Each iteration solves the subdomains in the stage order of the
+    configured arrangement: a subdomain with a Dirichlet side at an
+    interface takes the trace from the previous iteration, while one with
+    a Neumann side takes the flux that the neighbor solved earlier in the
+    same iteration returned. After the sweep, the trace at each interface
+    is refreshed from the Dirichlet trace that the subdomain which solved
+    with a Neumann condition there returned, relaxed against the old
+    trace with weight theta.
 
     ``init_guesses`` supplies one Dirichlet trace per interface on the
     grids of :func:`~wrkit.methods.guess_grids`; ``reference`` selects
@@ -37,8 +38,9 @@ def dnwr_run(
     n = partition.n_subdomains
 
     def start(spaces, ygrid, cache, trace_grids, guesses):
-        schedule = arrangement_schedule(n, config.arrangement)
-        producer = producer_map(schedule)
+        stages = arrangement_schedule(n, config.arrangement)
+        producer = producer_map(stages)
+        ordered = {s: spaces[s] for stage in stages for s, _, _ in stage}
         theta = config.theta_resolved
 
         # What each subdomain's solve returns, by interface: the producer's
@@ -52,35 +54,18 @@ def dnwr_run(
             reads[other][i] = Output(TraceKind.NEUMANN, side)
 
         def sweep(g):
-            read: dict[int, dict] = {}
-
-            def boundary(task, side):
-                s = task.subdomain
+            def inner(s, i, traces):
                 space = spaces[s]
-                if side == "left":
-                    if s == 1:
-                        return None
-                    iface, neighbor, role = s - 1, s - 1, task.left
-                else:
-                    if s == n:
-                        return None
-                    iface, neighbor, role = s, s + 1, task.right
-                if role is Role.DIRICHLET:
-                    return cache.project(g[iface - 1], space.tgrid)
-                raw = read[neighbor][iface]
+                if producer[i] != s:
+                    return cache.project(g[i - 1], space.tgrid)
+                neighbor = i if s == i + 1 else i + 1
+                raw = traces[neighbor][i]
                 scale = exchange_scale(spaces[neighbor], space)
                 if scale != 1.0:
                     raw = raw.with_samples(raw.samples * scale)
                 return cache.project(raw, space.tgrid)
 
-            for stage in schedule.stages:
-                for task in stage:
-                    s = task.subdomain
-                    traces = spaces[s].solve(
-                        boundary(task, "left"), boundary(task, "right"), reads[s].values()
-                    )
-                    read[s] = dict(zip(reads[s], traces))
-
+            read = _solve_all(ordered, inner, reads)
             new_g = [relax_update(theta, read[producer[i]][i], g[i - 1]) for i in range(1, n)]
             return new_g, new_g
 

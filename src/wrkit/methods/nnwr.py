@@ -59,7 +59,9 @@ def nnwr_run(
                 traces[s]["right"] = Output(TraceKind.DIRICHLET, x[s])
 
         def sweep(g):
-            flux = _solve_all(spaces, lambda s, i: cache.project(g[i - 1], spaces[s].tgrid), fluxes)
+            flux = _solve_all(
+                spaces, lambda s, i, _: cache.project(g[i - 1], spaces[s].tgrid), fluxes
+            )
 
             jumps = []
             for i in range(1, n):
@@ -77,7 +79,7 @@ def nnwr_run(
 
             psi = _solve_all(
                 spaces,
-                lambda s, i: neumann(jumps[i - 1], flip=i < s, space=spaces[s]),
+                lambda s, i, _: neumann(jumps[i - 1], flip=i < s, space=spaces[s]),
                 traces,
                 homogeneous=True,
             )

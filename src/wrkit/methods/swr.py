@@ -124,7 +124,7 @@ def swr_run(
         ]
 
         def sweep(pairs):
-            read = _solve_all(spaces, lambda s, i: pairs[i - 1][1 if i < s else 0], reads)
+            read = _solve_all(spaces, lambda s, i, _: pairs[i - 1][1 if i < s else 0], reads)
             pairs = [
                 (
                     cache.project(read[i + 1]["for_left"], spaces[i].tgrid),

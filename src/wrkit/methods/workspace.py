@@ -866,19 +866,20 @@ def _adapter(problem) -> type[_Workspace]:
 
 
 def _solve_all(spaces: dict[int, _Workspace], inner, reads: dict, homogeneous: bool = False) -> dict:
-    """Solve every subdomain once, independently of the others.
+    """Solve every subdomain once, in the order of ``spaces``.
 
-    ``inner(s, i)`` is the data subdomain ``s`` takes at interface ``i``;
-    the two ends of the chain take the physical data (zero data in a
-    homogeneous solve). ``reads[s]`` maps names to the outputs
-    (:class:`Output`) of subdomain ``s``; the result maps each ``s`` to
-    the same names, with their traces.
+    ``inner(s, i, traces)`` is the data subdomain ``s`` takes at interface
+    ``i``; ``traces`` holds what the subdomains solved so far returned,
+    so a later solve may take data from an earlier one. The two ends of
+    the chain take the physical data (zero data in a homogeneous solve).
+    ``reads[s]`` maps names to the outputs (:class:`Output`) of subdomain
+    ``s``; the result maps each ``s`` to the same names, with their traces.
     """
     n = len(spaces)
     traces = {}
     for s, space in spaces.items():
-        left = None if s == 1 else inner(s, s - 1)
-        right = None if s == n else inner(s, s)
+        left = None if s == 1 else inner(s, s - 1, traces)
+        right = None if s == n else inner(s, s, traces)
         names = reads[s]
         traces[s] = dict(zip(names, space.solve(left, right, names.values(), homogeneous)))
     return traces
@@ -902,8 +903,7 @@ def exchange_scale(producer: _Workspace, consumer: _Workspace) -> float:
     leave 0.98 of a white-noise error with one shared step of 0.04, and
     0.64 on the ``fig_wave_nonmatching`` grids.
     """
-    cp, cc = producer.impedance, consumer.impedance
-    return 1.0 if cp == cc else cp / cc
+    return producer.impedance / consumer.impedance
 
 
 def build_workspaces(

@@ -644,6 +644,9 @@ def test_cli_error_paths(tmp_path, capsys):
     labels = {"escape": "../esc/escaped", "nested": "a/b", "nul": "a\0b"}
     for name, label in labels.items():
         (tmp_path / f"{name}.cfg").write_text(MINIMAL_HEAT + f"label = {label}\n")
+    # An out directory holding a NUL byte, from the config or from the caller of main.
+    nul_out = str(tmp_path / "made\0here")
+    (tmp_path / "zero.cfg").write_text(MINIMAL_HEAT + f"out = {nul_out}\n")
     out = str(tmp_path / "out")
     for argv in (
         ["run", "--config", str(endless)],
@@ -657,6 +660,9 @@ def test_cli_error_paths(tmp_path, capsys):
         ["run", "--config", str(tiny), "--out", str(tmp_path / "tiny")],
         *(["run", "--config", str(tmp_path / f"{name}.cfg"), "--out", out] for name in labels),
         ["compare", "--configs", str(good), str(tmp_path / "escape.cfg"), "--out", out],
+        ["run", "--config", str(tmp_path / "zero.cfg")],
+        ["run", "--config", str(good), "--out", nul_out],
+        ["compare", "--configs", str(good), str(good), "--out", nul_out],
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning would print a second line
@@ -674,7 +680,10 @@ def test_cli_error_paths(tmp_path, capsys):
             assert "dt = 1e-300" in err[0] and "T = 0.2" in err[0]
         if out in argv:
             assert "plain file name" in err[0]
+        if nul_out in argv or "zero.cfg" in argv[2]:
+            assert "'out'" in err[0] and "NUL" in err[0]
     assert not (tmp_path / "esc").exists() and not (tmp_path / "out").exists()
+    assert not any(p.name.startswith("made") for p in tmp_path.iterdir())
 
     for kind, params in (
         ("heat-equal", ["count=5", "h=1", "T=2"]),  # nu missing

@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python3 tools/preset_diff.py run DIR
     python3 tools/preset_diff.py compare OLD NEW
+    python3 tools/preset_diff.py against REV
 
 ``run`` executes all presets with whichever ``wrkit`` is importable and
 writes each preset's ``<label>.csv`` and ``<label>_manifest.txt`` into
@@ -20,14 +21,23 @@ its preset.
 It exits 1 when a file is missing from one side, a manifest differs,
 or two CSVs disagree in header or row count; value differences alone
 exit 0, since judging them is the reader's job.
+``against`` extracts ``git archive REV`` of this repository into a
+temporary directory, does ``run`` once with that tree's ``src`` and once
+with this tree's, each in its own interpreter, and then ``compare``s
+the two, exiting as ``compare`` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
+import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 
@@ -145,6 +155,23 @@ def _compare(old_dir: str, new_dir: str) -> int:
     return 1 if failed else 0
 
 
+def _against(rev: str) -> int:
+    root = Path(__file__).resolve().parent.parent
+    archive = subprocess.run(["git", "-C", str(root), "archive", rev], capture_output=True)
+    if archive.returncode:
+        print(archive.stderr.decode(errors="replace").strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        tree, old, new = (Path(tmp, name) for name in ("tree", "old", "new"))
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tree, filter="data")
+        for src, out in ((tree / "src", old), (root / "src", new)):
+            env = {**os.environ, "PYTHONPATH": str(src)}
+            command = [sys.executable, __file__, "run", str(out)]
+            subprocess.run(command, env=env, check=True, stdout=subprocess.DEVNULL)
+        return _compare(str(old), str(new))
+
+
 def main(argv=None) -> int:
     top = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -153,9 +180,13 @@ def main(argv=None) -> int:
     cmp = sub.add_parser("compare", help="compare two directories written by run")
     cmp.add_argument("old")
     cmp.add_argument("new")
+    against = sub.add_parser("against", help="compare a git revision's presets with this tree's")
+    against.add_argument("rev")
     args = top.parse_args(argv)
     if args.command == "run":
         return _run(args.dir)
+    if args.command == "against":
+        return _against(args.rev)
     return _compare(args.old, args.new)
 
 
