@@ -269,6 +269,10 @@ def _check_keys(values: dict, model: str, method: Method) -> None:
             raise ValidationError(f"key {key!r} only applies to {' and '.join(scope)} runs")
 
 
+# What numpy and round raise for a grid with too many nodes to build.
+_TOO_BIG = (ValueError, OverflowError, MemoryError)
+
+
 def _check_lattice(spec: ExperimentSpec) -> None:
     """The run's own span check and space grids, so no spec fails them mid-run."""
     a, b = spec.interval
@@ -286,6 +290,12 @@ def _check_lattice(spec: ExperimentSpec) -> None:
         ]
     except WrkitError as exc:
         raise ValidationError(str(exc)) from None
+    except _TOO_BIG as exc:
+        raise ValidationError(
+            f"dx = {spec.dx!r} on ({a!r}, {b!r}): the space grid cannot be built ({exc})"
+        ) from None
+    if spec.dx * spec.dx < sys.float_info.min:  # the kernels divide by dx^2
+        raise ValidationError(f"dx = {spec.dx!r}: its square is not a normal float")
     for i, n in enumerate(cells, start=1):
         if n < 2:
             raise ValidationError(f"subdomain {i} is narrower than 2 cells of dx={spec.dx!r}")
@@ -304,7 +314,7 @@ def _time_grids(spec: ExperimentSpec) -> list[TimeGrid]:
         if dt not in grids:
             try:
                 grids[dt] = make_time_grid_clipped(spec.T, dt)
-            except (ValueError, OverflowError, MemoryError) as exc:  # too many steps for numpy
+            except _TOO_BIG as exc:
                 raise ValidationError(f"dt = {dt!r} on T = {spec.T!r}: the time grid cannot be built ({exc})") from None
     return [grids[dt] for dt in spec.dt_list()]
 
@@ -317,7 +327,17 @@ def _check_cfl(spec: ExperimentSpec, tgrids: list[TimeGrid]) -> None:
         raise ValidationError(
             f"need one wave speed per subdomain ({spec.n_subdomains}), got {len(speeds)}"
         )
-    dy = snap_ygrid(spec.y_interval, spec.dy).dx if spec.model == "wave2d" else None
+    dy = None
+    if spec.model == "wave2d":
+        try:
+            dy = snap_ygrid(spec.y_interval, spec.dy).dx
+        except _TOO_BIG as exc:
+            y0, y1 = spec.y_interval
+            raise ValidationError(
+                f"dy = {spec.dy!r} on ({y0!r}, {y1!r}): the y grid cannot be built ({exc})"
+            ) from None
+        if dy * dy < sys.float_info.min:  # the strip kernel divides by dy^2
+            raise ValidationError(f"dy = {spec.dy!r}: its square is not a normal float")
     for i, (c, tgrid) in enumerate(zip(speeds, tgrids), start=1):
         if not sys.float_info.min <= c * c <= sys.float_info.max:  # the kernels divide by c^2
             raise ValidationError(f"wave speed {c!r} of subdomain {i}: its square is not a normal float")
@@ -338,8 +358,9 @@ def load_config(text: str) -> ExperimentSpec:
     wrong: non-finite numbers, missing required keys, keys that do not
     apply to the model or method, a label that is not a plain file name,
     an ``out`` holding a NUL byte, bad preset names, theta out of (0, 1],
-    partitions off the lattice, subdomains narrower than 2 cells, a dt
-    whose time grid on T cannot be built (too many steps for numpy),
+    partitions off the lattice, subdomains narrower than 2 cells, a dx,
+    dy or dt whose grid cannot be built (too many nodes for numpy), a dx
+    or dy whose square is not a normal float,
     explicit wave steps above the CFL limit, wave speeds whose square is
     not a normal float, per-subdomain steps off the 1D wave model, Robin
     Schwarz on a wave model, or Schwarz runs across wave speed jumps or

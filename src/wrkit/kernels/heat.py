@@ -69,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from ..errors import SingularSystem
+from ..errors import NonFiniteTrace, SingularSystem
 from ..grids import UNIFORM_RTOL, InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind
 from .common import check_bc, half_cell_flux
 from .problems import SpaceTimeField
@@ -163,13 +163,16 @@ class _Part:
         return 0.5 * (-term if negate else term)
 
 
+@np.errstate(all="ignore")
 def _march(tgrid: TimeGrid, blocks: list[_Block]) -> list[np.ndarray]:
     """March every block across the window as one system: ``(M+1, nx+1)`` or ``(M+1, nx+1, batch)`` each.
 
     Each entry of each block is one diagonal block of the system, in
     block order, with a zero coupling to the next; every step is one
     ``dpttrs`` call on the factor of its step size. The fields are views
-    of one array. Raises ``ValueError`` if they are not finite.
+    of one array. Raises :class:`~wrkit.errors.NonFiniteTrace` (a
+    ``ValueError``) if they are not finite; that error, not numpy's
+    overflow warnings, reports a march that overflowed.
     """
     parts = [_Part(block) for block in blocks]
     times = tgrid.times
@@ -229,7 +232,7 @@ def _march(tgrid: TimeGrid, blocks: list[_Block]) -> list[np.ndarray]:
             field[1:, -1] = p.block.g_right[1:]
         fields.append(field)
     if not np.isfinite(u).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise NonFiniteTrace("heat march: array must not contain infs or NaNs")
     return fields
 
 

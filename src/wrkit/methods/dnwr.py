@@ -1,24 +1,17 @@
-"""The Dirichlet-Neumann waveform-relaxation driver."""
+"""The Dirichlet-Neumann waveform-relaxation sweep."""
 
 from __future__ import annotations
 
 from ..grids import Partition1D, TraceKind
-from .config import Method, WrConfig, relax_update
+from .config import WrConfig, relax_update
 from .schedule import arrangement_schedule, producer_map
-from .workspace import Output, RunGrids, _drive, _solve_all, exchange_scale
+from .workspace import Output, RunGrids, _solve_all, exchange_scale
 
-__all__ = ["dnwr_run"]
+__all__ = ["plan"]
 
 
-def dnwr_run(
-    problem,
-    partition: Partition1D,
-    grids: RunGrids,
-    config: WrConfig,
-    init_guesses,
-    reference="auto",
-):
-    """Iterate the Dirichlet-Neumann sweep until convergence or max_iters.
+def plan(problem, partition: Partition1D, grids: RunGrids, config: WrConfig):
+    """``(start, None)`` of the Dirichlet-Neumann sweep, on the partition's own subdomains.
 
     Each iteration solves the subdomains in the stage order of the
     configured arrangement: a subdomain with a Dirichlet side at an
@@ -28,12 +21,6 @@ def dnwr_run(
     is refreshed from the Dirichlet trace that the subdomain which solved
     with a Neumann condition there returned, relaxed against the old
     trace with weight theta.
-
-    ``init_guesses`` supplies one Dirichlet trace per interface on the
-    grids of :func:`~wrkit.methods.guess_grids`; ``reference`` selects
-    the error metric ("auto", "zero", explicit traces, or None; see
-    :func:`~wrkit.methods.workspace.resolve_reference`). At least one
-    iteration is always performed. Returns the iteration history.
     """
     n = partition.n_subdomains
 
@@ -71,6 +58,4 @@ def dnwr_run(
 
         return guesses, sweep, trace_grids, guesses
 
-    return _drive(
-        problem, partition, grids, config, init_guesses, reference, (Method.DNWR,), start
-    )
+    return start, None

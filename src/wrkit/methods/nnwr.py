@@ -1,23 +1,16 @@
-"""The Neumann-Neumann waveform-relaxation driver."""
+"""The Neumann-Neumann waveform-relaxation sweep."""
 
 from __future__ import annotations
 
 from ..grids import InterfaceTrace, Partition1D, TraceKind
-from .config import Method, WrConfig
-from .workspace import Output, RunGrids, _drive, _solve_all
+from .config import WrConfig
+from .workspace import Output, RunGrids, _solve_all
 
-__all__ = ["nnwr_run"]
+__all__ = ["plan"]
 
 
-def nnwr_run(
-    problem,
-    partition: Partition1D,
-    grids: RunGrids,
-    config: WrConfig,
-    init_guesses,
-    reference="auto",
-):
-    """Iterate the Neumann-Neumann two-stage correction.
+def plan(problem, partition: Partition1D, grids: RunGrids, config: WrConfig):
+    """``(start, None)`` of the Neumann-Neumann correction, on the partition's own subdomains.
 
     Stage one solves every subdomain with Dirichlet data from the current
     interface traces (all solves independent). The mismatch left over is
@@ -31,9 +24,6 @@ def nnwr_run(
     outward). The traces are then corrected by theta times the sum of
     the two correction histories meeting at each interface; theta
     defaults to 1/4, which makes the two-subdomain iteration exact.
-
-    Arguments and the returned history are as in
-    :func:`~wrkit.methods.dnwr_run`.
     """
 
     def start(spaces, ygrid, cache, trace_grids, guesses):
@@ -94,6 +84,4 @@ def nnwr_run(
 
         return guesses, sweep, trace_grids, guesses
 
-    return _drive(
-        problem, partition, grids, config, init_guesses, reference, (Method.NNWR,), start
-    )
+    return start, None

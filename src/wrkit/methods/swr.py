@@ -1,13 +1,13 @@
-"""Schwarz waveform relaxation, overlapping and Robin: one driver over transmission pairs."""
+"""Schwarz waveform relaxation, overlapping and Robin: one sweep over transmission pairs."""
 
 from __future__ import annotations
 
 from ..errors import ValidationError
 from ..grids import InterfaceTrace, Partition1D, TraceKind
 from .config import Method, WrConfig
-from .workspace import Output, RunGrids, _adapter, _drive, _solve_all, force_compatible
+from .workspace import Output, RunGrids, _adapter, _solve_all, force_compatible
 
-__all__ = ["swr_run"]
+__all__ = ["plan"]
 
 
 def schwarz_shift(config: WrConfig, partition: Partition1D, dx: float, speeds) -> float:
@@ -15,7 +15,7 @@ def schwarz_shift(config: WrConfig, partition: Partition1D, dx: float, speeds) -
 
     Raises :class:`ValidationError` for Robin transmission on a wave
     model, for ``speeds`` (one per subdomain, None for heat) that differ
-    and for an overlap past a neighboring subdomain. ``swr_run`` and
+    and for an overlap past a neighboring subdomain. ``plan`` and
     ``load_config`` both apply it.
     """
     if config.method is Method.SWR_ROBIN and any(c is not None for c in speeds):
@@ -48,15 +48,8 @@ def _extended_bounds(partition: Partition1D, shift: float) -> dict[int, tuple[fl
     return bounds
 
 
-def swr_run(
-    problem,
-    partition: Partition1D,
-    grids: RunGrids,
-    config: WrConfig,
-    init_guesses,
-    reference="auto",
-):
-    """Iterate a Schwarz waveform relaxation (classical or Robin).
+def plan(problem, partition: Partition1D, grids: RunGrids, config: WrConfig):
+    """``(start, bounds)`` of a Schwarz waveform relaxation, classical or Robin.
 
     Every iteration solves all subdomains independently with transmission
     data taken from the neighbors' previous solves:
@@ -68,12 +61,11 @@ def swr_run(
       exchange the outward combination ``du/dn + p u`` at the interfaces;
       heat problems only (see :func:`schwarz_shift`).
 
-    ``init_guesses`` supplies one Dirichlet trace per interface (the
-    usual guess presets); it seeds the transmission data on both sides of
-    each interface. For Robin runs the guess values are used directly as
-    initial Robin data. The state a sweep maps to the next is the list of
-    transmission pairs, one per interface; the guesses also seed the
-    monitored history.
+    The Dirichlet guess at each interface (the usual guess presets) seeds
+    the transmission data on both sides of it. For Robin runs the guess
+    values are used directly as initial Robin data. The state a sweep
+    maps to the next is the list of transmission pairs, one per
+    interface; the guesses also seed the monitored history.
 
     The monitored interface trace is the left neighbor's solution history
     at the interface coordinate. There is no relaxation; theta is ignored.
@@ -136,15 +128,5 @@ def swr_run(
 
         return state, sweep, grids.tgrids[:-1], prev
 
-    return _drive(
-        problem,
-        partition,
-        grids,
-        config,
-        init_guesses,
-        reference,
-        (Method.SWR_CLASSICAL, Method.SWR_ROBIN),
-        start,
-        bounds=_extended_bounds(partition, shift),
-    )
+    return start, _extended_bounds(partition, shift)
 

@@ -1,6 +1,6 @@
 """Shared plumbing for the waveform-relaxation drivers.
 
-This module owns everything the three drivers have in common: the
+This module owns everything the three methods have in common: the
 per-run grid bundle, the lattice rules a run applies (partition span,
 snapped y grid), one solver adapter class per model (data sampling,
 physical boundary data, the traces a solve returns, impedance) with
@@ -1157,25 +1157,20 @@ def _setup(
     config: WrConfig,
     init_guesses,
     reference,
-    methods: tuple[Method, ...],
     start,
-    bounds: dict[int, tuple[float, float]] | None = None,
+    bounds: dict[int, tuple[float, float]] | None,
 ):
     """Everything :func:`_drive` does before its first sweep.
 
-    Checks the method, builds the workspaces (on ``bounds`` where given)
-    and normalizes the guesses. ``start(spaces, ygrid, cache, trace_grids,
-    guesses)`` then returns ``(state, sweep, monitor_grids, prev)``:
-    ``sweep(state)`` runs one iteration and returns ``(state,
-    monitored)``, the next state and the monitored traces (on
-    ``monitor_grids``, where the reference is resolved); it keeps nothing
-    between calls. ``prev`` is what the first update is measured
-    against. Returns ``(state, sweep, monitor)``, with the
-    :class:`_Monitor` that applies the stopping rule.
+    Builds the workspaces (on ``bounds`` where not None) and normalizes
+    the guesses. ``start(spaces, ygrid, cache, trace_grids, guesses)``
+    then returns ``(state, sweep, monitor_grids, prev)``: ``sweep(state)``
+    runs one iteration and returns ``(state, monitored)``, the next state
+    and the monitored traces (on ``monitor_grids``, where the reference
+    is resolved); it keeps nothing between calls. ``prev`` is what the
+    first update is measured against. Returns ``(state, sweep,
+    monitor)``, with the :class:`_Monitor` that applies the stopping rule.
     """
-    if config.method not in methods:
-        names = " or ".join(m.name for m in methods)
-        raise ValidationError(f"config.method must be {names}, got {config.method}")
     spaces, ygrid = build_workspaces(problem, partition, grids, bounds)
     trace_grids = guess_grids(partition, grids, config)
     guesses = normalize_guesses(problem, partition, init_guesses, trace_grids, ygrid)

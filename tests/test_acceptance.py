@@ -57,7 +57,7 @@ from wrkit.kernels import (
     solve_wave_strip_2d,
     solve_wave_subdomain,
 )
-from wrkit.methods import Method, WrConfig, dnwr_run, guess_grids, make_run_grids
+from wrkit.methods import Method, WrConfig, guess_grids, make_run_grids, wr_run
 from wrkit.methods.workspace import solve_monodomain
 from wrkit.projection import build_plan, project_trace
 
@@ -223,7 +223,7 @@ def test_check_05_glued_fields_match_monodomain():
     devs = {}
     for label, prob in (("heat", heat), ("wave", wave)):
         guesses = [t2_trace(g) for g in guess_grids(part, grids, cfg)]
-        hist = dnwr_run(prob, part, grids, cfg, guesses)
+        hist = wr_run(prob, part, grids, cfg, guesses)
         finals = hist.final_traces
         t = tgrid.times
         phys_l = InterfaceTrace(
@@ -284,7 +284,7 @@ def test_check_06_half_relaxation_is_optimal():
         for theta in thetas:
             cfg = WrConfig(method=Method.DNWR, theta=theta, tol=1e-8, max_iters=120)
             guesses = [t2_trace(g) for g in guess_grids(part, grids, cfg)]
-            hist = dnwr_run(prob, part, grids, cfg, guesses)
+            hist = wr_run(prob, part, grids, cfg, guesses)
             counts.append(hist.converged_at if hist.converged_at is not None else 999)
         results[label] = counts
 
@@ -489,7 +489,7 @@ def test_check_10_numerical_property_bundle():
 
     def run_once():
         guesses = [t2_trace(g) for g in guess_grids(part, grids, cfg)]
-        return dnwr_run(prob, part, grids, cfg, guesses)
+        return wr_run(prob, part, grids, cfg, guesses)
 
     first, second = run_once(), run_once()
     same = first.max_errors == second.max_errors and all(

@@ -37,7 +37,7 @@ from wrkit.harness import (
 )
 from wrkit.harness.cli import main
 from wrkit.harness.run import _execute
-from wrkit.methods import Arrangement, Method, WrConfig, dnwr_run, guess_grids, make_run_grids
+from wrkit.methods import Arrangement, Method, WrConfig, guess_grids, make_run_grids, wr_run
 
 from conftest import heat_problem
 
@@ -341,7 +341,7 @@ def test_interface_error_identical_traces():
     grids = make_run_grids(part, 0.05, 0.5, 0.02)
     cfg = WrConfig(method=Method.DNWR, tol=1e-12, max_iters=40)
     gg = guess_grids(part, grids, cfg)
-    hist = dnwr_run(
+    hist = wr_run(
         prob, part, grids, cfg, build_guesses("t2", gg, None)
     )
     report = interface_error(hist, hist.final_traces)
@@ -355,7 +355,7 @@ def test_interface_error_rejects_mismatched_shapes():
     grids = make_run_grids(part, 0.05, 0.5, 0.02)
     cfg = WrConfig(method=Method.DNWR, tol=1e-12, max_iters=2)
     gg = guess_grids(part, grids, cfg)
-    hist = dnwr_run(prob, part, grids, cfg, build_guesses("t2", gg, None))
+    hist = wr_run(prob, part, grids, cfg, build_guesses("t2", gg, None))
     with pytest.raises(IncompatibleGrids):
         interface_error(hist, [hist.final_traces[0], hist.final_traces[0]])
 
@@ -369,7 +369,7 @@ def test_interface_error_builds_one_plan_per_pair_of_grids(monkeypatch):
     grids = make_run_grids(part, spec.dx, spec.T, spec.dt)
     gg = guess_grids(part, grids, spec.config)
     guesses = build_guesses(spec.guess, gg, None)
-    hist = dnwr_run(build_problem(spec), part, grids, spec.config, guesses)
+    hist = wr_run(build_problem(spec), part, grids, spec.config, guesses)
     assert hist.iterations > 2
     calls = []
     real = workspace.build_plan
@@ -386,7 +386,7 @@ def test_update_drop_monitor_without_a_reference():
     grids = make_run_grids(part, spec.dx, spec.T, spec.dt)
     gg = guess_grids(part, grids, spec.config)
     cfg = replace(spec.config, max_iters=15, tol=1e-300)
-    hist = dnwr_run(
+    hist = wr_run(
         build_problem(spec), part, grids, cfg, build_guesses(spec.guess, gg, None), reference=None
     )
     assert hist.metric == "update_drop"
@@ -440,7 +440,7 @@ def test_driver_rejects_wrong_count_of_reference_traces():
     gg = guess_grids(part, grids, cfg)
     two = [zero_trace(gg[0]), zero_trace(gg[0])]  # one interface, two traces
     with pytest.raises(IncompatibleGrids):
-        dnwr_run(prob, part, grids, cfg, build_guesses("t2", gg, None), reference=two)
+        wr_run(prob, part, grids, cfg, build_guesses("t2", gg, None), reference=two)
 
 def test_driver_rejects_reference_of_other_dimensionality():
     prob = heat_problem()
@@ -450,7 +450,7 @@ def test_driver_rejects_reference_of_other_dimensionality():
     gg = guess_grids(part, grids, cfg)
     strip_like = [zero_trace(gg[0], ny=2)]  # (26, 3) samples for a 1D run
     with pytest.raises(IncompatibleGrids):
-        dnwr_run(prob, part, grids, cfg, build_guesses("t2", gg, None), reference=strip_like)
+        wr_run(prob, part, grids, cfg, build_guesses("t2", gg, None), reference=strip_like)
 
 
 COMPARE_BASE = """\
@@ -636,6 +636,36 @@ def test_cli_error_paths(tmp_path, capsys):
     tiny.write_text(
         "model = heat1d\ninterval = 0, 2\npartition = 0, 1, 2\nnu = 1\ndx = 0.1\ndt = 1e-300\nT = 0.2\n"
     )
+    # Spacings so small that round or numpy refuses the grid before
+    # allocating it, or whose square underflows to 0, and a diffusivity
+    # whose implicit step overflows in the reference solve: each config
+    # with what its error line names.
+    heat = "model = heat1d\nnu = 1\ndt = 0.02\nT = 0.2\n"
+    named = {
+        "dx_inf": (heat + "interval = 0, 2\npartition = 0, 1, 2\ndx = 1e-320\n", "dx = 1e-320"),
+        "dx_huge": (
+            heat + "interval = 0, 1\npartition = 0, 0.5, 1\ndx = 9.332636185032189e-302\n",
+            "dx = 9.332636185032189e-302",
+        ),
+        "dy_inf": (
+            "model = wave2d\ninterval = 0, 1\npartition = 0, 0.5, 1\nc = 1\ndx = 0.1\ndt = 0.01\nT = 0.1\n"
+            "dy = 1e-320\n",
+            "dy = 1e-320",
+        ),
+        "dx_sub": (heat + "interval = 0, 1e-299\npartition = 0, 5e-300, 1e-299\ndx = 1e-300\n", "dx = 1e-300"),
+        "dy_sub": (
+            "model = wave2d\ninterval = 0, 1\npartition = 0, 0.5, 1\nc = 1\ndx = 0.1\ndt = 1e-303\nT = 1e-302\n"
+            "y_interval = 0, 1e-300\ndy = 1e-301\n",
+            "dy = 1e-301",
+        ),
+        "hot": (
+            "model = heat1d\ninterval = 0, 2\npartition = 0, 1, 2\nnu = 1e308\ndx = 0.1\ndt = 0.02\nT = 0.2\n"
+            "initial = parabola\nleft = t2\nright = t2\n",
+            "infs or NaNs",
+        ),
+    }
+    for name, (text, _) in named.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
     good = tmp_path / "good.cfg"
     good.write_text(MINIMAL_HEAT)
     taken = tmp_path / "taken"
@@ -658,6 +688,7 @@ def test_cli_error_paths(tmp_path, capsys):
         ["run", "--config", str(fast), "--out", str(tmp_path / "fast")],
         ["run", "--config", str(slow), "--out", str(tmp_path / "slow")],
         ["run", "--config", str(tiny), "--out", str(tmp_path / "tiny")],
+        *(["run", "--config", str(tmp_path / f"{name}.cfg"), "--out", str(tmp_path / name)] for name in named),
         *(["run", "--config", str(tmp_path / f"{name}.cfg"), "--out", out] for name in labels),
         ["compare", "--configs", str(good), str(tmp_path / "escape.cfg"), "--out", out],
         ["run", "--config", str(tmp_path / "zero.cfg")],
@@ -678,6 +709,8 @@ def test_cli_error_paths(tmp_path, capsys):
             assert "wave speed" in err[0]
         if tiny in map(Path, argv):
             assert "dt = 1e-300" in err[0] and "T = 0.2" in err[0]
+        if Path(argv[2]).stem in named:
+            assert named[Path(argv[2]).stem][1] in err[0]
         if out in argv:
             assert "plain file name" in err[0]
         if nul_out in argv or "zero.cfg" in argv[2]:

@@ -8,7 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wrkit.errors import IncompatibleGrids, UnsupportedCount, ValidationError
+import wrkit.methods
+from wrkit.errors import IncompatibleGrids, NoReference, UnsupportedCount, ValidationError
 from wrkit.grids import (
     InterfaceTrace,
     SpaceGrid1D,
@@ -22,20 +23,17 @@ from wrkit.harness.run import _setup as preset_setup
 from wrkit.methods import (
     Arrangement,
     Method,
+    RunGrids,
     WrConfig,
     arrangement_schedule,
-    dnwr_run,
     guess_grids,
     make_run_grids,
-    nnwr_run,
     producer_map,
     relax_update,
-    swr_run,
     traces_from_field,
+    wr_run,
 )
 from wrkit.methods import dnwr as dnwr_mod
-from wrkit.methods import nnwr as nnwr_mod
-from wrkit.methods import swr as swr_mod
 from wrkit.methods import workspace
 from wrkit.methods.workspace import _setup, resolve_reference, solve_monodomain
 from wrkit.projection import build_plan, project_trace
@@ -44,6 +42,7 @@ from conftest import (
     dirichlet_trace,
     heat_problem,
     pack,
+    strip_problem,
     t_squared_guesses,
     trace_distance,
     uneven_partition,
@@ -211,21 +210,14 @@ def heat_setup(n_subs=3, dt=0.02, T=2.0):
 
 
 def run_method(cfg, prob, part, grids, guesses=None, **kwargs):
-    runner = {
-        Method.DNWR: dnwr_run,
-        Method.NNWR: nnwr_run,
-        Method.SWR_CLASSICAL: swr_run,
-        Method.SWR_ROBIN: swr_run,
-    }[cfg.method]
     if guesses is None:
         guesses = [zero_trace(g) for g in guess_grids(part, grids, cfg)]
-    return runner(prob, part, grids, cfg, guesses, **kwargs)
+    return wr_run(prob, part, grids, cfg, guesses, **kwargs)
 
 
 def start_method(monkeypatch, cfg, prob, part, grids, guesses=None):
     """The method's first state and its sweep, from the set-up its driver runs."""
-    module = {Method.DNWR: dnwr_mod, Method.NNWR: nnwr_mod}.get(cfg.method, swr_mod)
-    monkeypatch.setattr(module, "_drive", _setup)
+    monkeypatch.setattr(wrkit.methods, "_drive", _setup)
     state, sweep, _ = run_method(cfg, prob, part, grids, guesses, reference=None)
     return state, sweep
 
@@ -563,3 +555,44 @@ def test_sweep_is_an_affine_function_of_its_state(source, cfg, monkeypatch):
     assert np.max(np.abs((s2 - s0) - 2.0 * (s1 - s0))) <= 1e-12 * np.max(np.abs(s2 - s0))
     assert np.array_equal(S(v), s1)
     assert np.array_equal(pack(v), before)
+
+
+_PAIR = make_partition((0.0, 2.5, 5.0))
+_TG = make_time_grid(1.0, 0.1)
+_STRIP = make_partition((0.0, 0.5, 1.0))
+
+WORKSPACE_ERRORS = {
+    "dt_count": (ValidationError, lambda: make_run_grids(_PAIR, 0.05, 1.0, [0.1, 0.1, 0.1])),
+    "span": (
+        ValidationError,
+        lambda: workspace.build_workspaces(heat_problem((0.0, 4.0)), _PAIR, RunGrids(0.05, (_TG, _TG))),
+    ),
+    "grid_count": (ValidationError, lambda: workspace.build_workspaces(heat_problem(), _PAIR, RunGrids(0.05, (_TG,)))),
+    "window": (
+        ValidationError,
+        lambda: workspace.build_workspaces(
+            heat_problem(), _PAIR, RunGrids(0.05, (_TG, make_time_grid(2.0, 0.1)))
+        ),
+    ),
+    "no_dy": (ValidationError, lambda: workspace.build_workspaces(strip_problem(), _STRIP, RunGrids(0.1, (_TG, _TG)))),
+    "shapes": (
+        IncompatibleGrids,
+        lambda: workspace.trace_distance([zero_trace(_TG, ny=3)], [zero_trace(_TG, ny=4)]),
+    ),
+    "guess_2d": (
+        IncompatibleGrids,
+        lambda: workspace.normalize_guesses(heat_problem(), _PAIR, [zero_trace(_TG, ny=4)], (_TG,), None),
+    ),
+    "reference_name": (
+        NoReference,
+        lambda: resolve_reference(heat_problem(), _PAIR, RunGrids(0.05, (_TG, _TG)), "exact", (_TG,), None),
+    ),
+    "adapter": (TypeError, lambda: workspace._adapter(object())),
+}
+
+
+@pytest.mark.parametrize("case", WORKSPACE_ERRORS)
+def test_workspace_rejects(case):
+    error, call = WORKSPACE_ERRORS[case]
+    with pytest.raises(error):
+        call()

@@ -25,7 +25,7 @@ def test_all_names_resolve(name):
 def test_benchmark_entry_points_resolve(monkeypatch):
     # perfbench/ imports wrkit internals and wraps the layer entry points
     # where the drivers look them up; a rename there breaks only the
-    # benchmark, which the test suite does not otherwise run.
+    # benchmark, and this finds it without running a replay.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     spans = importlib.import_module("spans")
     importlib.import_module("workloads")

@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wrkit.methods
 import wrkit.methods.workspace as workspace
 from wrkit.errors import IncompatibleGrids, ValidationError, WrongBoundaryKind
 from wrkit.grids import InterfaceTrace, TimeGrid, TraceKind, make_partition
 from wrkit.harness import build_guesses, load_config, preset_names, preset_text, run_experiment, with_out_dir
-from wrkit.harness.run import _RUNNERS
 from wrkit.harness.run import _setup as preset_setup
 from wrkit.kernels import (
     HeatProblem,
@@ -30,10 +30,7 @@ from wrkit.kernels import (
     solve_wave_strip_2d,
     solve_wave_subdomain,
 )
-from wrkit.methods import Method, RunGrids, guess_grids, make_run_grids
-from wrkit.methods import dnwr as dnwr_mod
-from wrkit.methods import nnwr as nnwr_mod
-from wrkit.methods import swr as swr_mod
+from wrkit.methods import RunGrids, guess_grids, make_run_grids, wr_run
 from wrkit.methods.workspace import Output, build_workspaces
 
 from conftest import pack
@@ -547,11 +544,10 @@ def _set_up(monkeypatch, text: str):
     guesses = build_guesses(spec.guess, guess_grids(partition, grids, spec.config), ygrid)
     built = []
     real = workspace.build_workspaces
-    module = {Method.DNWR: dnwr_mod, Method.NNWR: nnwr_mod}.get(spec.config.method, swr_mod)
     with monkeypatch.context() as m:
         m.setattr(workspace, "build_workspaces", lambda *a, **k: built.append(real(*a, **k)) or built[-1])
-        m.setattr(module, "_drive", workspace._setup)
-        _RUNNERS[spec.config.method](problem, partition, grids, spec.config, guesses, reference=None)
+        m.setattr(wrkit.methods, "_drive", workspace._setup)
+        wr_run(problem, partition, grids, spec.config, guesses, reference=None)
     ((spaces, _),) = built
     return spaces
 

@@ -65,7 +65,7 @@ from wrkit.harness.run import _setup as run_setup  # noqa: E402
 from wrkit.kernels.heat import _Block as HeatBlock  # noqa: E402
 from wrkit.kernels.heat import _march as heat_march  # noqa: E402
 from wrkit.kernels.wave import _march as wave_march  # noqa: E402
-from wrkit.methods import dnwr_run, guess_grids, workspace  # noqa: E402
+from wrkit.methods import guess_grids, workspace, wr_run  # noqa: E402
 
 REPEATS = 3
 KERNEL_STEPS = 400
@@ -148,7 +148,7 @@ def _heat_chain_build() -> float:
     real = workspace._heat_march
     workspace._heat_march = lambda *args: calls.append(args) or real(*args)
     try:  # no reference, so every heat march is a build march
-        dnwr_run(problem, partition, grids, spec.config, guesses, reference=None)
+        wr_run(problem, partition, grids, spec.config, guesses, reference=None)
     finally:
         workspace._heat_march = real
     walls = []
