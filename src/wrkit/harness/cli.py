@@ -168,6 +168,9 @@ def main(argv=None) -> int:
     except (WrkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: the run needs more memory than the host grants ({exc or 'out of memory'})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

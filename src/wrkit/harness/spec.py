@@ -319,8 +319,15 @@ def _time_grids(spec: ExperimentSpec) -> list[TimeGrid]:
     return [grids[dt] for dt in spec.dt_list()]
 
 
+def _normal(x: float) -> bool:
+    return sys.float_info.min <= x <= sys.float_info.max
+
+
 def _check_cfl(spec: ExperimentSpec, tgrids: list[TimeGrid]) -> None:
     if spec.model == "heat1d":
+        # the heat flux's half-cell term is 0.5 dx / nu times a difference
+        if not (_normal(spec.nu) and math.isfinite(0.5 * spec.dx / spec.nu)):
+            raise ValidationError(f"nu = {spec.nu!r}: not a normal float, or 0.5 * dx / nu is not finite")
         return
     speeds = spec.c_list()
     if len(speeds) != spec.n_subdomains:
@@ -338,9 +345,17 @@ def _check_cfl(spec: ExperimentSpec, tgrids: list[TimeGrid]) -> None:
             ) from None
         if dy * dy < sys.float_info.min:  # the strip kernel divides by dy^2
             raise ValidationError(f"dy = {spec.dy!r}: its square is not a normal float")
-    for i, (c, tgrid) in enumerate(zip(speeds, tgrids), start=1):
-        if not sys.float_info.min <= c * c <= sys.float_info.max:  # the kernels divide by c^2
+    for i, (c, dt, tgrid) in enumerate(zip(speeds, spec.dt_list(), tgrids), start=1):
+        if not _normal(c * c):  # the kernels divide by c^2
             raise ValidationError(f"wave speed {c!r} of subdomain {i}: its square is not a normal float")
+        if not math.isfinite(0.5 * spec.dx / (c * c)):  # the flux's half-cell term
+            raise ValidationError(f"wave speed {c!r} of subdomain {i}: 0.5 * dx / c^2 is not finite")
+        # the flux's second time difference divides by tau tau' (tau + tau')
+        tau = float(tgrid.steps.min())
+        if not _normal(tau * tau * (tau + tau)):
+            raise ValidationError(
+                f"dt = {dt!r} on T = {spec.T!r}: 2 tau^3 for its smallest step tau = {tau!r} is not a normal float"
+            )
         # the run's time grid: a step that does not divide T is clipped
         courant = cfl_number(c, spec.dx, tgrid.max_step, dy=dy)
         if courant > 1.0 + CFL_SLACK:
@@ -360,7 +375,9 @@ def load_config(text: str) -> ExperimentSpec:
     an ``out`` holding a NUL byte, bad preset names, theta out of (0, 1],
     partitions off the lattice, subdomains narrower than 2 cells, a dx,
     dy or dt whose grid cannot be built (too many nodes for numpy), a dx
-    or dy whose square is not a normal float,
+    or dy whose square is not a normal float, a nu that is not a normal
+    float, a nu or wave speed squared for which 0.5 dx / coefficient
+    overflows, a wave step whose smallest 2 dt^3 is not a normal float,
     explicit wave steps above the CFL limit, wave speeds whose square is
     not a normal float, per-subdomain steps off the 1D wave model, Robin
     Schwarz on a wave model, or Schwarz runs across wave speed jumps or

@@ -27,11 +27,16 @@ Every entry of every block is one diagonal block, all of its grid's
 nodes in a row, and the couplings between entries are exact zeros.
 LAPACK's ``dpttrf`` factors the whole matrix as L D L^T once per step
 size of the grid, and each step is one ``dpttrs`` call on one
-contiguous row, solved in place. The row scale and the boundary terms
-of every step are computed before the loop, and the pinned Dirichlet
-nodes, whose rows carry their initial value along, take their data
-after it. The finished fields, views of one array, are checked for
-infs and NaNs once.
+contiguous row, solved in place. The two routines come from
+``scipy.linalg.lapack``, imported by the first march of the process, not
+at module import (reading ``heat.dpttrf`` or ``heat.dpttrs`` imports
+them too, through a module ``__getattr__``). Importing ``scipy.linalg``
+loads over 300 modules and about 28 MB, which a run that never marches
+heat (the wave chains, the strips, ``wrkit bound``) does not pay. The
+row scale and the boundary terms of every step are computed before the
+loop, and the pinned Dirichlet nodes, whose rows carry their initial
+value along, take their data after it. The finished fields, views of
+one array, are checked for infs and NaNs once.
 
 A zero coupling keeps every entry's bits: ``dpttrf`` forms e/d and
 d' - e (e/d), which are 0 and d' when e is 0, and ``dpttrs`` forms
@@ -63,11 +68,11 @@ is the monodomain scheme.
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from ..errors import NonFiniteTrace, SingularSystem
 from ..grids import UNIFORM_RTOL, InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind
@@ -75,6 +80,19 @@ from .common import check_bc, half_cell_flux
 from .problems import SpaceTimeField
 
 __all__ = ["solve_heat_subdomain", "heat_interface_flux"]
+
+_LAPACK = ("dpttrf", "dpttrs")
+
+
+def __getattr__(name: str):
+    """``dpttrf`` and ``dpttrs``: imported from ``scipy.linalg`` on first use, then module globals."""
+    if name not in _LAPACK:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.linalg import lapack
+
+    for routine in _LAPACK:
+        globals().setdefault(routine, getattr(lapack, routine))
+    return globals()[name]
 
 
 class _Block(NamedTuple):
@@ -203,6 +221,8 @@ def _march(tgrid: TimeGrid, blocks: list[_Block]) -> list[np.ndarray]:
         (slice(o + p.lo, o + p.hi + 1), p) for o, p in zip(offsets, parts) if p.block.source is not None
     ]
 
+    # Looked up on the module, so that the first march imports them.
+    dpttrf, dpttrs = (getattr(sys.modules[__name__], routine) for routine in _LAPACK)
     factors = []
     for dt in values:
         d, e = (np.concatenate(a) for a in zip(*(p.matrix(dt) for p in parts)))

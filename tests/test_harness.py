@@ -663,6 +663,18 @@ def test_cli_error_paths(tmp_path, capsys):
             "initial = parabola\nleft = t2\nright = t2\n",
             "infs or NaNs",
         ),
+        # A subnormal diffusivity, whose flux scale 0.5 dx / nu overflows.
+        "nu_sub": (heat.replace("nu = 1", "nu = 1e-320") + "interval = 0, 2\npartition = 0, 1, 2\ndx = 0.1\n", "nu = 1e-320"),
+        # A wave speed with a normal square but an infinite flux scale 0.5 dx / c^2.
+        "c_flux": (
+            "model = wave1d\ninterval = 0, 40\npartition = 0, 20, 40\nc = 1.5e-154\ndx = 10\ndt = 1\nT = 2\n",
+            "wave speed 1.5e-154",
+        ),
+        # Wave steps whose cube underflows in the flux's second time difference (Courant 0.1).
+        "dt_cube": (
+            "model = wave1d\ninterval = 0, 2\npartition = 0, 1, 2\nc = 1e150\ndx = 0.1\ndt = 1e-152\nT = 1e-151\n",
+            "dt = 1e-152",
+        ),
     }
     for name, (text, _) in named.items():
         (tmp_path / f"{name}.cfg").write_text(text)
@@ -734,6 +746,20 @@ def test_cli_error_paths(tmp_path, capsys):
         assert rc == 2
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+
+def test_cli_reports_a_march_it_cannot_allocate(tmp_path, capsys, monkeypatch):
+    # numpy's error for an array the host will not grant, raised without
+    # allocating anything, since hosts differ in what they grant.
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 7.45 GiB for an array with shape (1000000000,) and data type float64")
+
+    monkeypatch.setattr(workspace, "_heat_march", refuse)
+    config = tmp_path / "heat.cfg"
+    config.write_text(MINIMAL_HEAT)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "more memory" in err[0]
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -9,7 +9,17 @@ The JSON file holds:
   benchmark records them;
 * ``presets``: for each shipped preset, the median wall time of three
   runs (``load_config`` plus ``run_experiment``), its sweep count and
-  whether it reached its tolerance;
+  whether it reached its tolerance. The runs share this process, whose
+  first heat march imports ``scipy.linalg``; that one-time cost lands in
+  the ``kernels`` section, which runs first, and a median of three
+  would drop it anyway;
+* ``startup``: for ``fig_wave_T5``, ``fig_wave2d_T0p24`` and
+  ``fig_heat_5sub_T2``, ``wrkit preset`` run in a fresh interpreter,
+  least wall time of five runs (``wall_s``, interpreter start included)
+  and the largest peak resident set of those runs (``peak_rss_mb``, the
+  child's own ``VmHWM``; its ``ru_maxrss`` would also count this
+  process, see ``perfbench``): what a one-off CLI run pays for its
+  imports, which perfbench, one process, does not see;
 * ``scaling``: larger runs of the same shape, each with its config text:
   the ``fig_heat_nsub*`` chain on (0, 5) with 5, 9 and 17 equal
   subdomains (dx snapped to the partition lattice nearest 0.02, dt
@@ -36,7 +46,12 @@ The JSON file holds:
 * ``perfbench``: per workload, the metrics of one traced
   ``perfbench/run.py --trace 1`` run at perfbench's default seed and
   length (the per-layer values are medians over its traced replays),
-  read back from the record it writes to ``.perfbench_out/``.
+  read back from the record it writes to ``.perfbench_out/``. On Linux
+  a child's ``ru_maxrss``, which perfbench reports as ``peak_rss_mb``,
+  starts at its parent's peak resident set, so these runs come first,
+  while this process holds its imports alone (about 31 MB), and their
+  records, whose spans take 19 MB of JSON on ``chains_1d``, are read
+  after the last run.
 
 Timings come from one process on whatever else the host is doing, so
 compare two BENCH files only when they were written on the same machine.
@@ -46,6 +61,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -68,6 +84,8 @@ from wrkit.kernels.wave import _march as wave_march  # noqa: E402
 from wrkit.methods import guess_grids, workspace, wr_run  # noqa: E402
 
 REPEATS = 3
+STARTUP_PRESETS = ("fig_wave_T5", "fig_wave2d_T0p24", "fig_heat_5sub_T2")
+STARTUP_REPEATS = 5
 KERNEL_STEPS = 400
 KERNEL_REPEATS = 7
 WORKLOADS = ("chains_1d", "strip_methods")
@@ -161,12 +179,39 @@ def _heat_chain_build() -> float:
     return 1e6 * min(walls) / grids.tgrids[0].n_steps
 
 
-def _perfbench(workload: str) -> dict:
-    subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "1"],
-        cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
-    )
-    return json.loads((ROOT / ".perfbench_out" / f"{workload}-seed1-trace1.json").read_text())
+# The CLI's entry point, then its own peak resident set (VmHWM, kB) on stderr.
+_CLI_CHILD = """\
+import sys
+from wrkit.harness.cli import main
+rc = main()
+print(*(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def _startup(name: str, out_dir: str) -> dict:
+    """``wrkit preset name`` in fresh interpreters: least wall time and peak RSS of five runs."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    walls, rss = [], []
+    for _ in range(STARTUP_REPEATS):
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c", _CLI_CHILD, "preset", name, "--out", out_dir],
+            env=env, check=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        walls.append(time.perf_counter() - start)
+        rss.append(int(done.stderr.split()[-1]) / 1024.0)
+    return {"wall_s": min(walls), "peak_rss_mb": max(rss)}
+
+
+def _perfbench() -> dict[str, dict]:
+    """One traced perfbench run per workload, then the record of each, read after the last run."""
+    for workload in WORKLOADS:
+        subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "1"],
+            cwd=ROOT, check=True, stdout=subprocess.DEVNULL,
+        )
+    return {w: json.loads((ROOT / ".perfbench_out" / f"{w}-seed1-trace1.json").read_text()) for w in WORKLOADS}
 
 
 def main(argv=None) -> int:
@@ -174,18 +219,8 @@ def main(argv=None) -> int:
     p.add_argument("out", help="the BENCH_<n>.json file to write")
     args = p.parse_args(argv)
 
-    bench: dict = {"machine": None, "presets": {}, "scaling": {}, "kernels": _kernels(), "perfbench": {}}
-    for name, us in bench["kernels"].items():
-        print(f"kernel {name}: {us:.2f} us/step", flush=True)
-    with tempfile.TemporaryDirectory() as out_dir:
-        for name in preset_names():
-            bench["presets"][name] = _timed(preset_text(name), out_dir, REPEATS)
-            print(f"preset {name}: {bench['presets'][name]}", flush=True)
-        for name, text in _scaling().items():
-            bench["scaling"][name] = {"config": text, **_timed(text, out_dir, 1)}
-            print(f"scaling {name}: wall_s {bench['scaling'][name]['wall_s']:.3f}", flush=True)
-    for workload in WORKLOADS:
-        record = _perfbench(workload)
+    bench: dict = {"machine": None, "presets": {}, "scaling": {}, "startup": {}, "kernels": {}, "perfbench": {}}
+    for workload, record in _perfbench().items():
         bench["machine"] = record["machine"]
         bench["perfbench"][workload] = {
             "seed": record["seed"],
@@ -193,6 +228,19 @@ def main(argv=None) -> int:
             "metrics": {k: v["value"] for k, v in record["metrics"].items()},
         }
         print(f"perfbench {workload}: done", flush=True)
+    bench["kernels"] = _kernels()
+    for name, us in bench["kernels"].items():
+        print(f"kernel {name}: {us:.2f} us/step", flush=True)
+    with tempfile.TemporaryDirectory() as out_dir:
+        for name in STARTUP_PRESETS:
+            bench["startup"][name] = _startup(name, out_dir)
+            print(f"startup {name}: {bench['startup'][name]}", flush=True)
+        for name in preset_names():
+            bench["presets"][name] = _timed(preset_text(name), out_dir, REPEATS)
+            print(f"preset {name}: {bench['presets'][name]}", flush=True)
+        for name, text in _scaling().items():
+            bench["scaling"][name] = {"config": text, **_timed(text, out_dir, 1)}
+            print(f"scaling {name}: wall_s {bench['scaling'][name]['wall_s']:.3f}", flush=True)
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0
