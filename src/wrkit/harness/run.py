@@ -111,13 +111,7 @@ def _make_report(
 def _setup(spec: ExperimentSpec):
     problem = presets.build_problem(spec)
     partition = make_partition(spec.partition)
-    grids = make_run_grids(
-        partition,
-        spec.dx,
-        spec.T,
-        spec.dt if isinstance(spec.dt, float) else list(spec.dt),
-        dy=spec.dy,
-    )
+    grids = make_run_grids(partition, spec.dx, spec.T, spec.dt, dy=spec.dy)
     ygrid = snap_ygrid(spec.y_interval, spec.dy) if spec.model == "wave2d" else None
     return problem, partition, grids, ygrid
 

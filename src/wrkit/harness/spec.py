@@ -12,12 +12,16 @@ their driver's rules. Runs never start from a spec that would die mid-way.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
+import numpy as np
+
 from ..errors import ParseError, UnknownKey, ValidationError, WrkitError
 from ..grids import CFL_SLACK, SpaceGrid1D, TimeGrid, cfl_number, make_partition, make_time_grid_clipped
+from ..kernels.common import invalid_factor
+from ..kernels.heat import heat_factors
+from ..kernels.wave import march_factors, wave_factors
 from ..methods import Arrangement, Method, WrConfig
 from ..methods.swr import schwarz_shift
 from ..methods.workspace import check_span, snap_ygrid
@@ -294,8 +298,6 @@ def _check_lattice(spec: ExperimentSpec) -> None:
         raise ValidationError(
             f"dx = {spec.dx!r} on ({a!r}, {b!r}): the space grid cannot be built ({exc})"
         ) from None
-    if spec.dx * spec.dx < sys.float_info.min:  # the kernels divide by dx^2
-        raise ValidationError(f"dx = {spec.dx!r}: its square is not a normal float")
     for i, n in enumerate(cells, start=1):
         if n < 2:
             raise ValidationError(f"subdomain {i} is narrower than 2 cells of dx={spec.dx!r}")
@@ -319,16 +321,20 @@ def _time_grids(spec: ExperimentSpec) -> list[TimeGrid]:
     return [grids[dt] for dt in spec.dt_list()]
 
 
-def _normal(x: float) -> bool:
-    return sys.float_info.min <= x <= sys.float_info.max
+def _check_factors(where: str, *factors, **named) -> None:
+    """Raise a ValidationError naming the keys ``named`` (None aside) if ``factors`` break the magnitude rule."""
+    for each in factors:
+        problem = invalid_factor(each)
+        if problem is not None:
+            keys = ", ".join(f"{key} = {value!r}" for key, value in named.items() if value is not None)
+            raise ValidationError(f"{where}{keys}: {problem}")
 
 
-def _check_cfl(spec: ExperimentSpec, tgrids: list[TimeGrid]) -> None:
+def _check_scheme(spec: ExperimentSpec, tgrids: list[TimeGrid]) -> None:
+    """The kernels' factors of every march the run makes, then each wave step's CFL limit."""
     if spec.model == "heat1d":
-        # the heat flux's half-cell term is 0.5 dx / nu times a difference
-        if not (_normal(spec.nu) and math.isfinite(0.5 * spec.dx / spec.nu)):
-            raise ValidationError(f"nu = {spec.nu!r}: not a normal float, or 0.5 * dx / nu is not finite")
-        return
+        factors = heat_factors(spec.nu, spec.dx, tgrids[0].steps, spec.config.robin_p or 0.0)
+        return _check_factors("", factors, nu=spec.nu, dx=spec.dx, dt=spec.dt, T=spec.T, robin_p=spec.config.robin_p)
     speeds = spec.c_list()
     if len(speeds) != spec.n_subdomains:
         raise ValidationError(
@@ -343,25 +349,20 @@ def _check_cfl(spec: ExperimentSpec, tgrids: list[TimeGrid]) -> None:
             raise ValidationError(
                 f"dy = {spec.dy!r} on ({y0!r}, {y1!r}): the y grid cannot be built ({exc})"
             ) from None
-        if dy * dy < sys.float_info.min:  # the strip kernel divides by dy^2
-            raise ValidationError(f"dy = {spec.dy!r}: its square is not a normal float")
     for i, (c, dt, tgrid) in enumerate(zip(speeds, spec.dt_list(), tgrids), start=1):
-        if not _normal(c * c):  # the kernels divide by c^2
-            raise ValidationError(f"wave speed {c!r} of subdomain {i}: its square is not a normal float")
-        if not math.isfinite(0.5 * spec.dx / (c * c)):  # the flux's half-cell term
-            raise ValidationError(f"wave speed {c!r} of subdomain {i}: 0.5 * dx / c^2 is not finite")
-        # the flux's second time difference divides by tau tau' (tau + tau')
-        tau = float(tgrid.steps.min())
-        if not _normal(tau * tau * (tau + tau)):
-            raise ValidationError(
-                f"dt = {dt!r} on T = {spec.T!r}: 2 tau^3 for its smallest step tau = {tau!r} is not a normal float"
-            )
+        if (c, dt) in zip(speeds[: i - 1], spec.dt_list()):  # an earlier subdomain's march
+            continue
+        # The response builds also difference unit fields on two steps tau_0.
+        factors = march_factors(c, spec.dx, dy, np.concatenate((tgrid.steps[:1], tgrid.steps)))
+        _check_factors(f"subdomain {i}: ", *factors, c=c, dx=spec.dx, dy=spec.dy, dt=dt, T=spec.T)
         # the run's time grid: a step that does not divide T is clipped
         courant = cfl_number(c, spec.dx, tgrid.max_step, dy=dy)
         if courant > 1.0 + CFL_SLACK:
             raise ValidationError(
                 f"subdomain {i} fails the CFL check: c*dt/dx = {courant!r} > 1"
             )
+    if len(set(speeds)) > 1:  # the reference's speed jumps, as its march on one speed per cell forms them
+        _check_factors("", wave_factors(speeds, spec.dx, None), c=spec.c, dx=spec.dx)
 
 
 def load_config(text: str) -> ExperimentSpec:
@@ -374,14 +375,12 @@ def load_config(text: str) -> ExperimentSpec:
     apply to the model or method, a label that is not a plain file name,
     an ``out`` holding a NUL byte, bad preset names, theta out of (0, 1],
     partitions off the lattice, subdomains narrower than 2 cells, a dx,
-    dy or dt whose grid cannot be built (too many nodes for numpy), a dx
-    or dy whose square is not a normal float, a nu that is not a normal
-    float, a nu or wave speed squared for which 0.5 dx / coefficient
-    overflows, a wave step whose smallest 2 dt^3 is not a normal float,
-    explicit wave steps above the CFL limit, wave speeds whose square is
-    not a normal float, per-subdomain steps off the 1D wave model, Robin
-    Schwarz on a wave model, or Schwarz runs across wave speed jumps or
-    with an overlap past a neighboring subdomain.
+    dy or dt whose grid cannot be built (too many nodes for numpy),
+    explicit wave steps above the CFL limit, per-subdomain steps off the
+    1D wave model, Robin Schwarz on a wave model, Schwarz runs across
+    wave speed jumps or with an overlap past a neighboring subdomain, and
+    a scheme whose coefficients are not all finite, or its divisors not
+    all normal floats (the error names the keys and values behind them).
     """
     values = {key: _KEYS[key].parse(raw, key) for key, raw in _parse_lines(text).items()}
     if "model" not in values:
@@ -405,7 +404,7 @@ def load_config(text: str) -> ExperimentSpec:
     if model == "wave2d" and not spec.y_interval[1] > spec.y_interval[0]:
         raise ValidationError("y_interval must have positive length")
     _check_lattice(spec)
-    _check_cfl(spec, _time_grids(spec))
+    _check_scheme(spec, _time_grids(spec))
     _check_schwarz(spec)
     presets.build_problem(spec)  # every data slot names one of its presets
     if spec.guess == "tsin" and model != "wave2d":

@@ -1,4 +1,4 @@
-"""What the kernels share: data sampling, boundary trace checks, the half-cell flux."""
+"""What the kernels share: data sampling, boundary trace checks, the half-cell flux and its magnitude rule."""
 
 from __future__ import annotations
 
@@ -8,7 +8,9 @@ from ..errors import IncompatibleGrids, WrongBoundaryKind
 from ..grids import InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, grids_equal
 from .problems import SpaceTimeField, sample
 
-__all__ = ["check_bc", "dirichlet_history", "strip_data", "half_cell_flux"]
+__all__ = ["check_bc", "dirichlet_history", "strip_data", "half_cell_flux", "half_cell", "invalid_factor"]
+
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 def check_bc(bc: InterfaceTrace, tgrid: TimeGrid, side: str, ny: int | None = None) -> None:
@@ -54,11 +56,32 @@ def strip_data(problem, xgrid: SpaceGrid1D, ygrid: SpaceGrid1D, tgrid: TimeGrid)
     ]
 
 
+def half_cell(dx, coef):
+    """0.5 dx / coef, the flux's weight on the PDE's time term (coef is nu, or c^2)."""
+    return 0.5 * dx / coef
+
+
+def invalid_factor(factors) -> str | None:
+    """Why a kernel's ``factors`` break the magnitude rule, or None.
+
+    A divisor (one of ``factors.DIVISORS``) must be a normal float and
+    every factor finite, in each entry; a factor that is None does not enter.
+    """
+    for field, name, value in zip(factors._fields, factors.NAMES, factors):
+        if value is None:
+            continue
+        if field in factors.DIVISORS and not ((value >= _TINY) & (value <= _HUGE)).all():
+            return f"{name} is not a normal float"
+        if not np.isfinite(value).all():
+            return f"{name} is not finite"
+    return None
+
+
 def half_cell_flux(
     field: SpaceTimeField,
     side: str,
     time_derivative,
-    coef: float,
+    factors,
     source=None,
 ) -> np.ndarray:
     """The +x-oriented derivative history at one x boundary of a solve.
@@ -71,7 +94,9 @@ def half_cell_flux(
 
     with coef = nu and D_t the first time difference for heat, coef = c^2
     and D_t the second one for the wave models, and u_yy the y part of
-    the Laplacian on strips (absent in 1D). ``time_derivative(ub, j)``
+    the Laplacian on strips (absent in 1D); ``factors`` give dx/(2 coef)
+    and dy^2 (:func:`.heat.heat_factors`, :func:`.wave.wave_factors`).
+    ``time_derivative(ub, j)``
     returns D_t of the boundary history ``ub`` at x node ``j``. Only the
     boundary column and its neighbour are read. On strips the corner
     columns, which belong to the physical y boundary, are reported as
@@ -99,10 +124,10 @@ def half_cell_flux(
     else:
         fvals = source(x0, times)
 
-    w = sgn * ((field.values[:, j1] - ub) / dx - (0.5 * dx / coef) * (time_derivative(ub, j0) - fvals))
+    w = sgn * ((field.values[:, j1] - ub) / dx - factors.half_cell * (time_derivative(ub, j0) - fvals))
     if field.is_2d:
         lap_y = np.zeros_like(ub)
-        lap_y[:, 1:-1] = (ub[:, :-2] - 2.0 * ub[:, 1:-1] + ub[:, 2:]) / field.ygrid.dx**2
+        lap_y[:, 1:-1] = (ub[:, :-2] - 2.0 * ub[:, 1:-1] + ub[:, 2:]) / factors.dy2
         w += sgn * 0.5 * dx * lap_y
         w[:, 0] = 0.0
         w[:, -1] = 0.0

@@ -69,6 +69,7 @@ is the monodomain scheme.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -76,10 +77,10 @@ import numpy as np
 
 from ..errors import NonFiniteTrace, SingularSystem
 from ..grids import UNIFORM_RTOL, InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind
-from .common import check_bc, half_cell_flux
+from .common import check_bc, half_cell, half_cell_flux
 from .problems import SpaceTimeField
 
-__all__ = ["solve_heat_subdomain", "heat_interface_flux"]
+__all__ = ["solve_heat_subdomain", "heat_interface_flux", "heat_factors"]
 
 _LAPACK = ("dpttrf", "dpttrs")
 
@@ -93,6 +94,27 @@ def __getattr__(name: str):
     for routine in _LAPACK:
         globals().setdefault(routine, getattr(lapack, routine))
     return globals()[name]
+
+
+#: The heat scheme's factors (:func:`heat_factors`), the formula of each, and those that divide.
+HeatFactors = namedtuple("HeatFactors", "dx2 nu r half_cell rate robin")
+HeatFactors.NAMES = ("dx^2", "nu", "r = nu dt / dx^2", "0.5 dx / nu", "0.5 dx / (nu dt)", "2 dx r robin_p")
+HeatFactors.DIVISORS = ("dx2", "nu")
+
+
+@np.errstate(all="ignore")
+def heat_factors(nu, dx, dt, robin_p=0.0) -> HeatFactors:
+    """Every factor the heat march and flux form from nu, dx, a step ``dt`` (or array of steps) and ``robin_p``.
+
+    The kernels compute them here and ``load_config`` checks them
+    (:func:`.common.invalid_factor`). As numpy floats, a factor out of range
+    is inf or 0 where a Python float's ``**`` raises; in range its bits are the same.
+    """
+    nu, dx, dt = np.float64(nu), np.float64(dx), np.float64(dt)
+    dx2 = dx**2
+    r = nu * dt / dx2
+    half = half_cell(dx, nu)
+    return HeatFactors(dx2, nu, r, half, half * (1.0 / dt), 2.0 * dx * r * robin_p)
 
 
 class _Block(NamedTuple):
@@ -143,7 +165,7 @@ class _Part:
         self.scale[[0, -1]] = (0.5 if self.left_open else 1.0, 0.5 if self.right_open else 1.0)
 
     def r(self, dt):
-        return self.block.nu * dt / self.block.grid.dx**2
+        return heat_factors(self.block.nu, self.block.grid.dx, dt).r
 
     def matrix(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """Diagonal and off-diagonal of every entry at step ``dt``, a zero coupling after each.
@@ -159,7 +181,7 @@ class _Part:
         for at, bc, is_open in ((0, b.left_bc, self.left_open), (-1, b.right_bc, self.right_open)):
             if is_open:
                 if bc.kind is TraceKind.ROBIN:
-                    d[at] += 2.0 * b.grid.dx * r * bc.robin_p
+                    d[at] += heat_factors(b.nu, b.grid.dx, dt, bc.robin_p).robin
                 d[at] *= 0.5
         return np.tile(d, self.entries), np.tile(e, self.entries)
 
@@ -313,4 +335,4 @@ def heat_interface_flux(
         backward = (ub[1:] - ub[:-1]) / steps
         return np.concatenate((backward[:1], backward))  # forward at t=0
 
-    return half_cell_flux(field, side, dudt, nu, source)
+    return half_cell_flux(field, side, dudt, heat_factors(nu, field.xgrid.dx, steps), source)

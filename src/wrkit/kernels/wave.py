@@ -83,14 +83,67 @@ scheme the exact fixed point of the multidomain exchange.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from ..errors import CflViolation, WrongBoundaryKind
 from ..grids import CFL_SLACK, InterfaceTrace, SpaceGrid1D, TimeGrid, TraceKind, cfl_number
-from .common import check_bc, half_cell_flux
+from .common import check_bc, half_cell, half_cell_flux
 from .problems import SpaceTimeField
 
-__all__ = ["solve_wave_subdomain", "solve_wave_strip_2d", "wave_interface_flux"]
+__all__ = ["solve_wave_subdomain", "solve_wave_strip_2d", "wave_interface_flux", "wave_factors", "march_factors"]
+
+
+#: The wave scheme's factors (:func:`wave_factors`), the formula of each, and those that divide.
+WaveFactors = namedtuple("WaveFactors", "dx2 dy2 c2 jumps den alpha beta gamma kx ky half_cell rate")
+WaveFactors.NAMES = (
+    "dx^2", "dy^2", "c^2", "cl cr (cr - cl) / (cl + cr) / dx^2", "tau^2 or tau tau' (tau + tau')", "alpha", "beta",
+    "gamma", "gamma c^2 / dx^2", "gamma c^2 / dy^2", "0.5 dx / c^2", "dx / (c^2 tau tau')",
+)
+WaveFactors.DIVISORS = ("dx2", "dy2", "c2", "den")
+
+
+@np.errstate(all="ignore")
+def wave_factors(c, dx, dy, tau=None, tau_prev=None) -> WaveFactors:
+    """Every factor the wave march and flux form from c, dx, dy (None in 1D) and the step ``tau`` after ``tau_prev``.
+
+    The module docstring states them; ``den`` divides the second time
+    difference, and ``rate`` is 0.5 dx / c^2 times its largest weight.
+    ``tau_prev`` None is the Taylor start, ``tau`` None leaves a step's
+    factors None, and the steps may be arrays of pairs. One speed per
+    cell (1D) gives c^2 per node and ``jumps`` per interior node.
+    Computed and checked as :func:`.heat.heat_factors` are.
+    """
+    c, dx = np.float64(c), np.float64(dx)
+    dx2 = dx**2
+    dy2 = None if dy is None else np.float64(dy) ** 2
+    if np.ndim(c) == 0:
+        c2, jumps = c**2, None
+    else:
+        cl, cr = c[:-1], c[1:]
+        c2 = np.concatenate(([c[0] ** 2], cl * cr, [c[-1] ** 2]))
+        jumps = cl * cr * (cr - cl) / (cl + cr) / dx2
+    half = half_cell(dx, c2)
+    if tau is None:
+        return WaveFactors(dx2, dy2, c2, jumps, *[None] * 6, half, None)
+    tau = np.float64(tau)
+    if tau_prev is None:
+        den = tau**2
+        alpha, beta, gamma, largest = 1.0, -tau, 0.5 * den, 2.0 / den
+    else:
+        tau_prev = np.float64(tau_prev)
+        den = tau * tau_prev * (tau + tau_prev)
+        alpha, beta, gamma = (tau + tau_prev) / tau_prev, tau / tau_prev, 0.5 * tau * (tau + tau_prev)
+        largest = 2.0 * (tau + tau_prev) / den
+    kx = gamma * c2 / dx2
+    ky = 0.0 if dy2 is None else gamma * c2 / dy2
+    return WaveFactors(dx2, dy2, c2, jumps, den, alpha, beta, gamma, kx, ky, half, half * largest)
+
+
+def march_factors(c, dx, dy, steps: np.ndarray) -> tuple[WaveFactors, WaveFactors]:
+    """The factors of a march on ``steps``: its Taylor start, and the pairs (tau_n, tau_{n-1}) after it."""
+    return wave_factors(c, dx, dy, steps[0]), wave_factors(c, dx, dy, steps[1:], steps[:-1])
 
 
 class _Stencil:
@@ -117,19 +170,14 @@ class _Stencil:
         # The rows the update writes: all but the Dirichlet x ends, which pin owns.
         nx = xgrid.n_cells
         self.rows = slice(0 if self.left_neumann else 1, nx + 1 if self.right_neumann else nx)
+        self.c = c
         self.jumps = []
-        if np.ndim(c) == 0:
-            self.c2 = c**2
-        else:
+        if np.ndim(c):
             # One speed per cell (1D, no batch): a node between speeds cl and
             # cr takes cl cr dxx u + cl cr (cr - cl)/(cl + cr) (u[j+1] - u[j-1])/dx^2,
             # the module docstring's asymmetric row; an end node its cell's c^2.
-            cl, cr = c[:-1], c[1:]
-            self.c2 = np.concatenate(([c[0] ** 2], cl * cr, [c[-1] ** 2]))[self.rows]
-            self.jumps = [
-                (j + 1, cl[j] * cr[j] * (cr[j] - cl[j]) / (cl[j] + cr[j]) / self.dx**2)
-                for j in np.flatnonzero(cl != cr)
-            ]
+            jumps = wave_factors(c, self.dx, None).jumps
+            self.jumps = [(j + 1, jumps[j]) for j in np.flatnonzero(c[:-1] != c[1:])]
         self.source = source
         x = xgrid.nodes[self.rows]
         if ygrid is None:
@@ -152,14 +200,10 @@ class _Stencil:
         """
         key = (tau, tau_prev)
         if key not in self._coefficients:
-            if tau_prev is None:
-                alpha, weight, gamma = 1.0, tau, 0.5 * tau**2
-            else:
-                alpha, weight, gamma = (tau + tau_prev) / tau_prev, -tau / tau_prev, 0.5 * tau * (tau + tau_prev)
-            kx = gamma * self.c2 / self.dx**2
-            ky = 0.0 if self.dy is None else gamma * self.c2 / self.dy**2
-            jumps = [(j, gamma * k) for j, k in self.jumps]
-            self._coefficients[key] = (alpha - 2.0 * kx - 2.0 * ky, kx, ky, weight, gamma, jumps)
+            f = wave_factors(self.c, self.dx, self.dy, tau, tau_prev)
+            kx = f.kx[self.rows] if np.ndim(f.kx) else f.kx
+            jumps = [(j, f.gamma * k) for j, k in self.jumps]
+            self._coefficients[key] = (f.alpha - 2.0 * kx - 2.0 * f.ky, kx, f.ky, -f.beta, f.gamma, jumps)
         return self._coefficients[key]
 
     def update(self, out, cur, other, tau, tau_prev, g_left, g_right, t=None) -> None:
@@ -352,18 +396,20 @@ def solve_wave_strip_2d(
     )
 
 
-def second_time_difference(values: np.ndarray, times: np.ndarray, rate0: np.ndarray) -> np.ndarray:
+def second_time_difference(values: np.ndarray, times: np.ndarray, rate0: np.ndarray, factors) -> np.ndarray:
     """Discrete u_tt along axis 0, one row per time node.
 
     Interior nodes use the variable-step central stencil. t=0 uses the
     time-ghost form 2 (u^1 - u^0 - dt w0)/dt^2, which is exactly what the
     Taylor start implies. The final node reuses the last interior stencil
     (a backward shift); it exists only so the returned history is complete.
+    The denominators are the ``den`` of ``factors``, :func:`march_factors` on these steps.
     """
     steps = np.diff(times)
     m = len(steps)
+    start, pairs = factors
     out = np.empty_like(values)
-    out[0] = 2.0 * (values[1] - values[0] - steps[0] * rate0) / steps[0] ** 2
+    out[0] = 2.0 * (values[1] - values[0] - steps[0] * rate0) / start.den
     if m >= 2:
         col = (m - 1,) + (1,) * (values.ndim - 1)
         tau = steps[1:].reshape(col)
@@ -371,7 +417,7 @@ def second_time_difference(values: np.ndarray, times: np.ndarray, rate0: np.ndar
         out[1:-1] = (
             2.0
             * (tau_prev * values[2:] - (tau + tau_prev) * values[1:-1] + tau * values[:-2])
-            / (tau * tau_prev * (tau + tau_prev))
+            / pairs.den.reshape(col)
         )
         out[-1] = out[-2]
     else:
@@ -395,10 +441,12 @@ def wave_interface_flux(
     boundary.
     """
     times = field.tgrid.times
+    dy = None if field.ygrid is None else field.ygrid.dx
+    factors = march_factors(c, field.xgrid.dx, dy, field.tgrid.steps)
 
     def dtt(ub: np.ndarray, j: int) -> np.ndarray:
         if field.initial_rate is None:
             raise ValueError("wave flux extraction needs the field's initial rate")
-        return second_time_difference(ub, times, field.initial_rate[j])
+        return second_time_difference(ub, times, field.initial_rate[j], factors)
 
-    return half_cell_flux(field, side, dtt, c**2, source)
+    return half_cell_flux(field, side, dtt, factors[0], source)

@@ -899,9 +899,12 @@ def exchange_scale(producer: _Workspace, consumer: _Workspace) -> float:
     only where every subdomain marches at unit Courant number under the
     outward sweep: the three-speed chain of acceptance check 08 then
     drops by 3e-13 in three sweeps, and by 9.4e-2 with this factor
-    forced to one. Elsewhere the sweep only contracts: three sweeps
-    leave 0.98 of a white-noise error with one shared step of 0.04, and
-    0.64 on the ``fig_wave_nonmatching`` grids.
+    forced to one. Elsewhere the sweep may contract slowly or diverge.
+    On (0, 2), (2, 4) with dx 0.05 and one step 0.0125, a white-noise
+    error grows 2.5e24-fold in 30 sweeps when the Neumann side is the
+    fast one (c = 0.5, 2), and falls below 1e-8 at sweep 41 when it is
+    the slow one (c = 2, 0.5). The ``fig_wave_nonmatching`` chain needs
+    more sweeps the finer its dx: 29 at 0.1, 89 at 0.01 (peak 2.1e4).
     """
     return producer.impedance / consumer.impedance
 
@@ -1187,11 +1190,12 @@ def _drive(*args, **kwargs) -> IterationHistory:
     A sweep whose traces stop being finite raises
     :class:`~wrkit.errors.NonFiniteTrace` naming the sweep; that error,
     not numpy's overflow warnings, is what reports a run that diverged.
+    The response builds of the setup run under the same filter.
     """
-    state, sweep, monitor = _setup(*args, **kwargs)
     with warnings.catch_warnings():
         # A filter costs nothing per ufunc call, unlike np.errstate.
         warnings.filterwarnings("ignore", "(overflow|invalid value) encountered", RuntimeWarning)
+        state, sweep, monitor = _setup(*args, **kwargs)
         for k in range(1, monitor.config.max_iters + 1):
             try:
                 state, monitored = sweep(state)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wrkit.harness.run as run_module
 import wrkit.harness.spec as spec_module
@@ -22,6 +24,7 @@ from wrkit.errors import (
     ParseError,
     UnknownKey,
     ValidationError,
+    WrkitError,
 )
 from wrkit.grids import make_partition, make_time_grid, zero_trace
 from wrkit.harness import (
@@ -599,6 +602,44 @@ def test_an_out_that_cannot_be_made_fails_before_the_solve(tmp_path, capsys, mon
     assert calls == []
 
 
+_MAGNITUDE = st.floats(math.log(1e-320), math.log(1e308)).map(math.exp)
+
+
+@st.composite
+def _specs_over_the_float_range(draw) -> str:
+    """Config text of two subdomains of two cells, four steps at most, and any magnitudes."""
+    model = draw(st.sampled_from(("heat1d", "wave1d", "wave2d")))
+    dx, dy, dt, nu, c = (draw(_MAGNITUDE) for _ in range(5))
+    if draw(st.booleans()):  # c from a Courant number in (0, 1]
+        with np.errstate(all="ignore"):
+            inverse = np.hypot(1.0 / np.float64(dx), 0.0 if model != "wave2d" else 1.0 / np.float64(dy))
+            c = float(draw(st.floats(0.0, 1.0, exclude_min=True)) / (dt * inverse))
+    T = draw(st.sampled_from((1.0, 2.0, 3.0, 3.5))) * dt
+    text = (
+        f"model = {model}\ninterval = 0, {4 * dx!r}\npartition = 0, {2 * dx!r}, {4 * dx!r}\ndx = {dx!r}\n"
+        f"dt = {dt!r}\nT = {T!r}\nguess = random(3)\nmax_iters = 3\n"
+    )
+    text += f"nu = {nu!r}\n" if model == "heat1d" else f"c = {c!r}\n"
+    return text + (f"y_interval = 0, {4 * dy!r}\ndy = {dy!r}\n" if model == "wave2d" else "")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_specs_over_the_float_range())
+def test_a_spec_of_any_magnitude_loads_and_runs_or_fails_with_a_wrkit_error(text):
+    # load_config rejects what the kernels' factors cannot take; what it
+    # accepts runs, or stops with a WrkitError, and without numpy warnings.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            spec = load_config(text)
+        except WrkitError:
+            return
+        try:
+            _execute(spec)
+        except WrkitError:
+            pass
+
+
 def test_cli_error_paths(tmp_path, capsys):
     rc = main(["run", "--config", str(tmp_path / "missing.cfg")])
     assert rc == 2
@@ -637,10 +678,11 @@ def test_cli_error_paths(tmp_path, capsys):
         "model = heat1d\ninterval = 0, 2\npartition = 0, 1, 2\nnu = 1\ndx = 0.1\ndt = 1e-300\nT = 0.2\n"
     )
     # Spacings so small that round or numpy refuses the grid before
-    # allocating it, or whose square underflows to 0, and a diffusivity
-    # whose implicit step overflows in the reference solve: each config
-    # with what its error line names.
+    # allocating it, and specs whose scheme coefficients leave the float
+    # range: each config with the input key its error line names.
     heat = "model = heat1d\nnu = 1\ndt = 0.02\nT = 0.2\n"
+    huge = "model = heat1d\ninterval = 0, 4e200\npartition = 0, 2e200, 4e200\ndx = 1e200\n"
+    tiny_chain = "model = wave1d\ninterval = 0, 0.004\npartition = 0, 0.002, 0.004\ndx = 0.001\n"
     named = {
         "dx_inf": (heat + "interval = 0, 2\npartition = 0, 1, 2\ndx = 1e-320\n", "dx = 1e-320"),
         "dx_huge": (
@@ -658,22 +700,46 @@ def test_cli_error_paths(tmp_path, capsys):
             "y_interval = 0, 1e-300\ndy = 1e-301\n",
             "dy = 1e-301",
         ),
+        # A diffusivity whose r = nu dt / dx^2 overflows.
         "hot": (
             "model = heat1d\ninterval = 0, 2\npartition = 0, 1, 2\nnu = 1e308\ndx = 0.1\ndt = 0.02\nT = 0.2\n"
             "initial = parabola\nleft = t2\nright = t2\n",
-            "infs or NaNs",
+            "nu = 1e+308",
         ),
         # A subnormal diffusivity, whose flux scale 0.5 dx / nu overflows.
         "nu_sub": (heat.replace("nu = 1", "nu = 1e-320") + "interval = 0, 2\npartition = 0, 1, 2\ndx = 0.1\n", "nu = 1e-320"),
         # A wave speed with a normal square but an infinite flux scale 0.5 dx / c^2.
         "c_flux": (
             "model = wave1d\ninterval = 0, 40\npartition = 0, 20, 40\nc = 1.5e-154\ndx = 10\ndt = 1\nT = 2\n",
-            "wave speed 1.5e-154",
+            "c = 1.5e-154",
         ),
         # Wave steps whose cube underflows in the flux's second time difference (Courant 0.1).
         "dt_cube": (
             "model = wave1d\ninterval = 0, 2\npartition = 0, 1, 2\nc = 1e150\ndx = 0.1\ndt = 1e-152\nT = 1e-151\n",
             "dt = 1e-152",
+        ),
+        # A dx whose square overflows, on each model.
+        "dx_sq_heat": (huge + "nu = 1\ndt = 1\nT = 2\n", "dx = 1e+200"),
+        "dx_sq_wave": (huge.replace("heat1d", "wave1d") + "c = 1\ndt = 1e100\nT = 2e100\n", "dx = 1e+200"),
+        "dx_sq_strip": (
+            huge.replace("heat1d", "wave2d") + "c = 1\ndt = 1e100\nT = 2e100\ny_interval = 0, 4e200\ndy = 1e200\n",
+            "dx = 1e+200",
+        ),
+        # Flux weights 0.5 dx / c^2 times 2 / dt^2, and 0.5 dx / (nu dt), that overflow.
+        "c_rate": (tiny_chain + "c = 1e-153\ndt = 0.001\nT = 0.004\nguess = random(7)\n", "c = 1e-153"),
+        "nu_rate": (
+            tiny_chain.replace("wave1d", "heat1d") + "nu = 1e-300\ndt = 1e-12\nT = 4e-12\nguess = random(7)\n",
+            "nu = 1e-300",
+        ),
+        "c_rate_dt": (
+            "model = wave1d\ninterval = 0, 2\npartition = 0, 1, 2\nc = 1.5e-154\ndx = 0.1\ndt = 0.02\nT = 0.2\n",
+            "c = 1.5e-154",
+        ),
+        # Speeds whose jump term in the reference's piecewise-speed march overflows.
+        "c_jump": (
+            "model = wave1d\ninterval = 0, 4000\npartition = 0, 2000, 4000\ndx = 1000\nc = 1e104, 3e104\n"
+            "dt = 1e-102\nT = 4e-102\ninitial = parabola\nleft = t2\n",
+            "c = (1e+104, 3e+104)",
         ),
     }
     for name, (text, _) in named.items():
@@ -718,7 +784,7 @@ def test_cli_error_paths(tmp_path, capsys):
         if diverging in map(Path, argv):
             assert "sweep" in err[0]
         if fast in map(Path, argv) or slow in map(Path, argv):
-            assert "wave speed" in err[0]
+            assert "c = 1e" in err[0] and "c^2 is not a normal float" in err[0]
         if tiny in map(Path, argv):
             assert "dt = 1e-300" in err[0] and "T = 0.2" in err[0]
         if Path(argv[2]).stem in named:

@@ -3,13 +3,14 @@ finite-step convergence, determinism, comparator behavior."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import wrkit.methods
-from wrkit.errors import IncompatibleGrids, NoReference, UnsupportedCount, ValidationError
+from wrkit.errors import IncompatibleGrids, NoReference, NonFiniteTrace, UnsupportedCount, ValidationError
 from wrkit.grids import (
     InterfaceTrace,
     SpaceGrid1D,
@@ -19,6 +20,7 @@ from wrkit.grids import (
     zero_trace,
 )
 from wrkit.harness import build_guesses, load_config, preset_text
+from wrkit.harness.run import _execute
 from wrkit.harness.run import _setup as preset_setup
 from wrkit.methods import (
     Arrangement,
@@ -329,6 +331,33 @@ def test_wave_fixed_point_with_per_subdomain_speeds(cfg):
         guesses=guesses,
     )
     assert hist.max_errors[0] <= 1e-11
+
+
+def test_dnwr_across_a_speed_jump_converges_only_with_neumann_data_on_the_slow_side():
+    # The outward sweep on two subdomains gives the left one Dirichlet data
+    # and the right one Neumann data (see exchange_scale).
+    chain = (
+        "model = wave1d\ninterval = 0, 4\npartition = 0, 2, 4\ndx = 0.05\ndt = 0.0125\nT = 2\n"
+        "arrangement = outward\ntheta = 0.5\ntol = 1e-8\nguess = random(7)\n"
+    )
+    history, report, _ = _execute(load_config(chain + "c = 0.5, 2\nmax_iters = 30\n"))
+    assert max(history.max_errors) > 1e6 * report.initial_error  # 2.5e24 at sweep 30
+    history, _, _ = _execute(load_config(chain + "c = 2, 0.5\nmax_iters = 60\n"))
+    assert history.converged_at is not None  # at sweep 41
+
+
+def test_a_run_whose_responses_overflow_raises_without_warnings():
+    # c^2 is a normal float, but the flux's weight 0.5 dx / c^2 times 2 / dt^2
+    # overflows in the response builds; load_config would reject this run.
+    prob = wave_problem(interval=(0.0, 2.0), speed=1.5e-154)
+    part = make_partition((0.0, 1.0, 2.0))
+    grids = make_run_grids(part, 0.1, 0.2, 0.02)
+    cfg = WrConfig(max_iters=3)
+    guesses = [zero_trace(g) for g in guess_grids(part, grids, cfg)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteTrace, match="sweep 1"):
+            wr_run(prob, part, grids, cfg, guesses)
 
 
 @pytest.mark.parametrize("name", ["fig_heat_5sub_T2", "fig_wave_nonmatching", "cmp2d_2sub_dnwr"])

@@ -21,7 +21,7 @@ from wrkit.harness import load_config, preset_text
 from wrkit.harness.run import _setup as preset_setup
 from wrkit.kernels import sample, solve_wave_subdomain, wave, wave_interface_flux
 from wrkit.kernels.common import dirichlet_history
-from wrkit.kernels.wave import second_time_difference
+from wrkit.kernels.wave import march_factors, second_time_difference
 from wrkit.methods.workspace import solve_monodomain
 
 from conftest import dirichlet_trace, wave_problem
@@ -113,7 +113,7 @@ def test_steady_linear_profile_and_unit_flux():
 def test_second_time_difference_of_quadratic():
     tgrid = make_time_grid(1.0, 0.1)
     vals = tgrid.times**2
-    dtt = second_time_difference(vals, tgrid.times, np.zeros(1)[0])
+    dtt = second_time_difference(vals, tgrid.times, np.zeros(1)[0], march_factors(1.0, 0.1, None, tgrid.steps))
     np.testing.assert_allclose(dtt, 2.0, atol=1e-10)
 
 
@@ -433,8 +433,10 @@ def _out_of_place_update(stencil, cur, other, tau, tau_prev, g_left, g_right, t=
     else:
         alpha, weight, gamma = (tau + tau_prev) / tau_prev, -tau / tau_prev, 0.5 * tau * (tau + tau_prev)
     dx, dy, rows = stencil.dx, stencil.dy, stencil.rows
-    kx = gamma * stencil.c2 / dx**2
-    ky = 0.0 if dy is None else gamma * stencil.c2 / dy**2
+    c2 = wave.wave_factors(stencil.c, dx, dy).c2
+    c2 = c2[rows] if np.ndim(c2) else c2
+    kx = gamma * c2 / dx**2
+    ky = 0.0 if dy is None else gamma * c2 / dy**2
     ghost_left = (2.0 * cur[1] - 2.0 * dx * g_left)[None]
     ghost_right = (2.0 * cur[-2] + 2.0 * dx * g_right)[None]
     new = np.concatenate((ghost_left, cur[:-2] + cur[2:], ghost_right))[rows] * kx
