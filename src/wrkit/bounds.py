@@ -102,6 +102,7 @@ def _log_erfc(x: float) -> float:
     log erfc(x) = -x^2 - log(x sqrt(pi)) + log(1 - z + 3 z^2 - 15 z^3 + 105 z^4 - 945 z^5 + ...)
     with z = 1/(2 x^2), whose first omitted term is below 2e-15 of the
     sum there. A subnormal erfc(x) has lost digits, so its log is not used.
+    ``x`` is a Python float, so an x^2 past the float range is inf with no numpy warning.
     """
     value = erfc_eval(x)
     if value >= sys.float_info.min:
@@ -124,7 +125,7 @@ def _envelope(multiplier: float, h_min: float, nu: float, T: float, k: int) -> f
     spread = _spread(nu, T)
     if k < 0 or k != int(k):
         raise ValueError("iteration index k must be a nonnegative integer")
-    x = k * h_min / spread
+    x = k * float(h_min) / spread
     if erfc_eval(x) >= sys.float_info.min:
         try:
             with np.errstate(over="ignore"):

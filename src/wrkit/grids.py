@@ -12,7 +12,9 @@ Conventions used throughout the package:
   ``(boundaries[i-1], boundaries[i])`` and interface ``i`` is the point
   shared by subdomains ``i`` and ``i+1``.
 * Neumann trace samples always store the space derivative in the global
-  +x orientation, regardless of which side of an interface they feed.
+  +x orientation, regardless of which side of an interface they feed:
+  du/dx as kernel data, and c du/dx, the impedance-weighted slope, as
+  data a sweep passes between subdomains (heat's weight is 1).
 """
 
 from __future__ import annotations
@@ -296,9 +298,9 @@ class InterfaceTrace:
     ``samples`` has one row per time node: shape ``(M+1,)`` in 1D and
     ``(M+1, ny+1)`` for a 2D strip interface (one column per y node).
     Dirichlet traces carry solution values; Neumann traces carry the
-    +x-oriented derivative; Robin traces carry ``(d/dn + p) u`` oriented
-    outward with respect to the subdomain that will consume them, with the
-    coefficient stored in ``robin_p``.
+    +x-oriented derivative (c du/dx between subdomains); Robin traces
+    carry ``(d/dn + p) u`` oriented outward with respect to the subdomain
+    that will consume them, with the coefficient stored in ``robin_p``.
     """
 
     kind: TraceKind

@@ -16,7 +16,7 @@ from ..bounds import heat_bound_equal, heat_bound_even, heat_bound_unequal
 from ..errors import InconsistentSpecs, ValidationError
 from ..grids import Partition1D, make_partition
 from ..methods import Arrangement, IterationHistory, Method, WrConfig, guess_grids, make_run_grids, wr_run
-from ..methods.workspace import _PlanCache, resolve_reference, snap_ygrid, trace_distance
+from ..methods.workspace import _PlanCache, _quiet_overflow, resolve_reference, snap_ygrid, trace_distance
 from . import presets
 from .spec import ExperimentSpec
 
@@ -168,12 +168,11 @@ def _execute(spec: ExperimentSpec, reference=None):
     problem, partition, grids, ygrid = _setup(spec)
     cfg = spec.config
     monitor_grids = guess_grids(partition, grids, cfg)
-    guesses = presets.build_guesses(spec.guess, monitor_grids, ygrid)
     mode = "zero" if spec.zero_data else "auto"
-    if reference is None:
-        reference, _ = resolve_reference(
-            problem, partition, grids, mode, monitor_grids, ygrid
-        )
+    with _quiet_overflow():  # as the run itself: a blow-up is a WrkitError
+        guesses = presets.build_guesses(spec.guess, monitor_grids, ygrid)
+        if reference is None:
+            reference, _ = resolve_reference(problem, partition, grids, mode, monitor_grids, ygrid)
 
     history = wr_run(problem, partition, grids, cfg, guesses, reference=reference)
     err0 = _initial_error(history.initial, reference)

@@ -331,10 +331,14 @@ def _check_factors(where: str, *factors, **named) -> None:
 
 
 def _check_scheme(spec: ExperimentSpec, tgrids: list[TimeGrid]) -> None:
-    """The kernels' factors of every march the run makes, then each wave step's CFL limit."""
+    """The kernels' factors of every march the run makes, heat's envelope, each wave step's CFL limit."""
     if spec.model == "heat1d":
         factors = heat_factors(spec.nu, spec.dx, tgrids[0].steps, spec.config.robin_p or 0.0)
-        return _check_factors("", factors, nu=spec.nu, dx=spec.dx, dt=spec.dt, T=spec.T, robin_p=spec.config.robin_p)
+        _check_factors("", factors, nu=spec.nu, dx=spec.dx, dt=spec.dt, T=spec.T, robin_p=spec.config.robin_p)
+        from .run import _bound_fn  # run imports this module
+        if spec.nu * spec.T == 0.0 and _bound_fn(spec, make_partition(spec.partition)):
+            raise ValidationError(f"nu = {spec.nu!r}, T = {spec.T!r}: nu*T underflows to 0 in the envelope overlay")
+        return
     speeds = spec.c_list()
     if len(speeds) != spec.n_subdomains:
         raise ValidationError(
@@ -378,9 +382,10 @@ def load_config(text: str) -> ExperimentSpec:
     dy or dt whose grid cannot be built (too many nodes for numpy),
     explicit wave steps above the CFL limit, per-subdomain steps off the
     1D wave model, Robin Schwarz on a wave model, Schwarz runs across
-    wave speed jumps or with an overlap past a neighboring subdomain, and
-    a scheme whose coefficients are not all finite, or its divisors not
-    all normal floats (the error names the keys and values behind them).
+    wave speed jumps or with an overlap past a neighboring subdomain, an
+    envelope overlay whose nu*T underflows to 0, and a scheme whose
+    coefficients are not all finite, or its divisors not all normal
+    floats (the error names the keys and values behind them).
     """
     values = {key: _KEYS[key].parse(raw, key) for key, raw in _parse_lines(text).items()}
     if "model" not in values:

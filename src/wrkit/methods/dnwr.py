@@ -5,7 +5,7 @@ from __future__ import annotations
 from ..grids import Partition1D, TraceKind
 from .config import WrConfig, relax_update
 from .schedule import arrangement_schedule, producer_map
-from .workspace import Output, RunGrids, _solve_all, exchange_scale
+from .workspace import Output, RunGrids, _solve_all
 
 __all__ = ["plan"]
 
@@ -42,17 +42,10 @@ def plan(problem, partition: Partition1D, grids: RunGrids, config: WrConfig):
 
         def sweep(g):
             def inner(s, i, traces):
-                space = spaces[s]
-                if producer[i] != s:
-                    return cache.project(g[i - 1], space.tgrid)
-                neighbor = i if s == i + 1 else i + 1
-                raw = traces[neighbor][i]
-                scale = exchange_scale(spaces[neighbor], space)
-                if scale != 1.0:
-                    raw = raw.with_samples(raw.samples * scale)
-                return cache.project(raw, space.tgrid)
+                neighbour = i if s == i + 1 else i + 1
+                return g[i - 1] if producer[i] != s else traces[neighbour][i]
 
-            read = _solve_all(ordered, inner, reads)
+            read = _solve_all(ordered, cache, inner, reads)
             new_g = [relax_update(theta, read[producer[i]][i], g[i - 1]) for i in range(1, n)]
             return new_g, new_g
 

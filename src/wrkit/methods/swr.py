@@ -103,7 +103,8 @@ def plan(problem, partition: Partition1D, grids: RunGrids, config: WrConfig):
                 reads[s]["monitored"] = Output(TraceKind.DIRICHLET, positions[s - 1])
         # Transmission state, one pair per interface: data consumed by the
         # left subdomain at its right (possibly extended) boundary, and by
-        # the right subdomain at its left one. Stored on the consumer grids.
+        # the right subdomain at its left one. The seeds are on the
+        # consumers' grids, later pairs on their producers'.
         state = [
             (seed(g, grids.tgrids[i], xi + shift), seed(g, grids.tgrids[i + 1], xi - shift))
             for i, (g, xi) in enumerate(zip(guesses, positions))
@@ -116,14 +117,8 @@ def plan(problem, partition: Partition1D, grids: RunGrids, config: WrConfig):
         ]
 
         def sweep(pairs):
-            read = _solve_all(spaces, lambda s, i, _: pairs[i - 1][1 if i < s else 0], reads)
-            pairs = [
-                (
-                    cache.project(read[i + 1]["for_left"], spaces[i].tgrid),
-                    cache.project(read[i]["for_right"], spaces[i + 1].tgrid),
-                )
-                for i in range(1, n)
-            ]
+            read = _solve_all(spaces, cache, lambda s, i, _: pairs[i - 1][1 if i < s else 0], reads)
+            pairs = [(read[i + 1]["for_left"], read[i]["for_right"]) for i in range(1, n)]
             return pairs, [read[i]["monitored"] for i in range(1, n)]
 
         return state, sweep, grids.tgrids[:-1], prev

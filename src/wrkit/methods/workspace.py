@@ -18,6 +18,7 @@ transmission pairs); the loop owns that state.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -201,10 +202,15 @@ class Output:
     """One interface trace that a subdomain solve returns: ``kind`` at ``at``.
 
     DIRICHLET is the solution history at x = ``at``. NEUMANN is the
-    +x-oriented flux at side ``at`` (``"left"`` or ``"right"``), which
-    must not carry Neumann data. ROBIN is what the neighbour across side
-    ``at`` reads, (d/dn + ``robin_p``) u with that neighbour's outward
-    normal: + flux + p u at the left side, - flux + p u at the right.
+    impedance times the +x-oriented flux at side ``at`` (``"left"`` or
+    ``"right"``), which must not carry Neumann data: c du/dx, the one
+    Neumann quantity subdomains exchange and what a solve's Neumann side
+    takes. It makes the fixed point of a piecewise-speed chain the
+    piecewise monodomain scheme: the three-speed chain of acceptance
+    check 08 drops by 3e-13 in three sweeps, and by 9.4e-2 if du/dx is
+    exchanged instead. ROBIN is what the neighbour across side ``at``
+    reads, (d/dn + ``robin_p``) u with that neighbour's outward normal:
+    + flux + p u at the left side, - flux + p u at the right.
     """
 
     kind: TraceKind
@@ -227,8 +233,8 @@ class _Workspace:
     ``homogeneous`` solve has zero initial data, source, physical
     boundary data and 2D lid data, as the Neumann-Neumann correction
     stage needs. ``impedance`` weights the slope carried across an
-    interface: the wave speed, or 1 for heat, whose diffusivity is
-    shared. The static methods read the problem: speed per subdomain
+    interface (:class:`Output`): the wave speed, or 1 for heat. The
+    static methods read the problem: speed per subdomain
     (None for heat), initial value function, and shared y grid (None in
     1D).
 
@@ -317,7 +323,7 @@ class _Workspace:
             return field.values[:, field.xgrid.node_index(output.at)]
         flux = self._flux(field, output.at, source)
         if output.kind is TraceKind.NEUMANN:
-            return flux
+            return self.impedance * flux
         sgn = 1.0 if output.at == "left" else -1.0
         return sgn * flux + output.robin_p * field.values[:, field.boundary_index(output.at)]
 
@@ -334,7 +340,8 @@ class _Workspace:
         """Solve the subdomain with interface data ``left_bc``/``right_bc``; return ``outputs``.
 
         A side at the end of the chain takes None and gets the problem's
-        physical data (zero if homogeneous). ``outputs`` is a sequence of
+        physical data (zero if homogeneous); Neumann data is c du/dx, as
+        NEUMANN outputs are. ``outputs`` is a sequence of
         :class:`Output`; their traces come back in its order, on this
         subdomain's time grid, from the key's response, which
         :func:`_build_all` has built (a key it has not built raises
@@ -401,7 +408,8 @@ class _Response:
     :meth:`finish`. Entry 0 is the particular part: all data but the
     interface traces, which are zero (a homogeneous solve has no entry
     0: its particular part is exactly zero). Each further entry is one
-    interface side's unit impulse at row 1, with zero data elsewhere.
+    interface side's unit impulse at row 1 (1 / c at a Neumann side: the
+    kernel takes du/dx), with zero data elsewhere.
     The response to an impulse at row m >= 1 is the row-1 response
     shifted by m - 1. Row 0 of an input is never read by the heat kernel
     or at a Dirichlet side, whose row 0 is the initial data. The wave
@@ -476,6 +484,11 @@ class _Response:
         }
         return space._boundaries(zero, self.homogeneous)
 
+    def _impulse(self, space: _Workspace, side: str):
+        """The kernel data of a unit impulse at ``side``: the profile, over c at a Neumann side."""
+        profile = space._profile()
+        return profile / space.impedance if self.kinds[side][0] is TraceKind.NEUMANN else profile
+
     def march(self, space: _Workspace, like) -> tuple:
         """The arguments of the one batched ``space._march`` that the build makes.
 
@@ -491,7 +504,7 @@ class _Response:
             g = np.zeros(bc.samples.shape + (lead + len(self.sides),))
             if side in self.kinds:
                 e = self.sides.index(side)
-                g[self.first[e], ..., lead + e] = space._profile()
+                g[self.first[e], ..., lead + e] = self._impulse(space, side)
             elif lead:
                 g[..., 0] = bc.samples  # the physical data
             data.append(g)
@@ -643,15 +656,15 @@ class _Response:
         are kept. Its step from rows i - 1 and i with zero data is q[i];
         an input row m reaches the last row through rows M - 1 and M of
         its shifted response, so it weighs ``weights[m] * q[M - m + first]``.
-        A last batch entry steps zero rows with the impulse profile as the
-        data the step reads: the weight of row M + first.
+        A last batch entry steps zero rows with the impulse as the data
+        the step reads: the weight of row M + first.
         """
         M = self.rows - 1
         zero = np.zeros_like(values[:1])
         cur = np.concatenate((values[: M + 1], zero))
         prev = np.concatenate((zero, values[:M], zero))
         data = np.zeros((M + 2,) + bcs[0].samples.shape[1:])
-        data[-1] = space._profile()
+        data[-1] = self._impulse(space, side)
         g = [data if s == side else np.zeros_like(data) for s in ("left", "right")]
         # The rows ride along as the last axis, 64 at a time to keep the step's temporaries small.
         batch = [np.moveaxis(a, 0, -1) for a in (cur, prev, *g)]
@@ -865,48 +878,28 @@ def _adapter(problem) -> type[_Workspace]:
     return model
 
 
-def _solve_all(spaces: dict[int, _Workspace], inner, reads: dict, homogeneous: bool = False) -> dict:
+def _solve_all(
+    spaces: dict[int, _Workspace], cache: _PlanCache, inner, reads: dict, homogeneous: bool = False
+) -> dict:
     """Solve every subdomain once, in the order of ``spaces``.
 
     ``inner(s, i, traces)`` is the data subdomain ``s`` takes at interface
-    ``i``; ``traces`` holds what the subdomains solved so far returned,
-    so a later solve may take data from an earlier one. The two ends of
-    the chain take the physical data (zero data in a homogeneous solve).
-    ``reads[s]`` maps names to the outputs (:class:`Output`) of subdomain
-    ``s``; the result maps each ``s`` to the same names, with their traces.
+    ``i``, on any time grid: it is projected onto ``s``'s here. ``traces``
+    holds what the subdomains solved so far returned, so a later solve may
+    take data from an earlier one. The two ends of the chain take the
+    physical data (zero data in a homogeneous solve). ``reads[s]`` maps
+    names to the outputs (:class:`Output`) of subdomain ``s``; the result
+    maps each ``s`` to the same names, with their traces.
     """
     n = len(spaces)
     traces = {}
     for s, space in spaces.items():
-        left = None if s == 1 else inner(s, s - 1, traces)
-        right = None if s == n else inner(s, s, traces)
+        left, right = (
+            None if i in (0, n) else cache.project(inner(s, i, traces), space.tgrid) for i in (s - 1, s)
+        )
         names = reads[s]
         traces[s] = dict(zip(names, space.solve(left, right, names.values(), homogeneous)))
     return traces
-
-
-def exchange_scale(producer: _Workspace, consumer: _Workspace) -> float:
-    """Neumann transmission factor between two subdomains.
-
-    The quantity carried across an interface is the impedance-weighted
-    slope c du/dx, so a consumer with its own speed imposes the
-    producer's extracted slope times c_producer / c_consumer. Matching
-    speeds (and the heat model, whose diffusivity is shared) scale by
-    exactly one. With this weighting the fixed point is the piecewise
-    monodomain scheme.
-
-    Finite-step convergence across speed jumps survives discretization
-    only where every subdomain marches at unit Courant number under the
-    outward sweep: the three-speed chain of acceptance check 08 then
-    drops by 3e-13 in three sweeps, and by 9.4e-2 with this factor
-    forced to one. Elsewhere the sweep may contract slowly or diverge.
-    On (0, 2), (2, 4) with dx 0.05 and one step 0.0125, a white-noise
-    error grows 2.5e24-fold in 30 sweeps when the Neumann side is the
-    fast one (c = 0.5, 2), and falls below 1e-8 at sweep 41 when it is
-    the slow one (c = 2, 0.5). The ``fig_wave_nonmatching`` chain needs
-    more sweeps the finer its dx: 29 at 0.1, 89 at 0.01 (peak 2.1e4).
-    """
-    return producer.impedance / consumer.impedance
 
 
 def build_workspaces(
@@ -1184,6 +1177,15 @@ def _setup(
     return state, sweep, _Monitor(config, cache, ref, metric, initial=guesses, prev=prev)
 
 
+@contextmanager
+def _quiet_overflow():
+    """Numpy's overflow and invalid-value warnings off, as a WrkitError reports a blow-up."""
+    with warnings.catch_warnings():
+        # A filter costs nothing per ufunc call, unlike np.errstate.
+        warnings.filterwarnings("ignore", "(overflow|invalid value) encountered", RuntimeWarning)
+        yield
+
+
 def _drive(*args, **kwargs) -> IterationHistory:
     """Set up as :func:`_setup` does, then sweep from the method's state.
 
@@ -1192,9 +1194,7 @@ def _drive(*args, **kwargs) -> IterationHistory:
     not numpy's overflow warnings, is what reports a run that diverged.
     The response builds of the setup run under the same filter.
     """
-    with warnings.catch_warnings():
-        # A filter costs nothing per ufunc call, unlike np.errstate.
-        warnings.filterwarnings("ignore", "(overflow|invalid value) encountered", RuntimeWarning)
+    with _quiet_overflow():
         state, sweep, monitor = _setup(*args, **kwargs)
         for k in range(1, monitor.config.max_iters + 1):
             try:

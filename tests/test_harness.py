@@ -584,6 +584,23 @@ def test_cli_bound_past_the_float_range(capsys, kind, params):
     assert values[0] == 1.0 and values[-1] == 0.0
 
 
+def test_an_overlay_whose_log_envelope_overflows_is_zero_without_warnings(tmp_path, capsys):
+    # x = k h_min / (2 sqrt(nu T)) is about 6e158, so x^2 leaves the float range.
+    config = tmp_path / "wide.cfg"
+    config.write_text(
+        "model = heat1d\ninterval = 0, 1.970100309819724e+115\npartition = 0, 4.92525077454931e+114, "
+        "9.85050154909862e+114, 1.477575232364793e+115, 1.970100309819724e+115\n"
+        "dx = 2.462625387274655e+114\nnu = 1.42724769270596e+45\n"
+        "dt = 1.1006568214637918e-134\nT = 1.1006568214637918e-134\nlabel = wide\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["run", "--config", str(config), "--out", str(tmp_path)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    rows = (tmp_path / "wide.csv").read_text().splitlines()
+    assert rows[0].endswith(",bound") and all(row.endswith(",0.0") for row in rows[1:])
+
+
 def test_an_out_that_cannot_be_made_fails_before_the_solve(tmp_path, capsys, monkeypatch):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -734,6 +751,20 @@ def test_cli_error_paths(tmp_path, capsys):
         "c_rate_dt": (
             "model = wave1d\ninterval = 0, 2\npartition = 0, 1, 2\nc = 1.5e-154\ndx = 0.1\ndt = 0.02\nT = 0.2\n",
             "c = 1.5e-154",
+        ),
+        # An envelope overlay whose nu*T underflows to 0, on a run that solves.
+        "nu_T_overlay": (
+            "model = heat1d\ninterval = 0, 2.8764219523228867e-93\n"
+            "partition = 0, 9.588073174409622e-94, 1.9176146348819244e-93, 2.8764219523228867e-93\n"
+            "dx = 4.794036587204811e-94\nnu = 2.0902722826084166e-199\n"
+            "dt = 2.0902722826084166e-199\nT = 2.0902722826084166e-199\n",
+            "nu = 2.0902722826084166e-199, T = 2.0902722826084166e-199",
+        ),
+        # Boundary data t^2 that overflows in the reference, before any sweep.
+        "t2_reference": (
+            "model = heat1d\ninterval = 0, 4\npartition = 0, 2, 4\ndx = 1\nnu = 1\n"
+            "dt = 2.974033816955566e+284\nT = 2.974033816955566e+284\ninitial = parabola\nleft = t2\n",
+            "trace samples must be finite",
         ),
         # Speeds whose jump term in the reference's piecewise-speed march overflows.
         "c_jump": (

@@ -313,10 +313,13 @@ def test_heat_fixed_point(cfg, monkeypatch):
     ],
     ids=lambda c: f"{c.method.value}-{c.arrangement.name}",
 )
-def test_wave_fixed_point_with_per_subdomain_speeds(cfg):
+@pytest.mark.parametrize("speeds", [(0.25, 2.0, 0.5), (1.0, 1.5, 0.7)], ids=["ratios-2^k", "ratios-other"])
+def test_wave_fixed_point_with_per_subdomain_speeds(cfg, speeds):
     # The interface stencil weights neighbor slopes by the local speeds,
     # which makes the split exact for piecewise-constant speed as well.
-    prob = wave_problem(interval=(0.0, 6.0), speed=(0.25, 2.0, 0.5))
+    # Power-of-two speed ratios scale the exchanged c du/dx exactly; the
+    # second set's do not, so its fixed point holds only to rounding.
+    prob = wave_problem(interval=(0.0, 6.0), speed=speeds)
     part = make_partition((0.0, 2.0, 4.0, 6.0))
     grids = make_run_grids(part, 0.1, 2.0, 0.039)
     xgrid = SpaceGrid1D.with_spacing(0.0, 6.0, grids.dx)
@@ -335,7 +338,7 @@ def test_wave_fixed_point_with_per_subdomain_speeds(cfg):
 
 def test_dnwr_across_a_speed_jump_converges_only_with_neumann_data_on_the_slow_side():
     # The outward sweep on two subdomains gives the left one Dirichlet data
-    # and the right one Neumann data (see exchange_scale).
+    # and the right one Neumann data, c du/dx (see workspace.Output).
     chain = (
         "model = wave1d\ninterval = 0, 4\npartition = 0, 2, 4\ndx = 0.05\ndt = 0.0125\nT = 2\n"
         "arrangement = outward\ntheta = 0.5\ntol = 1e-8\nguess = random(7)\n"

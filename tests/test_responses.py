@@ -111,9 +111,13 @@ def _single(space, left_bc, right_bc, homogeneous=False):
 
 
 def _march(space, left, right, homogeneous=False):
-    return _single(space, *space._boundaries(
-        {s: bc for s, bc in (("left", left), ("right", right)) if bc is not None}, homogeneous
-    ), homogeneous)
+    """The public kernel's march of a solve; Neumann data is c du/dx, and the kernel takes du/dx."""
+    inputs = {
+        s: bc.with_samples(bc.samples / space.impedance) if bc.kind is N else bc
+        for s, bc in (("left", left), ("right", right))
+        if bc is not None
+    }
+    return _single(space, *space._boundaries(inputs, homogeneous), homogeneous)
 
 
 def _solve(*solves):
